@@ -1,6 +1,6 @@
 #include "json/json.hpp"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -127,25 +127,34 @@ void write_escaped(std::string& out, const std::string& s) {
   out.push_back('"');
 }
 
+// Shortest "%.*g" text that parses back to `d`, i.e. the smallest precision
+// p <= 16 whose correctly rounded "%.pg" round-trips, else "%.17g".
+// No p below the shortest round-trip digit count n can round-trip, so the
+// search starts at n (from the scientific shortest form) instead of 1. It
+// rarely steps past n: only where the rounding interval is asymmetric (at
+// powers of two) can the nearest n-digit value miss while another n-digit
+// value hits.
 void write_number(std::string& out, double d) {
-  if (std::isnan(d) || std::isinf(d)) {
+  if (!std::isfinite(d)) {
     out += "null";  // JSON has no NaN/Inf; estimator results never produce them
     return;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  // Use the shortest representation that round-trips.
-  for (int prec = 1; prec < 17; ++prec) {
-    char shorter[40];
-    std::snprintf(shorter, sizeof shorter, "%.*g", prec, d);
+  char buf[32];
+  char* const end = buf + sizeof buf;
+  const char* const sci = std::to_chars(buf, end, d, std::chars_format::scientific).ptr;
+  int prec = 0;
+  for (const char* p = buf; p != sci && *p != 'e'; ++p) {
+    if (*p >= '0' && *p <= '9') ++prec;
+  }
+  for (; prec < 17; ++prec) {
+    char* const last = std::to_chars(buf, end, d, std::chars_format::general, prec).ptr;
     double back = 0.0;
-    std::sscanf(shorter, "%lf", &back);
-    if (back == d) {
-      out += shorter;
+    if (std::from_chars(buf, last, back).ec == std::errc() && back == d) {
+      out.append(buf, last);
       return;
     }
   }
-  out += buf;
+  out.append(buf, std::to_chars(buf, end, d, std::chars_format::general, 17).ptr);
 }
 
 void indent_to(std::string& out, int indent, int depth) {
@@ -220,7 +229,7 @@ class Parser {
   explicit Parser(std::string_view text) : text_(text) {}
 
   Value run() {
-    Value v = parse_value();
+    Value v = parse_value(0);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing characters after JSON document");
     return v;
@@ -266,12 +275,13 @@ class Parser {
     pos_ += lit.size();
   }
 
-  Value parse_value() {
+  /// `depth` counts the containers enclosing the value.
+  Value parse_value(int depth) {
     skip_ws();
     if (at_end()) fail("unexpected end of input");
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return parse_object(depth + 1);
+      case '[': return parse_array(depth + 1);
       case '"': return Value(parse_string());
       case 't': expect_literal("true"); return Value(true);
       case 'f': expect_literal("false"); return Value(false);
@@ -280,7 +290,16 @@ class Parser {
     }
   }
 
-  Value parse_object() {
+  /// Fails before recursing past kMaxNestingDepth, so no parsed tree is
+  /// deeper and the recursive write, copy and destruction stay bounded.
+  void check_depth(int depth) const {
+    if (depth > kMaxNestingDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxNestingDepth) + " levels");
+    }
+  }
+
+  Value parse_object(int depth) {
+    check_depth(depth);
     next();  // '{'
     Object obj;
     skip_ws();
@@ -294,7 +313,7 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       if (next() != ':') fail("expected ':' after object key");
-      obj.emplace_back(std::move(key), parse_value());
+      obj.emplace_back(std::move(key), parse_value(depth));
       skip_ws();
       char c = next();
       if (c == ',') continue;
@@ -304,7 +323,8 @@ class Parser {
     return Value(std::move(obj));
   }
 
-  Value parse_array() {
+  Value parse_array(int depth) {
+    check_depth(depth);
     next();  // '['
     Array arr;
     skip_ws();
@@ -313,7 +333,7 @@ class Parser {
       return Value(std::move(arr));
     }
     for (;;) {
-      arr.push_back(parse_value());
+      arr.push_back(parse_value(depth));
       skip_ws();
       char c = next();
       if (c == ',') continue;
@@ -379,36 +399,55 @@ class Parser {
     }
   }
 
+  bool at_digit() const { return !at_end() && peek() >= '0' && peek() <= '9'; }
+
+  /// Consumes one or more digits; fails naming `what` when there is none.
+  void digits(const char* what) {
+    if (!at_digit()) fail(std::string("expected a digit ") + what);
+    while (at_digit()) ++pos_;
+  }
+
+  /// RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+  /// Integers must fit int64; anything else is a double.
   Value parse_number() {
-    std::size_t start = pos_;
+    const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
+    if (!at_digit()) fail("invalid number");
+    if (peek() == '0') {
+      ++pos_;
+      if (at_digit()) fail("leading zeros are not allowed in numbers");
+    } else {
+      while (at_digit()) ++pos_;
+    }
     bool is_integer = true;
-    while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
     if (peek() == '.') {
       is_integer = false;
       ++pos_;
-      while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
+      digits("after the decimal point");
     }
     if (peek() == 'e' || peek() == 'E') {
       is_integer = false;
       ++pos_;
       if (peek() == '+' || peek() == '-') ++pos_;
-      while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
+      digits("in the exponent");
     }
-    std::string token(text_.substr(start, pos_ - start));
-    if (token.empty() || token == "-") fail("invalid number");
+    const std::string_view token = text_.substr(start, pos_ - start);
+    const char* const first = token.data();
+    const char* const last = first + token.size();
     if (is_integer) {
-      try {
-        return Value(static_cast<std::int64_t>(std::stoll(token)));
-      } catch (const std::exception&) {
-        // Falls through to double for out-of-range integers.
+      std::int64_t i = 0;
+      if (std::from_chars(first, last, i).ec != std::errc()) {
+        pos_ = start;
+        fail("integer '" + std::string(token) + "' is outside the 64-bit signed range");
       }
+      return Value(i);
     }
-    try {
-      return Value(std::stod(token));
-    } catch (const std::exception&) {
-      fail("invalid number '" + token + "'");
+    double d = 0.0;
+    if (std::from_chars(first, last, d).ec != std::errc()) {
+      pos_ = start;
+      fail("number '" + std::string(token) + "' is outside the double range");
     }
+    return Value(d);
   }
 
   std::string_view text_;

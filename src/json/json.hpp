@@ -82,7 +82,12 @@ class Value {
   std::variant<std::nullptr_t, bool, double, std::int64_t, std::string, Array, Object> data_;
 };
 
-/// Parses a complete JSON document; throws qre::Error with line/column info.
+/// Deepest container nesting parse() accepts. Far above any job document;
+/// it keeps the recursive parser, writer and destructor off the stack limit.
+inline constexpr int kMaxNestingDepth = 512;
+
+/// Parses a complete JSON document (exactly the RFC 8259 grammar; integers
+/// must fit int64); throws qre::Error with line/column info.
 Value parse(std::string_view text);
 
 /// Reads and parses a JSON file; throws qre::Error on I/O or parse failure.

@@ -118,8 +118,9 @@ const json::Value* find_path(const json::Value& doc, const std::string& path) {
   return node;
 }
 
-/// Sample value formatting: integral values print exactly, the rest as %g
-/// (both are legal exposition-format floats). Booleans are 1/0.
+/// Sample value formatting: integral values print exactly, the rest as the
+/// JSON writer's shortest round-trip text (both are legal exposition-format
+/// floats). Booleans are 1/0.
 std::string format_number(const json::Value& v) {
   double d = 0;
   if (v.is_bool()) {
@@ -134,9 +135,9 @@ std::string format_number(const json::Value& v) {
     std::snprintf(buffer, sizeof buffer, "%lld", static_cast<long long>(d));
     return buffer;
   }
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%g", d);
-  return buffer;
+  if (std::isnan(d)) return "NaN";  // JSON text would say null
+  if (std::isinf(d)) return d > 0 ? "+Inf" : "-Inf";
+  return json::Value(d).dump();
 }
 
 /// Label-value escaping per the exposition format: \\, \", \n.
@@ -216,9 +217,7 @@ void emit_histogram(std::string& out, std::set<std::string>& emitted,
   const json::Array& bound_array = bounds->as_array();
   for (std::size_t i = 0; i < bound_array.size() && i < count_array.size(); ++i) {
     cumulative += count_array[i].as_uint();
-    char bound[32];
-    std::snprintf(bound, sizeof bound, "%g", bound_array[i].as_double());
-    sample(out, (name + "_bucket").c_str(), std::string("le=\"") + bound + "\"",
+    sample(out, (name + "_bucket").c_str(), "le=\"" + format_number(bound_array[i]) + "\"",
            std::to_string(cumulative));
   }
   for (std::size_t i = bound_array.size(); i < count_array.size(); ++i) {

@@ -54,14 +54,17 @@ TEST(JobQueueStress, RacingSubmitPollCancelKeepsInvariants) {
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kOpsPerThread = 200;
   std::vector<std::vector<std::uint64_t>> submitted_per_thread(kThreads);
+  // Ids whose cancel was accepted. Repeating a cancel while a job is still
+  // cancelling answers kCancelling again, so jobs are counted, not calls.
+  std::vector<std::set<std::uint64_t>> cancelled_per_thread(kThreads);
   std::atomic<std::uint64_t> rejected{0};
-  std::atomic<std::uint64_t> cancelled{0};
 
   std::vector<std::thread> clients;
   for (std::size_t t = 0; t < kThreads; ++t) {
     clients.emplace_back([&, t] {
       std::mt19937_64 rng(t);
       std::vector<std::uint64_t>& mine = submitted_per_thread[t];
+      std::set<std::uint64_t>& mine_cancelled = cancelled_per_thread[t];
       for (std::size_t op = 0; op < kOpsPerThread; ++op) {
         switch (rng() % 4) {
           case 0:
@@ -89,13 +92,14 @@ TEST(JobQueueStress, RacingSubmitPollCancelKeepsInvariants) {
           }
           default: {  // cancel one of ours
             if (!mine.empty()) {
-              const JobQueue::CancelResult result = queue.cancel(mine[rng() % mine.size()]);
+              const std::uint64_t id = mine[rng() % mine.size()];
+              const JobQueue::CancelResult result = queue.cancel(id);
               // kCancelled (was queued) and kCancelling (was running) both
               // guarantee a terminal "cancelled" — cancel wins over a runner
               // that happens to finish.
               if (result == JobQueue::CancelResult::kCancelled ||
                   result == JobQueue::CancelResult::kCancelling) {
-                cancelled.fetch_add(1, std::memory_order_relaxed);
+                mine_cancelled.insert(id);
               }
             }
             break;
@@ -138,7 +142,15 @@ TEST(JobQueueStress, RacingSubmitPollCancelKeepsInvariants) {
     }
   }
   EXPECT_EQ(succeeded + failed + cancelled_terminal, total_submitted);
-  EXPECT_GE(cancelled_terminal, cancelled.load());  // drain cancels the rest
+  std::set<std::uint64_t> cancelled_ids;
+  for (const auto& ids : cancelled_per_thread) {
+    cancelled_ids.insert(ids.begin(), ids.end());
+  }
+  for (std::uint64_t id : cancelled_ids) {
+    EXPECT_EQ(queue.status(id)->at("status").as_string(), "cancelled")
+        << "job " << id << " accepted a cancel but did not end cancelled";
+  }
+  EXPECT_GE(cancelled_terminal, cancelled_ids.size());  // drain cancels the rest
   // Cancel-wins: a job whose runner executed can still terminate cancelled
   // (its response is discarded), so executed bounds the counted terminals
   // from above instead of matching exactly.

@@ -1,10 +1,41 @@
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 #include "json/json.hpp"
 
 namespace qre::json {
 namespace {
+
+/// The number formatter's reference: the smallest "%.*g" precision below 17
+/// whose text reads back as `d`, else "%.17g". The writer must match it byte
+/// for byte; it is slow (up to 16 printf/scanf rounds), so only tests use it.
+std::string reference_number(double d) {
+  if (std::isnan(d) || std::isinf(d)) return "null";
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", d);
+  for (int prec = 1; prec < 17; ++prec) {
+    char shorter[40];
+    std::snprintf(shorter, sizeof shorter, "%.*g", prec, d);
+    double back = 0.0;
+    std::sscanf(shorter, "%lf", &back);
+    if (back == d) return shorter;
+  }
+  return buf;
+}
+
+double from_bits(std::uint64_t bits) {
+  double d = 0.0;
+  std::memcpy(&d, &bits, sizeof d);
+  return d;
+}
 
 TEST(Json, ParseScalars) {
   EXPECT_TRUE(parse("null").is_null());
@@ -115,6 +146,109 @@ TEST(Json, NumberFormatting) {
   EXPECT_EQ(Value(1.12e11).dump(), "1.12e+11");  // double, shortest round-trip
   Value v = parse(Value(0.1).dump());
   EXPECT_DOUBLE_EQ(v.as_double(), 0.1);
+}
+
+TEST(Json, ReferenceFormatterMatchesTheFixedExpectations) {
+  // Pins the oracle below to the same literals NumberFormatting checks.
+  EXPECT_EQ(reference_number(0.0001), "0.0001");
+  EXPECT_EQ(reference_number(1.12e11), "1.12e+11");
+  EXPECT_EQ(reference_number(0.1), "0.1");
+  EXPECT_EQ(reference_number(-0.0), "-0");
+  EXPECT_EQ(reference_number(5e-324), "5e-324");
+  EXPECT_EQ(reference_number(DBL_MAX), "1.7976931348623157e+308");
+}
+
+TEST(Json, NumberFormattingMatchesTheReferenceByteForByte) {
+  std::vector<double> cases = {0.0, -0.0, 5e-324, -5e-324, DBL_MIN, DBL_MAX, -DBL_MAX,
+                               DBL_EPSILON, 0.1, 1.0 / 3.0, 2.0 / 3.0};
+  // Decimal powers and their neighbours.
+  for (int e = -324; e <= 308; ++e) {
+    const double p = std::pow(10.0, e);
+    cases.insert(cases.end(), {p, std::nextafter(p, 0.0), std::nextafter(p, HUGE_VAL)});
+  }
+  // Both sides of every binade edge, where the rounding interval is
+  // asymmetric and the shortest digit count is not always enough.
+  for (int k = -1074; k <= 1023; ++k) {
+    const double p = std::ldexp(1.0, k);
+    cases.insert(cases.end(), {p, std::nextafter(p, 0.0), std::nextafter(p, HUGE_VAL)});
+  }
+  std::mt19937_64 rng(20260412);
+  for (int i = 0; i < 20000; ++i) {  // subnormals
+    cases.push_back(from_bits(rng() & ((std::uint64_t{1} << 52) - 1)));
+  }
+  for (int i = 0; i < 20000; ++i) {  // short decimals, as the estimator emits
+    const int exponent = static_cast<int>(rng() % 40) - 20;
+    cases.push_back(static_cast<double>(rng() % 100000) * std::pow(10.0, exponent));
+  }
+  while (cases.size() < 200000) {  // raw bit patterns
+    const double d = from_bits(rng());
+    if (std::isfinite(d)) cases.push_back(d);
+  }
+  std::size_t mismatches = 0;
+  for (double d : cases) {
+    const std::string got = Value(d).dump();
+    const std::string want = reference_number(d);
+    // The parser must also read every emitted number back exactly.
+    if ((got != want || parse(got).as_double() != d) && ++mismatches <= 10) {
+      ADD_FAILURE() << std::hexfloat << d << ": got " << got << ", want " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << cases.size() << " doubles";
+  EXPECT_EQ(Value(std::nan("")).dump(), "null");
+  EXPECT_EQ(Value(-HUGE_VAL).dump(), "null");
+}
+
+TEST(Json, NumberGrammarIsExactlyRfc8259) {
+  EXPECT_EQ(parse("0").as_int(), 0);
+  EXPECT_EQ(parse("-0").dump(), "0");
+  EXPECT_EQ(parse("-0.0").dump(), "-0");
+  EXPECT_DOUBLE_EQ(parse("0.5").as_double(), 0.5);
+  EXPECT_DOUBLE_EQ(parse("1E5").as_double(), 1e5);
+  EXPECT_DOUBLE_EQ(parse("1e-5").as_double(), 1e-5);
+  EXPECT_DOUBLE_EQ(parse("-1.5e+3").as_double(), -1500.0);
+  EXPECT_EQ(parse("[0,-0.5e0]").dump(), "[0,-0.5]");
+  for (const char* bad : {".5", "1.", "01", "-01", "1e", "1e+", "-", "+1", "1.e5", "-.5",
+                          "0x10", "1e5.", "[01]", "[1.]", "{\"a\":1e}"}) {
+    EXPECT_THROW(parse(bad), Error) << bad;
+  }
+}
+
+TEST(Json, IntegersOutsideInt64AreRejectedNotRounded) {
+  EXPECT_EQ(parse("9223372036854775807").as_int(), INT64_MAX);
+  EXPECT_EQ(parse("-9223372036854775808").as_int(), INT64_MIN);
+  for (const char* bad : {"18446744073709551615", "9223372036854775808",
+                          "-9223372036854775809", "[1,100000000000000000000000]"}) {
+    try {
+      parse(bad);
+      ADD_FAILURE() << bad << " parsed";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("64-bit"), std::string::npos) << e.what();
+    }
+  }
+  // Written as a double, the same magnitude is fine.
+  EXPECT_DOUBLE_EQ(parse("1.8446744073709552e19").as_double(), 18446744073709551615.0);
+  EXPECT_THROW(parse("1e999"), Error);
+}
+
+TEST(Json, NestingCapIsExact) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_EQ(parse(nested(kMaxNestingDepth)).dump(), nested(kMaxNestingDepth));
+  try {
+    parse(nested(kMaxNestingDepth + 1));
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    const std::string want = "nesting deeper than " + std::to_string(kMaxNestingDepth);
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
+  }
+  std::string objects;
+  for (int i = 0; i <= kMaxNestingDepth; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(static_cast<std::size_t>(kMaxNestingDepth) + 1, '}');
+  EXPECT_THROW(parse(objects), Error);
+  // Far past the cap, an unterminated run fails without exhausting the stack.
+  EXPECT_THROW(parse(std::string(100000, '[')), Error);
 }
 
 TEST(Json, ParseFileMissing) { EXPECT_THROW(parse_file("/nonexistent/x.json"), Error); }

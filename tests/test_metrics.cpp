@@ -155,6 +155,25 @@ TEST(Prometheus, HistogramIsCumulativeWithInfAndSum) {
   EXPECT_NE(text.find("qre_request_latency_ms_count 10"), std::string::npos);
 }
 
+TEST(Prometheus, NonIntegralSamplesKeepFullPrecision) {
+  const json::Value doc = json::parse(R"({
+    "server": {
+      "uptimeSeconds": 86400.125,
+      "latencyMs": {
+        "bucketUpperBoundsMs": [0.5, 2.5],
+        "counts": [1, 0, 0],
+        "totalMs": 1234567.25,
+        "count": 1
+      }
+    }
+  })");
+  const std::string text = server::to_prometheus_text(doc);
+  EXPECT_NE(text.find("qre_request_latency_ms_sum 1234567.25\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("qre_uptime_seconds 86400.125\n"), std::string::npos);
+  EXPECT_NE(text.find(R"(qre_request_latency_ms_bucket{le="2.5"} 1)"), std::string::npos);
+  EXPECT_EQ(text.find("e+06"), std::string::npos);
+}
+
 TEST(Prometheus, EscapesLabelValues) {
   const json::Value doc = json::parse(R"({
     "server": {"requestsByRoute": {"GET /weird\"route\\path": 1}}

@@ -285,12 +285,18 @@ TEST(SchemaFuzz, RouterAnswersCorruptedBodiesWithStructured4xx) {
 
   // Definitely-unparseable bodies on the estimating endpoints: structured
   // 400s, never an exception, never a hung worker. Explicit length keeps
-  // the embedded NUL in the body instead of truncating the literal.
+  // the embedded NUL in the body instead of truncating the literal. The
+  // mutator above stops at depth 6; the deep body is the far end, which
+  // would overflow the stack without the parser's nesting cap.
   const std::string junk = std::string(1, '\0') + "\xff not json";
-  for (const char* target : {"/v2/estimate", "/v2/jobs"}) {
-    server::ParsedResponse response = route(router, "POST", target, junk);
-    EXPECT_EQ(response.status, 400);
-    EXPECT_NE(json::parse(response.body).find("error"), nullptr);
+  std::string deep;
+  for (int i = 0; i < 50000; ++i) deep += i % 2 == 0 ? "{\"a\":[" : "[";
+  for (const std::string& body : {junk, deep}) {
+    for (const char* target : {"/v2/estimate", "/v2/jobs"}) {
+      server::ParsedResponse response = route(router, "POST", target, body);
+      EXPECT_EQ(response.status, 400);
+      EXPECT_NE(json::parse(response.body).find("error"), nullptr);
+    }
   }
 }
 

@@ -534,6 +534,18 @@ TEST(Server, HealthVersionAndErrorRoutes) {
   EXPECT_GE(envelope.at("diagnostics").as_array().size(), 1u);
 }
 
+TEST(Server, DeeplyNestedBodyIsA400AndTheServerStaysUp) {
+  ServerFixture fx;
+  Client::Result r = fx.client().post("/v2/estimate", std::string(100 * 1024, '['));
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.status, 400);
+  const json::Value error = json::parse(r.body).at("error");
+  EXPECT_EQ(error.at("code").as_string(), "invalid-json");
+  const std::string want = "nesting deeper than " + std::to_string(json::kMaxNestingDepth);
+  EXPECT_NE(error.at("message").as_string().find(want), std::string::npos);
+  EXPECT_EQ(fx.client().get("/healthz").status, 200);
+}
+
 TEST(Server, RestartedServerAnswersFromTheStoreWithZeroRawEstimates) {
   char dir_pattern[] = "/tmp/qre_server_store.XXXXXX";
   ASSERT_NE(::mkdtemp(dir_pattern), nullptr);
