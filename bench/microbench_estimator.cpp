@@ -216,8 +216,8 @@ void write_estimator_bench_json() {
   // so each path's cost is the fastest pass, not the mean (the mean swings
   // 30-40% between runs of the same binary). The two paths interleave
   // inside one loop so a transient load spike hits both, keeping the
-  // kernel/scalar RATIO — what scripts/check_bench_regression.sh gates
-  // on — stable even when the absolute numbers move with the runner.
+  // kernel/scalar ratio stable even when the absolute numbers move with
+  // the runner.
   double kernel_sweep_ms = std::numeric_limits<double>::infinity();
   double scalar_sweep_ms = std::numeric_limits<double>::infinity();
   benchmark::DoNotOptimize(run_job(dense_job, kernel_serial));  // warm-up
@@ -283,9 +283,9 @@ void write_estimator_bench_json() {
   metrics.emplace_back("sweep_baseline_ms", json::Value(sweep_baseline_ms));
   metrics.emplace_back("sweep_speedup", json::Value(sweep_baseline_ms / sweep_ms));
   // Headline sweep throughput: the batch kernel at steady state, with the
-  // scalar path on the same grid beside it so CI can normalize away runner
-  // speed (scripts/check_bench_regression.sh). The first-request (cold
-  // factory cache) numbers keep their own _cold metrics.
+  // scalar path on the same grid beside it (their ratio cancels runner
+  // speed). The first-request (cold factory cache) numbers keep their own
+  // _cold metrics.
   metrics.emplace_back("sweep_items_per_sec", json::Value(kernel_items_per_sec));
   metrics.emplace_back("sweep_items_per_sec_scalar", json::Value(scalar_items_per_sec));
   metrics.emplace_back("sweep_kernel_speedup",

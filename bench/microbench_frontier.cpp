@@ -94,7 +94,8 @@ int main() {
   api::EstimateResponse grid_response = api::run(grid_request, {}, registry);
   const double grid_seconds = seconds_since(grid_start);
   const std::size_t grid_points =
-      grid_response.success ? grid_response.result.at("frontier").as_array().size() : 0;
+      grid_response.success ? grid_response.result.materialize().at("frontier").as_array().size()
+                            : 0;
 
   service::Engine serial_engine;
   Run cold = explore_once(request, serial_engine, 1);

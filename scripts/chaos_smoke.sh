@@ -11,7 +11,9 @@
 #   - a crash failpoint between temp-write and rename kills the process
 #     but leaves the persistent store fully readable (corruptRecords == 0),
 #   - a clean restart over the same store serves again and drains with
-#     exit 0.
+#     exit 0,
+#   - a 100 KB run of '[' is a 400 invalid-json, not a crash: the parser's
+#     nesting cap holds on the live daemon.
 #
 # usage: scripts/chaos_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -204,6 +206,19 @@ curl -fsS "$BASE/metrics" | jq -e '.store.enabled == true and .store.loaded >= 1
 STATUS=$(curl -sS -o /dev/null -w '%{http_code}' \
               -X POST --data-binary "@$JOB" "$BASE/v2/estimate")
 [[ "$STATUS" == "200" ]] || fail "estimate after restart returned HTTP $STATUS"
+
+# --- leg 5: deep nesting ---------------------------------------------------
+# Without the parser's depth cap, 100 KB of '[' would recurse off the
+# stack; with it the body must get a structured 400 and leave the daemon up.
+head -c 102400 /dev/zero | tr '\0' '[' > "$WORK_DIR/deep.json"
+STATUS=$(curl -sS -o "$WORK_DIR/deep_response.json" -w '%{http_code}' \
+              -X POST --data-binary "@$WORK_DIR/deep.json" "$BASE/v2/estimate") \
+  || fail "deep-nesting POST got no response (daemon crashed?)"
+[[ "$STATUS" == "400" ]] || fail "deep-nesting POST returned HTTP $STATUS, expected 400"
+jq -e '.error.code == "invalid-json"' "$WORK_DIR/deep_response.json" > /dev/null \
+  || fail "deep-nesting POST did not answer invalid-json"
+kill -0 "$SERVER_PID" 2>/dev/null || fail "qre_serve died on the deep-nesting body"
+curl -fsS "$BASE/healthz" | jq -e '.status == "ok"' > /dev/null || fail "healthz (deep nesting)"
 stop_server
 
 echo "chaos: OK"

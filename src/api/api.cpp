@@ -247,7 +247,7 @@ EstimateResponse run(const EstimateRequest& request, const service::EngineOption
           return item_error("invalid-item", item_diags.summary(), &item_diags);
         }
         Diagnostics sink;  // tolerate unknown keys; validation warned above
-        return run_single_document(item, registry, &sink);
+        return service::result_bytes(run_single_document(item, registry, &sink));
       };
       service::BatchStats stats;
       json::Array results;
@@ -289,7 +289,9 @@ EstimateResponse run(const EstimateRequest& request, const service::EngineOption
       // the cache replays the exact result document.
       trace::PhaseTimer phase(timings, "api.execute");
       Diagnostics sink;
-      auto compute = [&] { return run_single_document(doc, registry, &sink); };
+      auto compute = [&] {
+        return service::result_bytes(run_single_document(doc, registry, &sink));
+      };
       if (run_options.use_cache && run_options.cache != nullptr) {
         response.result =
             run_options.cache->get_or_compute(service::canonical_key(doc), compute);
@@ -312,13 +314,17 @@ EstimateResponse run(const EstimateRequest& request, const service::EngineOption
   // cached payloads (and golden files) never carry it. totalCpuMs is a
   // process-CPU delta: it covers the engine workers, but under concurrent
   // server load it includes other requests too (see docs/observability.md).
-  if (request.collect_timings && timings != nullptr && response.success &&
-      response.result.is_object()) {
+  if (request.collect_timings && timings != nullptr && response.success) {
     const std::int64_t total_wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                                            std::chrono::steady_clock::now() - run_start)
                                            .count();
-    response.result.set(
-        "timings", timings->to_json(total_wall_ns, trace::process_cpu_ns() - run_cpu_start));
+    const std::int64_t total_cpu_ns = trace::process_cpu_ns() - run_cpu_start;
+    // A single estimate's result is raw bytes; only this opt-in path pays
+    // to parse it back into a tree it can extend.
+    if (response.result.is_raw()) response.result = response.result.materialize();
+    if (response.result.is_object()) {
+      response.result.set("timings", timings->to_json(total_wall_ns, total_cpu_ns));
+    }
   }
   return response;
 }

@@ -39,11 +39,12 @@ json::Value FrontierResponse::to_json() const {
 
 namespace {
 
-/// The probe executor: one validated single-estimate document -> report.
+/// The probe executor: one validated single-estimate document -> report,
+/// as result bytes: probes share cache keys with single estimates.
 service::JobRunner estimator_runner(const Registry& registry) {
   return [&registry](const json::Value& item) -> json::Value {
     Diagnostics sink;  // probes derive from a validated document
-    return run_single_document(item, registry, &sink);
+    return service::result_bytes(run_single_document(item, registry, &sink));
   };
 }
 

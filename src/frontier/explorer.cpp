@@ -79,7 +79,8 @@ struct Interval {
   std::size_t hi_probe = 0;
 };
 
-/// Pulls the objectives out of a probe's report document. A missing or
+/// Pulls the objectives out of a probe's report document, materialized (a
+/// runner's result is raw bytes; see service::result_bytes). A missing or
 /// malformed section (an {"error": ...} entry from the batch runner, or a
 /// synthetic runner returning junk) reports failure instead of throwing.
 bool extract_objectives(const json::Value& result, Probe& probe) {
@@ -211,16 +212,18 @@ class Explorer {
     return doc;
   }
 
-  /// The frontier-entry (and streaming) shape for one probe outcome.
-  json::Value make_record(std::size_t budget_index, std::uint64_t cap,
-                          const json::Value& result) const {
+  /// The frontier-entry (and streaming) shape for one probe outcome:
+  /// objectives read from `fields` (the materialized result), the result
+  /// itself kept as it came (raw bytes are spliced, not rebuilt).
+  json::Value make_record(std::size_t budget_index, std::uint64_t cap, const json::Value& result,
+                          const json::Value& fields) const {
     json::Object record;
     if (cap > 0) record.emplace_back("maxTFactories", json::Value(cap));
     if (budgets_[budget_index].has_value()) {
       record.emplace_back("errorBudget", json::Value(*budgets_[budget_index]));
     }
-    if (result.is_object()) {
-      if (const json::Value* counts = result.find("physicalCounts")) {
+    if (fields.is_object()) {
+      if (const json::Value* counts = fields.find("physicalCounts")) {
         if (const json::Value* qubits = counts->find("physicalQubits")) {
           record.emplace_back("physicalQubits", *qubits);
         }
@@ -252,7 +255,8 @@ class Explorer {
     service::EngineOptions opts = wave_options_;
     if (probe_sink_) {
       opts.on_result = [this, first, &wave](std::size_t i, const json::Value& result) {
-        probe_sink_(first + i, make_record(wave[i].first, wave[i].second, result));
+        probe_sink_(first + i,
+                    make_record(wave[i].first, wave[i].second, result, result.materialize()));
       };
     }
     json::Array results = service::run_batch(items, runner_, opts, nullptr);
@@ -262,14 +266,15 @@ class Explorer {
       Probe probe;
       probe.budget_index = wave[i].first;
       probe.cap = wave[i].second;
-      probe.ok = extract_objectives(results[i], probe);
+      const json::Value fields = results[i].materialize();
+      probe.ok = extract_objectives(fields, probe);
       if (!probe.ok) {
         ++stats_.num_failed_probes;
         if (stats_.first_error.empty()) {
-          stats_.first_error = probe_error_message(results[i]);
+          stats_.first_error = probe_error_message(fields);
         }
       }
-      probe.record = make_record(probe.budget_index, probe.cap, results[i]);
+      probe.record = make_record(probe.budget_index, probe.cap, results[i], fields);
       probes_.push_back(std::move(probe));
     }
     return first;

@@ -25,6 +25,32 @@ namespace {
 }
 }  // namespace
 
+Value Value::raw(std::string compact) {
+  return raw(std::make_shared<const std::string>(std::move(compact)));
+}
+
+Value Value::raw(std::shared_ptr<const std::string> compact) {
+  QRE_REQUIRE(compact != nullptr, "a raw JSON leaf needs bytes");
+  Value v;
+  v.data_ = Raw{std::move(compact)};
+  return v;
+}
+
+const std::shared_ptr<const std::string>& Value::raw_bytes() const {
+  if (const Raw* r = std::get_if<Raw>(&data_)) return r->bytes;
+  type_error("raw");
+}
+
+Value Value::materialize() const {
+  if (const Raw* r = std::get_if<Raw>(&data_)) return parse(*r->bytes);
+  return *this;
+}
+
+bool Value::operator==(const Value& other) const {
+  if (is_raw() || other.is_raw()) return dump() == other.dump();
+  return data_ == other.data_;
+}
+
 bool Value::as_bool() const {
   if (const bool* b = std::get_if<bool>(&data_)) return *b;
   type_error("bool");
@@ -207,6 +233,12 @@ void Value::write(std::string& out, int indent, int depth) const {
     }
     indent_to(out, indent, depth);
     out.push_back('}');
+  } else if (const Raw* r = std::get_if<Raw>(&data_)) {
+    if (indent > 0) {
+      materialize().write(out, indent, depth);
+    } else {
+      out += *r->bytes;
+    }
   }
 }
 

@@ -27,6 +27,14 @@ using Object = std::vector<std::pair<std::string, Value>>;
 /// A JSON document node. Numbers are stored as double plus an exact-integer
 /// flag so counts such as physical qubit numbers round-trip without a
 /// trailing ".0".
+///
+/// Besides the JSON kinds a node can be a raw leaf: an already serialized
+/// compact document held as shared, immutable bytes (see raw()). Estimate
+/// results travel in this form from the worker that computed them through
+/// the cache, the store and the writers, so copying one is a reference
+/// count and dumping one appends its bytes. To a reader a raw leaf is
+/// opaque, like any non-object: is_object() is false and find() returns
+/// nullptr. Readers that need fields call materialize(), which parses.
 class Value {
  public:
   Value() : data_(nullptr) {}
@@ -42,6 +50,11 @@ class Value {
   Value(Array a) : data_(std::move(a)) {}
   Value(Object o) : data_(std::move(o)) {}
 
+  /// A raw leaf holding `compact`, which must be the dump() of a document.
+  static Value raw(std::string compact);
+  /// A raw leaf sharing `compact` (non-null), e.g. bytes held by a store.
+  static Value raw(std::shared_ptr<const std::string> compact);
+
   bool is_null() const { return std::holds_alternative<std::nullptr_t>(data_); }
   bool is_bool() const { return std::holds_alternative<bool>(data_); }
   bool is_number() const {
@@ -50,6 +63,13 @@ class Value {
   bool is_string() const { return std::holds_alternative<std::string>(data_); }
   bool is_array() const { return std::holds_alternative<Array>(data_); }
   bool is_object() const { return std::holds_alternative<Object>(data_); }
+  bool is_raw() const { return std::holds_alternative<Raw>(data_); }
+
+  /// The shared bytes of a raw leaf; throws qre::Error on any other node.
+  const std::shared_ptr<const std::string>& raw_bytes() const;
+  /// The document a raw leaf holds, parsed into a tree; any other node is
+  /// returned as it is.
+  Value materialize() const;
 
   /// Typed accessors; each throws qre::Error on a type mismatch.
   bool as_bool() const;
@@ -69,17 +89,24 @@ class Value {
   /// Inserts or replaces an object field (value must be an object).
   void set(std::string_view key, Value v);
 
-  /// Serializes compactly (no whitespace).
+  /// Serializes compactly (no whitespace); raw leaves are appended as they are.
   std::string dump() const;
-  /// Serializes with 2-space indentation.
+  /// Serializes with 2-space indentation; raw leaves are parsed to re-indent.
   std::string pretty() const;
 
-  bool operator==(const Value& other) const { return data_ == other.data_; }
+  /// Structural equality. A raw leaf equals any node with the same dump().
+  bool operator==(const Value& other) const;
 
  private:
+  struct Raw {
+    std::shared_ptr<const std::string> bytes;
+    bool operator==(const Raw& other) const { return *bytes == *other.bytes; }
+  };
+
   void write(std::string& out, int indent, int depth) const;
 
-  std::variant<std::nullptr_t, bool, double, std::int64_t, std::string, Array, Object> data_;
+  std::variant<std::nullptr_t, bool, double, std::int64_t, std::string, Array, Object, Raw>
+      data_;
 };
 
 /// Deepest container nesting parse() accepts. Far above any job document;

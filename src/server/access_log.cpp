@@ -20,7 +20,9 @@ std::string iso_timestamp() {
                       1000;
   std::tm utc{};
   ::gmtime_r(&seconds, &utc);
-  char buffer[40];
+  // Worst case for the compiler's range analysis: seven ints of up to 11
+  // characters ("-2147483648"), seven separators and the terminator.
+  char buffer[7 * 11 + 7 + 1];
   std::snprintf(buffer, sizeof buffer, "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 utc.tm_year + 1900, utc.tm_mon + 1, utc.tm_mday, utc.tm_hour,
                 utc.tm_min, utc.tm_sec, static_cast<int>(millis));

@@ -385,7 +385,7 @@ json::Array run_batch_kernel(const BatchKernelPlan& plan, const std::vector<json
     }
     plan.apply(s.picks, s.input);
     estimate_into(s.input, s.estimate);
-    return report_to_json(s.estimate);
+    return result_bytes(report_to_json(s.estimate));
   };
   const IndexedKeyFn key_fn = [&](std::size_t index, std::size_t worker) -> const std::string& {
     BatchKernelScratch& s = scratch[worker];

@@ -62,30 +62,25 @@ json::Value EstimateCache::get_or_compute(const std::string& key, const Compute&
       owner = true;
     }
   }
-  if (owner) {
-    QRE_TRACE_INSTANT("estimate.cache.miss");
-  } else {
+  if (!owner) {
     QRE_TRACE_INSTANT("estimate.cache.hit");
+    return future.get();  // results are raw bytes: a reference-count copy
   }
-  if (owner) {
-    try {
-      // Read-through: the persistent store answers before we compute, and
-      // write-through: what we do compute is offered back. Both happen on
-      // the single owner thread of this key, outside the cache lock.
-      std::optional<json::Value> stored;
-      if (backing_ != nullptr) stored = backing_->fetch(key);
-      if (stored.has_value()) {
-        promise.set_value(std::move(*stored));
-      } else {
-        json::Value computed = compute();
-        if (backing_ != nullptr) backing_->record(key, computed);
-        promise.set_value(std::move(computed));
-      }
-    } catch (...) {
-      promise.set_exception(std::current_exception());
-    }
+  QRE_TRACE_INSTANT("estimate.cache.miss");
+  try {
+    // Read-through: the persistent store answers before we compute, and
+    // write-through: what we do compute is offered back. Both happen on
+    // the single owner thread of this key, outside the cache lock.
+    std::optional<json::Value> stored;
+    if (backing_ != nullptr) stored = backing_->fetch(key);
+    json::Value result = stored.has_value() ? std::move(*stored) : compute();
+    if (!stored.has_value() && backing_ != nullptr) backing_->record(key, result);
+    promise.set_value(result);
+    return result;
+  } catch (...) {
+    promise.set_exception(std::current_exception());
+    throw;
   }
-  return future.get();
 }
 
 std::size_t EstimateCache::size() const {

@@ -61,7 +61,9 @@ class StoreBacking {
 };
 
 /// Concurrency-safe, LRU-bounded memoization table from canonical job keys
-/// to result documents.
+/// to result documents. Estimate results arrive as raw leaves (see
+/// service::result_bytes in engine.hpp), so a hit is a reference-count copy
+/// of the bytes and an eviction frees one string.
 class EstimateCache {
  public:
   using Compute = std::function<json::Value()>;

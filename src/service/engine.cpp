@@ -34,6 +34,8 @@ json::Value BatchStats::to_json() const {
   return json::Value(std::move(o));
 }
 
+json::Value result_bytes(const json::Value& result) { return json::Value::raw(result.dump()); }
+
 json::Value Engine::stats_to_json() const {
   json::Object out;
   out.emplace_back("estimateCache",

@@ -35,6 +35,14 @@
 
 namespace qre::service {
 
+/// Serializes a successful result once, on the thread that computed it, into
+/// the raw leaf every later layer holds: the cache and the store keep these
+/// bytes, and the writers splice them (see json::Value::raw). Every runner
+/// that produces an estimate passes it through here. Error documents
+/// ({"error": ...}) never do: they stay trees, so the engine and the store
+/// recognize them with find("error").
+json::Value result_bytes(const json::Value& result);
+
 /// Executes one complete (non-batch) job document.
 using JobRunner = std::function<json::Value(const json::Value& job)>;
 

@@ -49,7 +49,8 @@ LoadResult EstimateStore::load() {
     if (index_.count(r.key) != 0) continue;  // in-memory entries win
     payload_bytes_ += kRecordHeaderSize + r.key.size() + r.value.size();
     index_.emplace(r.key, records_.size());
-    records_.push_back(std::move(r));
+    records_.push_back(
+        {std::move(r.key), std::make_shared<const std::string>(std::move(r.value))});
     ++result.records_loaded;
   }
   last_load_ = result;
@@ -63,29 +64,22 @@ std::optional<json::Value> EstimateStore::fetch(const std::string& key) {
     ++misses_;
     return std::nullopt;
   }
-  try {
-    json::Value parsed = json::parse(records_[it->second].value);
-    ++hits_;
-    return parsed;
-  } catch (const std::exception&) {
-    // A record that fails to parse (should be impossible past the CRC
-    // check) degrades to a miss: the result is recomputed and rewritten.
-    ++misses_;
-    return std::nullopt;
-  }
+  ++hits_;
+  return json::Value::raw(records_[it->second].value);
 }
 
 void EstimateStore::record(const std::string& key, const json::Value& result) {
   if (is_error_document(result)) return;
-  std::string value;
+  std::shared_ptr<const std::string> value;
   try {
-    value = result.dump();
+    value = result.is_raw() ? result.raw_bytes()
+                            : std::make_shared<const std::string>(result.dump());
   } catch (const std::exception&) {
     return;  // un-serializable results are simply not persisted
   }
   MutexLock lock(mutex_);
   if (index_.count(key) != 0) return;  // deterministic: first write is final
-  payload_bytes_ += kRecordHeaderSize + key.size() + value.size();
+  payload_bytes_ += kRecordHeaderSize + key.size() + value->size();
   index_.emplace(key, records_.size());
   records_.push_back({key, std::move(value)});
   ++dirty_adds_;
@@ -95,16 +89,19 @@ bool EstimateStore::persist(bool force) {
   // One persist at a time per process; snapshot under the data lock, write
   // outside it so serving threads never wait on disk I/O.
   MutexLock persist_lock(persist_mutex_);
-  std::vector<Record> snapshot;
+  std::vector<Entry> snapshot;
   std::size_t adds_at_snapshot;
   {
     MutexLock lock(mutex_);
     if (dirty_adds_ == 0 && !force) return false;
-    snapshot = records_;
+    snapshot = records_;  // shares the value bytes
     adds_at_snapshot = dirty_adds_;
   }
   try {
-    write_store_file(path_, snapshot);
+    std::vector<Record> records;
+    records.reserve(snapshot.size());
+    for (const Entry& e : snapshot) records.push_back({e.key, *e.value});
+    write_store_file(path_, records);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "store: persist to '%s' failed: %s\n", path_.c_str(), e.what());
     return false;

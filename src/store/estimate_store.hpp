@@ -4,8 +4,9 @@
 // (`<dir>/estimates.qrestore`) and implements service::StoreBacking, so a
 // service::Engine wired to it answers previously seen jobs from disk after
 // a process restart — byte-identically, because values are the canonical
-// compact dumps of the exact result documents and the JSON writer is a
-// pure function of the parsed value.
+// compact dumps of the exact result documents. Each value is held as shared
+// bytes: fetch() hands out a raw json::Value leaf sharing them (no parse),
+// and record() of a raw leaf keeps its bytes without re-serializing.
 //
 // Lifecycle:
 //   EstimateStore store(dir);
@@ -27,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -82,11 +84,17 @@ class EstimateStore : public service::StoreBacking {
   std::size_t records() const;
 
  private:
+  /// A record whose value bytes are shared with the raw leaves handed out.
+  struct Entry {
+    std::string key;
+    std::shared_ptr<const std::string> value;
+  };
+
   const std::string path_;
 
   mutable Mutex mutex_;
   // insertion order (oldest first)
-  std::vector<Record> records_ QRE_GUARDED_BY(mutex_);
+  std::vector<Entry> records_ QRE_GUARDED_BY(mutex_);
   // key -> records_ position
   std::unordered_map<std::string, std::size_t> index_ QRE_GUARDED_BY(mutex_);
   // adds since the last successful persist

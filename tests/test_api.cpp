@@ -189,7 +189,8 @@ TEST(SchemaV2, InvalidBatchItemsFailIndividually) {
   ASSERT_TRUE(response.success);
   const json::Array& results = response.result.at("results").as_array();
   ASSERT_EQ(results.size(), 3u);
-  EXPECT_NE(results[0].find("physicalCounts"), nullptr);
+  // Estimates are raw bytes, error documents trees.
+  EXPECT_NE(results[0].materialize().find("physicalCounts"), nullptr);
   EXPECT_EQ(results[1].at("error").at("code").as_string(), "invalid-item");
   bool budget_path_reported = false;
   for (const json::Value& d : results[1].at("diagnostics").as_array()) {
@@ -316,7 +317,7 @@ TEST(Facade, BatchItemsFailWithStructuredErrors) {
   ASSERT_TRUE(response.success);
   const json::Array& results = response.result.at("results").as_array();
   ASSERT_EQ(results.size(), 2u);
-  EXPECT_NE(results[0].find("physicalCounts"), nullptr);
+  EXPECT_NE(results[0].materialize().find("physicalCounts"), nullptr);
   const json::Value& error = results[1].at("error");
   EXPECT_EQ(error.at("code").as_string(), "estimation-failed");
   EXPECT_FALSE(error.at("message").as_string().empty());
@@ -352,9 +353,40 @@ TEST(Facade, GlobalRegistryExtendsJobVocabulary) {
     "qubitParams": {"name": "test_api_custom_qubit"}
   })");
   EXPECT_TRUE(EstimateRequest::parse(job).ok());
-  json::Value result = run_job(job);
+  const json::Value result = run_job(job).materialize();
   EXPECT_EQ(result.at("physicalQubitParameters").at("name").as_string(),
             "test_api_custom_qubit");
+}
+
+TEST(Facade, SingleEstimateCollectsTimings) {
+  // A single estimate's result is raw bytes; the opt-in timings block must
+  // still be appended, on the private path and through a shared cache,
+  // without ever reaching the cached bytes.
+  const char* kJob = R"({"logicalCounts": {"numQubits": 10, "tCount": 1000}})";
+  json::Value timed_job = json::parse(kJob);
+  timed_job.set("collectTimings", json::Value(true));
+  const EstimateRequest timed = EstimateRequest::parse(timed_job);
+  const EstimateRequest plain = EstimateRequest::parse(json::parse(kJob));
+  ASSERT_TRUE(timed.ok());
+  ASSERT_TRUE(plain.ok());
+  const std::string plain_bytes = api::run(plain).result.dump();
+
+  service::Engine engine;
+  for (const service::EngineOptions& options : {service::EngineOptions{}, engine.options(),
+                                                engine.options()}) {
+    EstimateResponse response = api::run(timed, options);
+    ASSERT_TRUE(response.success);
+    ASSERT_TRUE(response.result.is_object());
+    const json::Value* timings = response.result.find("timings");
+    ASSERT_NE(timings, nullptr);
+    EXPECT_GE(timings->at("totalWallMs").as_double(), 0.0);
+    json::Object rest = response.result.as_object();
+    rest.pop_back();  // the block is appended last
+    EXPECT_EQ(json::Value(std::move(rest)).dump(), plain_bytes);
+  }
+  EXPECT_EQ(engine.cache().hits(), 1u);
+  const EstimateResponse cached = api::run(plain, engine.options());
+  EXPECT_EQ(cached.result.dump(), plain_bytes);  // the cache never saw the block
 }
 
 TEST(Facade, StrictParsersRejectUnknownKeysWithoutSink) {

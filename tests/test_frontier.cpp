@@ -315,6 +315,49 @@ TEST(FrontierJob, WarmEngineRunsStrictlyFewerRawEstimates) {
   EXPECT_EQ(cold.result.dump(), warm.result.dump());  // replay is exact
 }
 
+TEST(FrontierJob, CacheWarmedBySingleEstimatesGivesTheColdBytes) {
+  // Probes share cache keys with single estimates of the same documents, so
+  // the explorer must read objectives out of entries the single-estimate
+  // path cached (raw result bytes) exactly as out of its own.
+  Registry registry = Registry::with_builtins();
+  EstimateRequest request = EstimateRequest::parse(json::parse(kRealFrontierJob), registry);
+  ASSERT_TRUE(request.ok());
+
+  std::vector<json::Value> records;
+  service::Engine cold_engine;
+  service::EngineOptions cold_options = cold_engine.options();
+  cold_options.on_result = [&](std::size_t, const json::Value& record) {
+    records.push_back(record);
+  };
+  EstimateResponse cold = api::run(request, cold_options, registry);
+  ASSERT_TRUE(cold.success);
+  ASSERT_GE(records.size(), 3u);
+
+  // Rebuild each probe document from its record and estimate it alone.
+  service::Engine warm_engine;
+  for (const json::Value& record : records) {
+    json::Object single;
+    for (const auto& [key, value] : request.document.as_object()) {
+      if (key != "frontier") single.emplace_back(key, value);
+    }
+    json::Value doc{std::move(single)};
+    if (const json::Value* budget = record.find("errorBudget")) doc.set("errorBudget", *budget);
+    if (const json::Value* cap = record.find("maxTFactories")) {
+      json::Object constraints;
+      constraints.emplace_back("maxTFactories", *cap);
+      doc.set("constraints", json::Value(std::move(constraints)));
+    }
+    api::run(EstimateRequest::parse(doc, registry), warm_engine.options(), registry);
+  }
+  const std::uint64_t misses = warm_engine.cache().misses();
+  EXPECT_EQ(misses, records.size());
+
+  EstimateResponse warm = api::run(request, warm_engine.options(), registry);
+  ASSERT_TRUE(warm.success) << warm.diagnostics.summary();
+  EXPECT_EQ(warm_engine.cache().misses(), misses);  // every probe replayed
+  EXPECT_EQ(warm.result.dump(), cold.result.dump());
+}
+
 TEST(FrontierJob, StreamingObservesEveryProbeInOrder) {
   Registry registry = Registry::with_builtins();
   EstimateRequest request = EstimateRequest::parse(json::parse(kRealFrontierJob), registry);
@@ -360,7 +403,7 @@ TEST(FrontierJob, LegacyFixedGridEstimateTypeStillWorks) {
   }
   json::Value legacy{std::move(pruned)};
   legacy.set("estimateType", json::Value("frontier"));
-  json::Value result = run_job(legacy);
+  const json::Value result = run_job(legacy).materialize();
   EXPECT_NE(result.find("frontier"), nullptr);
   EXPECT_EQ(result.find("frontierStats"), nullptr);  // fixed grid has no stats
 }

@@ -3,6 +3,8 @@
 // isolation.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.hpp"
 #include "core/job.hpp"
 #include "report/report.hpp"
@@ -56,7 +58,7 @@ TEST(Job, InputFromJsonFull) {
 
 TEST(Job, SinglePointMatchesDirectEstimate) {
   json::Value job = json::parse(kBaseJob);
-  json::Value result = run_job(job);
+  const json::Value result = run_job(job).materialize();
   ResourceEstimate direct = estimate(estimation_input_from_json(job));
   EXPECT_EQ(result.at("physicalCounts").at("physicalQubits").as_uint(),
             direct.total_physical_qubits);
@@ -67,7 +69,7 @@ TEST(Job, SinglePointMatchesDirectEstimate) {
 TEST(Job, FrontierEstimateType) {
   json::Value job = json::parse(kBaseJob);
   job.set("estimateType", json::Value("frontier"));
-  json::Value result = run_job(job);
+  const json::Value result = run_job(job).materialize();
   const json::Array& points = result.at("frontier").as_array();
   ASSERT_GE(points.size(), 2u);
   double previous_runtime = 0.0;
@@ -97,10 +99,13 @@ TEST(Job, BatchedItemsInheritAndOverride) {
   job.set("items", json::Value(std::move(items)));
 
   json::Value result = run_job(job);
-  const json::Array& results = result.at("results").as_array();
+  std::vector<json::Value> results;
+  for (const json::Value& r : result.at("results").as_array()) {
+    results.push_back(r.materialize());
+  }
   ASSERT_EQ(results.size(), 3u);
   // Item 0 equals the non-batched run.
-  json::Value single = run_job(json::parse(kBaseJob));
+  const json::Value single = run_job(json::parse(kBaseJob)).materialize();
   EXPECT_EQ(results[0].at("physicalCounts").at("physicalQubits").as_uint(),
             single.at("physicalCounts").at("physicalQubits").as_uint());
   // Item 1 switched hardware.
@@ -126,9 +131,9 @@ TEST(Job, BatchIsolatesItemFailures) {
   json::Value result = run_job(job);
   const json::Array& results = result.at("results").as_array();
   ASSERT_EQ(results.size(), 3u);
-  EXPECT_NE(results[0].find("physicalCounts"), nullptr);
+  EXPECT_NE(results[0].materialize().find("physicalCounts"), nullptr);
   EXPECT_NE(results[1].find("error"), nullptr);
-  EXPECT_NE(results[2].find("physicalCounts"), nullptr);
+  EXPECT_NE(results[2].materialize().find("physicalCounts"), nullptr);
 }
 
 TEST(Job, NestedItemsAreNotInherited) {
@@ -141,8 +146,9 @@ TEST(Job, NestedItemsAreNotInherited) {
   // One item -> one result, and it is a report, not another batch.
   const json::Array& results = result.at("results").as_array();
   ASSERT_EQ(results.size(), 1u);
-  EXPECT_NE(results[0].find("physicalCounts"), nullptr);
-  EXPECT_EQ(results[0].find("results"), nullptr);
+  const json::Value item = results[0].materialize();
+  EXPECT_NE(item.find("physicalCounts"), nullptr);
+  EXPECT_EQ(item.find("results"), nullptr);
 }
 
 TEST(Job, MissingCountsThrows) {

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -252,6 +254,90 @@ TEST(Json, NestingCapIsExact) {
 }
 
 TEST(Json, ParseFileMissing) { EXPECT_THROW(parse_file("/nonexistent/x.json"), Error); }
+
+// ------------------------------------------------------------ raw leaves --
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// Every estimate document in a golden file: the "results" entries of a
+/// batch, the "result" of each frontier point.
+std::vector<Value*> result_documents(Value& golden) {
+  std::vector<Value*> out;
+  for (auto& [key, section] : golden.as_object()) {
+    if (key == "results") {
+      for (Value& r : section.as_array()) out.push_back(&r);
+    } else if (key == "frontier") {
+      for (Value& point : section.as_array()) {
+        for (auto& [field, value] : point.as_object()) {
+          if (field == "result") out.push_back(&value);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(JsonRaw, LeafWritesTheBytesOfItsTreeAcrossTheGoldenCorpus) {
+  for (const char* name : {"fig3_multiplication_sweep.json", "fig4_hardware_profiles.json",
+                           "frontier_example.json"}) {
+    SCOPED_TRACE(name);
+    const std::string text = read_text(QRE_SOURCE_DIR "/tests/data/golden/" + std::string(name));
+    ASSERT_FALSE(text.empty());
+    Value golden = parse(text);
+    const std::string compact = golden.dump();
+    std::vector<Value*> results = result_documents(golden);
+    ASSERT_GE(results.size(), 3u);
+    for (Value* r : results) {
+      const Value raw = Value::raw(r->dump());
+      EXPECT_EQ(raw.dump(), r->dump());
+      EXPECT_EQ(raw.pretty(), r->pretty());
+      *r = raw;
+    }
+    // Spliced into the enclosing document, the leaves re-indent at their
+    // own depth: the file's bytes come back exactly.
+    EXPECT_TRUE(results.front()->is_raw());
+    EXPECT_EQ(golden.dump(), compact);
+    EXPECT_EQ(golden.pretty() + "\n", text);
+  }
+}
+
+TEST(JsonRaw, EqualityComparesSerializations) {
+  const Value tree = parse(R"({"a":[1,2.5,"x"],"b":{"c":null}})");
+  const Value raw = Value::raw(tree.dump());
+  EXPECT_TRUE(raw == tree);
+  EXPECT_TRUE(tree == raw);
+  EXPECT_TRUE(raw == Value::raw(tree.dump()));
+  EXPECT_FALSE(raw == parse(R"({"a":[1,2.5,"x"],"b":{"c":0}})"));
+  EXPECT_FALSE(raw == Value::raw(R"({"b":{"c":null},"a":[1,2.5,"x"]})"));  // order matters
+  // Inside containers the comparison recurses down to the leaf.
+  Array with_raw{raw, Value(1)};
+  Array with_tree{tree, Value(1)};
+  EXPECT_TRUE(Value(with_raw) == Value(with_tree));
+}
+
+TEST(JsonRaw, ReadersSeeAnOpaqueLeafUntilMaterialized) {
+  const Value tree = parse(R"({"physicalCounts":{"physicalQubits":42}})");
+  const Value raw = Value::raw(tree.dump());
+  EXPECT_TRUE(raw.is_raw());
+  EXPECT_FALSE(raw.is_object());
+  EXPECT_EQ(raw.find("physicalCounts"), nullptr);  // never parses implicitly
+  EXPECT_THROW(raw.at("physicalCounts"), Error);
+  EXPECT_THROW(raw.as_object(), Error);
+  EXPECT_THROW(tree.raw_bytes(), Error);
+
+  const Value fields = raw.materialize();
+  EXPECT_FALSE(fields.is_raw());
+  EXPECT_EQ(fields.at("physicalCounts").at("physicalQubits").as_uint(), 42u);
+  EXPECT_EQ(tree.materialize().dump(), tree.dump());  // a tree stays as it is
+
+  const Value copy = raw;  // copies share the bytes
+  EXPECT_EQ(copy.raw_bytes().get(), raw.raw_bytes().get());
+}
 
 }  // namespace
 }  // namespace qre::json

@@ -40,7 +40,9 @@ TEST(Metrics, LatencyBucketBoundariesAreInclusiveUpperBounds) {
   ASSERT_EQ(reported.size(), bounds.size());
   for (std::size_t i = 0; i < bounds.size(); ++i) {
     EXPECT_DOUBLE_EQ(reported[i].as_double(), bounds[i]);
-    if (i > 0) EXPECT_GT(bounds[i], bounds[i - 1]);  // strictly increasing
+    if (i > 0) {
+      EXPECT_GT(bounds[i], bounds[i - 1]);  // strictly increasing
+    }
   }
 }
 

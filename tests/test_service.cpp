@@ -251,6 +251,25 @@ TEST(Cache, ReplaysFailuresWithoutRecomputing) {
   EXPECT_EQ(calls.load(), 1);
 }
 
+TEST(Cache, HitsShareTheComputedBytes) {
+  EstimateCache cache;
+  const json::Value computed = json::Value::raw(R"({"physicalCounts":{"physicalQubits":7}})");
+  int calls = 0;
+  const json::Value miss = cache.get_or_compute("k", [&] {
+    ++calls;
+    return computed;
+  });
+  const json::Value hit =
+      cache.get_or_compute("k", []() -> json::Value { throw Error("recomputed"); });
+  EXPECT_EQ(calls, 1);
+  // Neither the owner's return nor a hit copies or re-serializes: both hand
+  // out the very bytes the computation produced.
+  ASSERT_TRUE(miss.is_raw());
+  ASSERT_TRUE(hit.is_raw());
+  EXPECT_EQ(miss.raw_bytes().get(), computed.raw_bytes().get());
+  EXPECT_EQ(hit.raw_bytes().get(), computed.raw_bytes().get());
+}
+
 // --------------------------------------------------------------- engine ---
 
 TEST(Engine, PreservesItemOrderAcrossWorkers) {
@@ -381,6 +400,36 @@ TEST(Service, SweepJobParallelMatchesSerial) {
   }
 }
 
+TEST(Service, RepeatedSweepSharesResultBytes) {
+  // Results are serialized once, in the worker that computed them; the
+  // engine cache then holds those bytes, so a repeated request gets the
+  // same buffers back instead of copies of a tree.
+  api::Registry registry = api::Registry::with_builtins();
+  const api::EstimateRequest request =
+      api::EstimateRequest::parse(json::parse(kFig4StyleSweep), registry);
+  ASSERT_TRUE(request.ok());
+  for (bool kernel : {true, false}) {
+    SCOPED_TRACE(kernel ? "batch kernel" : "scalar path");
+    service::Engine engine;
+    EngineOptions options = engine.options();
+    options.use_batch_kernel = kernel;
+    const api::EstimateResponse cold = api::run(request, options, registry);
+    const api::EstimateResponse warm = api::run(request, options, registry);
+    ASSERT_TRUE(cold.success);
+    ASSERT_TRUE(warm.success);
+    const json::Array& a = cold.result.at("results").as_array();
+    const json::Array& b = warm.result.at("results").as_array();
+    ASSERT_EQ(a.size(), 66u);
+    ASSERT_EQ(b.size(), a.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_TRUE(a[i].is_raw()) << "item " << i;
+      ASSERT_TRUE(b[i].is_raw()) << "item " << i;
+      EXPECT_EQ(a[i].raw_bytes().get(), b[i].raw_bytes().get()) << "item " << i;
+    }
+    EXPECT_EQ(engine.cache().hits(), a.size());
+  }
+}
+
 TEST(Service, SweepJobMatchesHandWrittenItems) {
   json::Value sweep_job = json::parse(R"({
     "logicalCounts": {"numQubits": 50, "tCount": 50000},
@@ -443,7 +492,7 @@ TEST(Service, SweepIsolatesInfeasibleGridPoints) {
   json::Value result = run_job(job);
   const json::Array& results = result.at("results").as_array();
   ASSERT_EQ(results.size(), 2u);
-  EXPECT_NE(results[0].find("physicalCounts"), nullptr);
+  EXPECT_NE(results[0].materialize().find("physicalCounts"), nullptr);
   EXPECT_NE(results[1].find("error"), nullptr);
   EXPECT_EQ(result.at("batchStats").at("numErrors").as_uint(), 1u);
 }

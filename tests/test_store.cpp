@@ -266,6 +266,42 @@ TEST(EstimateStoreTest, PersistsAtomicallyAndReloads) {
   EXPECT_EQ(second.hits(), 1u);
 }
 
+TEST(EstimateStoreTest, FetchHandsOutTheRecordedBytesWithoutParsing) {
+  TempDir dir;
+  const json::Value raw = json::Value::raw(R"({"physicalCounts":{"runtime":1.5e+07}})");
+  const json::Value tree = json::parse(R"({"v":[1,"x",2.5]})");
+  std::string persisted_raw;
+  {
+    EstimateStore first(dir.path);
+    first.record("{\"k\":1}", raw);
+    first.record("{\"k\":2}", tree);
+    // A raw result is kept as the very bytes it arrived in.
+    auto fetched = first.fetch("{\"k\":1}");
+    ASSERT_TRUE(fetched.has_value());
+    ASSERT_TRUE(fetched->is_raw());
+    EXPECT_EQ(fetched->raw_bytes().get(), raw.raw_bytes().get());
+    auto from_tree = first.fetch("{\"k\":2}");
+    ASSERT_TRUE(from_tree.has_value());
+    ASSERT_TRUE(from_tree->is_raw());
+    EXPECT_EQ(*from_tree->raw_bytes(), tree.dump());
+    ASSERT_TRUE(first.persist());
+  }
+
+  // Across a persist/load cycle the bytes come back unchanged, still raw.
+  EstimateStore second(dir.path);
+  EXPECT_EQ(second.load().records_loaded, 2u);
+  auto a = second.fetch("{\"k\":1}");
+  auto b = second.fetch("{\"k\":2}");
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
+  ASSERT_TRUE(a->is_raw());
+  ASSERT_TRUE(b->is_raw());
+  EXPECT_EQ(*a->raw_bytes(), *raw.raw_bytes());
+  EXPECT_EQ(*b->raw_bytes(), tree.dump());
+  EXPECT_TRUE(b->materialize() == tree);
+  EXPECT_EQ(second.hits(), 2u);
+}
+
 TEST(EstimateStoreTest, DamagedFileDegradesToColdStart) {
   TempDir dir;
   write_raw(dir.path + "/" + store::kStoreFileName, "not a store at all");
