@@ -142,8 +142,8 @@ const char* kSweepJob = R"({
 })";
 
 /// Same workload on a denser budget axis (6 profiles x 33 budgets = 198
-/// grid points): the regime the SoA batch kernel targets, where per-item
-/// JSON work dominates the legacy path. Measured warm (factory cache
+/// grid points): the regime the sweep plan targets, where per-item JSON
+/// work would otherwise dominate. Measured warm (factory cache
 /// primed by the timing warm-up, estimate cache off) so the number is the
 /// steady-state evaluation throughput, not the first-request cost.
 const char* kDenseSweepJob = R"({
@@ -202,36 +202,26 @@ void write_estimator_bench_json() {
     benchmark::DoNotOptimize(run_job(sweep_job, serial));
   });
 
-  // Steady-state sweep throughput, kernel vs scalar, on the dense grid.
-  // The estimate cache is off (every grid point is distinct, and the
-  // measurement targets evaluation cost, not memoization); the factory
-  // cache stays warm across repetitions, as in a serving process.
+  // Steady-state sweep throughput on the dense grid. The estimate cache is
+  // off (every grid point is distinct, and the measurement targets
+  // evaluation cost, not memoization); the factory cache stays warm across
+  // repetitions, as in a serving process.
   json::Value dense_job = json::parse(kDenseSweepJob);
-  service::EngineOptions kernel_serial;
-  kernel_serial.num_workers = 1;
-  kernel_serial.use_cache = false;
-  service::EngineOptions scalar_serial = kernel_serial;
-  scalar_serial.use_batch_kernel = false;
+  service::EngineOptions dense_serial;
+  dense_serial.num_workers = 1;
+  dense_serial.use_cache = false;
   // Scheduler and frequency noise on a shared runner only ever ADDS time,
-  // so each path's cost is the fastest pass, not the mean (the mean swings
-  // 30-40% between runs of the same binary). The two paths interleave
-  // inside one loop so a transient load spike hits both, keeping the
-  // kernel/scalar ratio stable even when the absolute numbers move with
-  // the runner.
-  double kernel_sweep_ms = std::numeric_limits<double>::infinity();
-  double scalar_sweep_ms = std::numeric_limits<double>::infinity();
-  benchmark::DoNotOptimize(run_job(dense_job, kernel_serial));  // warm-up
-  benchmark::DoNotOptimize(run_job(dense_job, scalar_serial));
+  // so the cost is the fastest pass, not the mean (the mean swings 30-40%
+  // between runs of the same binary).
+  double dense_sweep_ms = std::numeric_limits<double>::infinity();
+  benchmark::DoNotOptimize(run_job(dense_job, dense_serial));  // warm-up
   {
     const auto start = std::chrono::steady_clock::now();
     int reps = 0;
     do {
-      auto t0 = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(run_job(dense_job, kernel_serial));
-      kernel_sweep_ms = std::min(kernel_sweep_ms, seconds_since(t0) * 1e3);
-      t0 = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(run_job(dense_job, scalar_serial));
-      scalar_sweep_ms = std::min(scalar_sweep_ms, seconds_since(t0) * 1e3);
+      const auto t0 = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(run_job(dense_job, dense_serial));
+      dense_sweep_ms = std::min(dense_sweep_ms, seconds_since(t0) * 1e3);
       ++reps;
     } while (seconds_since(start) < 0.9 || reps < 5);
   }
@@ -254,8 +244,7 @@ void write_estimator_bench_json() {
 
   const double sweep_points = 30.0;   // 6 profiles x 5 budgets
   const double dense_points = 198.0;  // 6 profiles x 33 budgets
-  const double kernel_items_per_sec = dense_points / (kernel_sweep_ms * 1e-3);
-  const double scalar_items_per_sec = dense_points / (scalar_sweep_ms * 1e-3);
+  const double dense_items_per_sec = dense_points / (dense_sweep_ms * 1e-3);
   std::printf("\nself-timed against the brute-force core "
               "(exhaustive search, factory cache off; conservative baseline):\n");
   std::printf("  tfactory search: %8.3f ms vs %8.2f ms  (%.1fx)\n", search_ms,
@@ -266,10 +255,7 @@ void write_estimator_bench_json() {
               sweep_baseline_ms, sweep_baseline_ms / sweep_ms);
   std::printf("steady-state sweep throughput, 198-point grid, serial "
               "(warm factory cache, estimate cache off):\n");
-  std::printf("  batch kernel:    %8.0f items/s (%.3f ms)\n", kernel_items_per_sec,
-              kernel_sweep_ms);
-  std::printf("  scalar path:     %8.0f items/s (%.3f ms)  kernel speedup %.1fx\n\n",
-              scalar_items_per_sec, scalar_sweep_ms, scalar_sweep_ms / kernel_sweep_ms);
+  std::printf("  %8.0f items/s (%.3f ms)\n\n", dense_items_per_sec, dense_sweep_ms);
 
   json::Object metrics;
   metrics.emplace_back("tfactory_search_ms", json::Value(search_ms));
@@ -282,14 +268,9 @@ void write_estimator_bench_json() {
   metrics.emplace_back("sweep_ms", json::Value(sweep_ms));
   metrics.emplace_back("sweep_baseline_ms", json::Value(sweep_baseline_ms));
   metrics.emplace_back("sweep_speedup", json::Value(sweep_baseline_ms / sweep_ms));
-  // Headline sweep throughput: the batch kernel at steady state, with the
-  // scalar path on the same grid beside it (their ratio cancels runner
-  // speed). The first-request (cold factory cache) numbers keep their own
-  // _cold metrics.
-  metrics.emplace_back("sweep_items_per_sec", json::Value(kernel_items_per_sec));
-  metrics.emplace_back("sweep_items_per_sec_scalar", json::Value(scalar_items_per_sec));
-  metrics.emplace_back("sweep_kernel_speedup",
-                       json::Value(scalar_sweep_ms / kernel_sweep_ms));
+  // Headline sweep throughput at steady state. The first-request (cold
+  // factory cache) numbers keep their own _cold metrics.
+  metrics.emplace_back("sweep_items_per_sec", json::Value(dense_items_per_sec));
   metrics.emplace_back("sweep_items_per_sec_cold",
                        json::Value(sweep_points / (sweep_ms * 1e-3)));
   metrics.emplace_back("sweep_items_per_sec_cold_baseline",

@@ -253,28 +253,23 @@ EstimateResponse run(const EstimateRequest& request, const service::EngineOption
       json::Array results;
       {
         trace::PhaseTimer phase(timings, "api.execute");
-        // Sweep grids go through the SoA batch kernel when its plan covers
-        // them (see service/batch_kernel.hpp); everything else — items
-        // batches, kernel-ineligible sweeps, --no-batch-kernel — runs the
-        // legacy per-item path. Both funnel into run_batch_indexed, so the
-        // result array and batch counters are identical either way.
-        bool ran_kernel = false;
-        if (sweep != nullptr && run_options.use_batch_kernel) {
-          service::BatchKernelPlan plan =
-              service::plan_batch_kernel(doc, expanded, registry);
-          if (plan.eligible()) {
-            results = service::run_batch_kernel(plan, expanded, runner, run_options, &stats);
-            ran_kernel = true;
-          } else {
-            service::BatchKernelStats kernel_stats;
-            kernel_stats.engaged = false;
-            kernel_stats.reason = plan.reason();
-            kernel_stats.fallback_items = expanded.size();
-            stats.kernel = std::move(kernel_stats);
-          }
-        }
-        if (!ran_kernel) {
+        // Sweep grids run through their sweep plan when it covers them
+        // (see service/batch_kernel.hpp); everything else — items batches,
+        // ineligible sweeps — runs the per-item path. Both funnel into
+        // run_batch_indexed, so the result array and batch counters are
+        // identical either way.
+        service::BatchKernelPlan plan;
+        if (sweep != nullptr) plan = service::plan_batch_kernel(doc, expanded, registry);
+        if (plan.eligible()) {
+          results = service::run_batch_kernel(plan, expanded, runner, run_options, &stats);
+        } else {
           results = service::run_batch(expanded, runner, run_options, &stats);
+          if (sweep != nullptr) {
+            service::BatchKernelStats declined;
+            declined.reason = plan.reason();
+            declined.fallback_items = expanded.size();
+            stats.kernel = std::move(declined);
+          }
         }
       }
       json::Object out;

@@ -75,32 +75,14 @@ std::uint64_t ts_per_rotation(std::uint64_t num_rotations, double synthesis_budg
   return ceil_to_u64(0.53 * x + 5.3);
 }
 
-/// Assigns a factory into the optional without discarding an existing
-/// engagement: copy-assigning into the live TFactory lets its rounds/name
-/// buffers keep their capacity across reused ResourceEstimates.
-void assign_tfactory(ResourceEstimate& out, const TFactory& factory) {
-  if (out.tfactory.has_value()) {
-    *out.tfactory = factory;
-  } else {
-    out.tfactory = factory;
-  }
-}
-
 }  // namespace
 
 ResourceEstimate estimate(const EstimationInput& input) {
-  ResourceEstimate out;
-  estimate_into(input, out);
-  return out;
-}
-
-void estimate_into(const EstimationInput& input, ResourceEstimate& out) {
   const LogicalCounts& counts = input.counts;
   QRE_REQUIRE(counts.num_qubits > 0, "estimation requires at least one logical qubit");
   input.qubit.validate();
 
-  // `out` may carry a previous item's values; every field below is either
-  // unconditionally assigned or explicitly reset on the paths that skip it.
+  ResourceEstimate out;
   out.pre_layout = counts;
   out.qubit = input.qubit;
   out.qec = input.qec;
@@ -131,7 +113,6 @@ void estimate_into(const EstimationInput& input, ResourceEstimate& out) {
   QRE_REQUIRE(depth_factor >= 1.0, "logicalDepthFactor must be >= 1");
 
   std::shared_ptr<const TFactory> factory;
-  out.required_tstate_error_rate = 0.0;
   if (out.num_tstates > 0) {
     out.required_tstate_error_rate =
         out.budget.tstates / static_cast<double>(out.num_tstates);
@@ -215,23 +196,17 @@ void estimate_into(const EstimationInput& input, ResourceEstimate& out) {
 
   out.physical_qubits_for_algorithm = q * patch.physical_qubits;
   out.num_t_factories = copies;
-  out.physical_qubits_for_tfactories = 0;
-  out.num_t_factory_invocations = 0;
-  out.num_invocations_per_factory = 0;
-  out.achieved_tstate_error = 0.0;
   if (factory != nullptr && !factory->no_distillation() && copies > 0) {
-    assign_tfactory(out, *factory);
+    out.tfactory = *factory;
     out.physical_qubits_for_tfactories = copies * factory->physical_qubits;
     out.num_t_factory_invocations = invocations_needed;
     out.num_invocations_per_factory = ceil_div(invocations_needed, copies);
     out.achieved_tstate_error =
         static_cast<double>(out.num_tstates) * factory->output_error_rate;
   } else if (factory != nullptr) {
-    assign_tfactory(out, *factory);  // raw physical T states suffice
+    out.tfactory = *factory;  // raw physical T states suffice
     out.achieved_tstate_error =
         static_cast<double>(out.num_tstates) * factory->output_error_rate;
-  } else {
-    out.tfactory.reset();
   }
   out.total_physical_qubits =
       out.physical_qubits_for_algorithm + out.physical_qubits_for_tfactories;
@@ -304,8 +279,7 @@ void estimate_into(const EstimationInput& input, ResourceEstimate& out) {
       }
     }
     if (best_fit.has_value() && within_duration(*best_fit)) {
-      out = *std::move(best_fit);
-      return;
+      return *std::move(best_fit);
     }
     // Either no cap fits, or the qubit bound is only reachable beyond the
     // duration bound.
@@ -315,6 +289,8 @@ void estimate_into(const EstimationInput& input, ResourceEstimate& out) {
        << " is infeasible";
     throw_error(os.str());
   }
+
+  return out;
 }
 
 ResourceEstimate estimate_with_cap(const EstimationInput& input,

@@ -121,14 +121,6 @@ struct ResourceEstimate {
 /// violated max_duration/max_physical_qubits, ...).
 ResourceEstimate estimate(const EstimationInput& input);
 
-/// estimate() into a caller-owned result, overwriting every field. This is
-/// the batch kernel's steady-state entry point: reusing one ResourceEstimate
-/// per worker lets string/vector members keep their capacity, so repeated
-/// evaluations of same-shaped inputs perform no heap allocations (the
-/// maxPhysicalQubits search is the documented exception — its cap probes
-/// copy the input). Produces bit-identical results to estimate().
-void estimate_into(const EstimationInput& input, ResourceEstimate& out);
-
 /// The cap-probe entry point: estimate() with the T-factory copy cap
 /// overridden to `max_t_factories` (every other constraint preserved).
 /// This is the primitive under the maxPhysicalQubits search, the

@@ -16,9 +16,9 @@ namespace qre::service {
 
 namespace {
 
-/// Maps an axis path's head segment to its kernel section; false = the axis
-/// targets something the kernel does not model (estimateType, qecScheme,
-/// distillation units, ...), so the whole sweep runs the legacy path.
+/// Maps an axis path's head segment to its section; false = the axis
+/// targets something the plan does not model (estimateType, qecScheme,
+/// distillation units, ...), so the whole sweep runs the per-item path.
 bool head_section(const std::string& path, BatchKernelAxis::Section& out) {
   const std::size_t dot = path.find('.');
   const std::string_view head =
@@ -57,67 +57,46 @@ std::size_t locate_sentinel(const std::string& canon, const std::string& needle)
 
 }  // namespace
 
-void BatchKernelPlan::apply(const std::vector<std::uint32_t>& picks,
-                            EstimationInput& input) const {
-  for (std::size_t j = 0; j < axes_.size(); ++j) {
-    const BatchKernelAxis& a = axes_[j];
-    const std::size_t k = picks[j];
+bool BatchKernelPlan::covers(std::size_t index) const {
+  for (const BatchKernelAxis& a : axes_) {
+    if (!a.inputs[a.pick(index)].has_value()) return false;
+  }
+  return true;
+}
+
+EstimationInput BatchKernelPlan::item_input(std::size_t index) const {
+  EstimationInput input = reference_input_;
+  for (const BatchKernelAxis& a : axes_) {
+    const EstimationInput& value = *a.inputs[a.pick(index)];
     switch (a.section) {
       case BatchKernelAxis::Section::kLogicalCounts:
-        input.counts.num_qubits = a.lc_num_qubits[k];
-        input.counts.t_count = a.lc_t_count[k];
-        input.counts.rotation_count = a.lc_rotation_count[k];
-        input.counts.rotation_depth = a.lc_rotation_depth[k];
-        input.counts.ccz_count = a.lc_ccz_count[k];
-        input.counts.ccix_count = a.lc_ccix_count[k];
-        input.counts.measurement_count = a.lc_measurement_count[k];
-        input.counts.clifford_count = a.lc_clifford_count[k];
+        input.counts = value.counts;
         break;
       case BatchKernelAxis::Section::kErrorBudget:
-        input.budget = a.budgets[k];
+        input.budget = value.budget;
         break;
       case BatchKernelAxis::Section::kConstraints:
-        input.constraints = a.constraints[k];
+        input.constraints = value.constraints;
         break;
       case BatchKernelAxis::Section::kQubitParams:
-        input.qubit.name = a.qp_names[k];
-        input.qubit.instruction_set = static_cast<InstructionSet>(a.qp_instruction_set[k]);
-        input.qubit.one_qubit_measurement_time_ns = a.qp_one_qubit_measurement_time_ns[k];
-        input.qubit.one_qubit_gate_time_ns = a.qp_one_qubit_gate_time_ns[k];
-        input.qubit.two_qubit_gate_time_ns = a.qp_two_qubit_gate_time_ns[k];
-        input.qubit.two_qubit_joint_measurement_time_ns =
-            a.qp_two_qubit_joint_measurement_time_ns[k];
-        input.qubit.t_gate_time_ns = a.qp_t_gate_time_ns[k];
-        input.qubit.one_qubit_measurement_error_rate =
-            a.qp_one_qubit_measurement_error_rate[k];
-        input.qubit.one_qubit_gate_error_rate = a.qp_one_qubit_gate_error_rate[k];
-        input.qubit.two_qubit_gate_error_rate = a.qp_two_qubit_gate_error_rate[k];
-        input.qubit.two_qubit_joint_measurement_error_rate =
-            a.qp_two_qubit_joint_measurement_error_rate[k];
-        input.qubit.t_gate_error_rate = a.qp_t_gate_error_rate[k];
-        input.qubit.idle_error_rate = a.qp_idle_error_rate[k];
-        input.qec = a.qp_qecs[k];
+        // The QEC scheme follows the qubit value: the registry default for
+        // its instruction set, or the scheme the value names.
+        input.qubit = value.qubit;
+        input.qec = value.qec;
         break;
     }
   }
-}
-
-void BatchKernelPlan::splice_key(const std::vector<std::uint32_t>& picks,
-                                 std::string& out) const {
-  out.clear();
-  for (std::size_t g = 0; g < key_order_.size(); ++g) {
-    out.append(key_literals_[g]);
-    const std::size_t j = key_order_[g];
-    out.append(axes_[j].key_dumps[picks[j]]);
-  }
-  out.append(key_literals_.back());
+  return input;
 }
 
 std::string BatchKernelPlan::item_key(std::size_t index) const {
-  std::vector<std::uint32_t> picks(axes_.size());
-  decompose(index, picks);
   std::string out;
-  splice_key(picks, out);
+  for (std::size_t g = 0; g < key_order_.size(); ++g) {
+    out.append(key_literals_[g]);
+    const BatchKernelAxis& a = axes_[key_order_[g]];
+    out.append(a.key_dumps[a.pick(index)]);
+  }
+  out.append(key_literals_.back());
   return out;
 }
 
@@ -183,44 +162,36 @@ BatchKernelPlan plan_batch_kernel(const json::Value& job, const std::vector<json
 
     // Parse and validate each axis VALUE once, via its materialized probe
     // document (base + this value, every other axis at its first value) —
-    // the same parse the legacy path would run for that item, so payloads
-    // are exact. A value whose probe fails validation/parsing is marked
-    // invalid; grid items picking it run the legacy fallback and produce
+    // the same parse the per-item path would run for that item, so inputs
+    // are exact. A value whose probe fails validation/parsing stays
+    // nullopt; grid items picking it run the per-item fallback and produce
     // identical error documents.
-    std::vector<std::vector<EstimationInput>> parsed(plan.axes_.size());
     for (std::size_t j = 0; j < plan.axes_.size(); ++j) {
       BatchKernelAxis& a = plan.axes_[j];
-      std::uint8_t* valid = plan.arena_.alloc_array<std::uint8_t>(a.size);
-      parsed[j].resize(a.size);
+      a.inputs.resize(a.size);
+      a.key_dumps.reserve(a.size);
       for (std::size_t k = 0; k < a.size; ++k) {
+        a.key_dumps.push_back(canonical_key(declared[j].values[k]));
         const json::Value& probe = items[k * a.stride];
         Diagnostics probe_diags;
         api::validate_job(probe, registry, probe_diags);
         if (probe_diags.has_errors()) continue;
         try {
-          Diagnostics sink;  // tolerate warnings, as the legacy runner does
-          parsed[j][k] = api::input_from_document(probe, registry, &sink);
-          valid[k] = 1;
+          Diagnostics sink;  // tolerate warnings, as the per-item runner does
+          a.inputs[k] = api::input_from_document(probe, registry, &sink);
         } catch (const std::exception&) {
           // leave invalid: the fallback runner reports the exact error
         }
       }
-      a.valid = valid;
     }
 
     // Reference input: the first grid point whose picks are all valid; its
     // parse fixes every non-axis section once per sweep.
     {
       std::size_t reference = 0;
-      for (std::size_t j = 0; j < plan.axes_.size(); ++j) {
-        const BatchKernelAxis& a = plan.axes_[j];
-        std::size_t first_valid = a.size;
-        for (std::size_t k = 0; k < a.size; ++k) {
-          if (a.valid[k]) {
-            first_valid = k;
-            break;
-          }
-        }
+      for (const BatchKernelAxis& a : plan.axes_) {
+        std::size_t first_valid = 0;
+        while (first_valid < a.size && !a.inputs[first_valid].has_value()) ++first_valid;
         if (first_valid == a.size) {
           return decline("axis '" + a.path + "' has no valid values");
         }
@@ -228,80 +199,6 @@ BatchKernelPlan plan_batch_kernel(const json::Value& job, const std::vector<json
       }
       Diagnostics sink;
       plan.reference_input_ = api::input_from_document(items[reference], registry, &sink);
-    }
-
-    // Column fill: one tight pass per field over contiguous arena storage.
-    for (std::size_t j = 0; j < plan.axes_.size(); ++j) {
-      BatchKernelAxis& a = plan.axes_[j];
-      const std::vector<EstimationInput>& in = parsed[j];
-      const std::size_t n = a.size;
-      switch (a.section) {
-        case BatchKernelAxis::Section::kLogicalCounts: {
-          auto fill = [&](std::uint64_t LogicalCounts::* field) {
-            std::uint64_t* col = plan.arena_.alloc_array<std::uint64_t>(n);
-            for (std::size_t k = 0; k < n; ++k) col[k] = in[k].counts.*field;
-            return static_cast<const std::uint64_t*>(col);
-          };
-          a.lc_num_qubits = fill(&LogicalCounts::num_qubits);
-          a.lc_t_count = fill(&LogicalCounts::t_count);
-          a.lc_rotation_count = fill(&LogicalCounts::rotation_count);
-          a.lc_rotation_depth = fill(&LogicalCounts::rotation_depth);
-          a.lc_ccz_count = fill(&LogicalCounts::ccz_count);
-          a.lc_ccix_count = fill(&LogicalCounts::ccix_count);
-          a.lc_measurement_count = fill(&LogicalCounts::measurement_count);
-          a.lc_clifford_count = fill(&LogicalCounts::clifford_count);
-          break;
-        }
-        case BatchKernelAxis::Section::kErrorBudget: {
-          ErrorBudget* col = plan.arena_.alloc_array<ErrorBudget>(n);
-          for (std::size_t k = 0; k < n; ++k) col[k] = in[k].budget;
-          a.budgets = col;
-          break;
-        }
-        case BatchKernelAxis::Section::kConstraints: {
-          Constraints* col = plan.arena_.alloc_array<Constraints>(n);
-          for (std::size_t k = 0; k < n; ++k) col[k] = in[k].constraints;
-          a.constraints = col;
-          break;
-        }
-        case BatchKernelAxis::Section::kQubitParams: {
-          auto fill = [&](double QubitParams::* field) {
-            double* col = plan.arena_.alloc_array<double>(n);
-            for (std::size_t k = 0; k < n; ++k) col[k] = in[k].qubit.*field;
-            return static_cast<const double*>(col);
-          };
-          a.qp_one_qubit_measurement_time_ns = fill(&QubitParams::one_qubit_measurement_time_ns);
-          a.qp_one_qubit_gate_time_ns = fill(&QubitParams::one_qubit_gate_time_ns);
-          a.qp_two_qubit_gate_time_ns = fill(&QubitParams::two_qubit_gate_time_ns);
-          a.qp_two_qubit_joint_measurement_time_ns =
-              fill(&QubitParams::two_qubit_joint_measurement_time_ns);
-          a.qp_t_gate_time_ns = fill(&QubitParams::t_gate_time_ns);
-          a.qp_one_qubit_measurement_error_rate =
-              fill(&QubitParams::one_qubit_measurement_error_rate);
-          a.qp_one_qubit_gate_error_rate = fill(&QubitParams::one_qubit_gate_error_rate);
-          a.qp_two_qubit_gate_error_rate = fill(&QubitParams::two_qubit_gate_error_rate);
-          a.qp_two_qubit_joint_measurement_error_rate =
-              fill(&QubitParams::two_qubit_joint_measurement_error_rate);
-          a.qp_t_gate_error_rate = fill(&QubitParams::t_gate_error_rate);
-          a.qp_idle_error_rate = fill(&QubitParams::idle_error_rate);
-          std::int32_t* sets = plan.arena_.alloc_array<std::int32_t>(n);
-          for (std::size_t k = 0; k < n; ++k) {
-            sets[k] = static_cast<std::int32_t>(in[k].qubit.instruction_set);
-          }
-          a.qp_instruction_set = sets;
-          a.qp_names.resize(n);
-          a.qp_qecs.reserve(n);
-          for (std::size_t k = 0; k < n; ++k) {
-            a.qp_names[k] = in[k].qubit.name;
-            a.qp_qecs.push_back(in[k].qec);
-          }
-          break;
-        }
-      }
-      a.key_dumps.resize(n);
-      for (std::size_t k = 0; k < n; ++k) {
-        a.key_dumps[k] = canonical_key(declared[j].values[k]);
-      }
     }
 
     // Cache-key skeleton: substitute a unique sentinel string for each axis
@@ -353,53 +250,30 @@ json::Array run_batch_kernel(const BatchKernelPlan& plan, const std::vector<json
               "run_batch_kernel: item count does not match the plan");
   QRE_REQUIRE(fallback != nullptr, "run_batch_kernel requires a fallback runner");
 
-  const std::size_t num_workers = resolve_num_workers(options, items.size());
-  std::vector<BatchKernelScratch> scratch(num_workers);
-  for (BatchKernelScratch& s : scratch) {
-    s.input = plan.reference_input();
-    s.picks.resize(plan.num_axes());
-  }
-
   // Classify every grid item up front (cheap: a few divisions each), so the
   // engagement counters partition numItems exactly — a duplicated grid
   // point served from the cache still counts under the path that covers
   // it, and kernelItems + fallbackItems always equals the grid size.
   std::uint64_t kernel_items = 0;
-  std::uint64_t fallback_items = 0;
-  {
-    std::vector<std::uint32_t> picks(plan.num_axes());
-    for (std::size_t index = 0; index < items.size(); ++index) {
-      plan.decompose(index, picks);
-      (plan.picks_valid(picks) ? kernel_items : fallback_items) += 1;
-    }
+  for (std::size_t index = 0; index < items.size(); ++index) {
+    if (plan.covers(index)) ++kernel_items;
   }
 
-  // Both closures run under run_batch_indexed, so cancellation, ordering,
-  // error isolation, and cache counters are the engine's — kernel results
+  // Both paths run under run_batch_indexed, so cancellation, ordering,
+  // error isolation, and cache counters are the engine's — planned results
   // and fallback results tally through one code path.
-  const IndexedRunner runner = [&](std::size_t index, std::size_t worker) -> json::Value {
-    BatchKernelScratch& s = scratch[worker];
-    plan.decompose(index, s.picks);
-    if (!plan.picks_valid(s.picks)) {
-      return fallback(items[index]);
-    }
-    plan.apply(s.picks, s.input);
-    estimate_into(s.input, s.estimate);
-    return result_bytes(report_to_json(s.estimate));
+  const IndexedRunner runner = [&](std::size_t index) -> json::Value {
+    if (!plan.covers(index)) return fallback(items[index]);
+    return result_bytes(report_to_json(estimate(plan.item_input(index))));
   };
-  const IndexedKeyFn key_fn = [&](std::size_t index, std::size_t worker) -> const std::string& {
-    BatchKernelScratch& s = scratch[worker];
-    plan.decompose(index, s.picks);
-    plan.splice_key(s.picks, s.key_buf);
-    return s.key_buf;
-  };
+  const IndexedKeyFn key_fn = [&plan](std::size_t index) { return plan.item_key(index); };
 
   json::Array out = run_batch_indexed(items.size(), runner, key_fn, options, stats);
   if (stats != nullptr) {
     BatchKernelStats kernel_stats;
     kernel_stats.engaged = true;
     kernel_stats.kernel_items = kernel_items;
-    kernel_stats.fallback_items = fallback_items;
+    kernel_stats.fallback_items = items.size() - kernel_items;
     stats->kernel = std::move(kernel_stats);
   }
   return out;

@@ -1,23 +1,21 @@
-// Vectorized batch-estimation kernel (ROADMAP item 1).
+// The sweep plan: per-value parsing and spliced cache keys for sweep grids.
 //
 // Dense sweep grids — the paper's Fig. 3/4 workloads — are cartesian
 // products of a handful of axis values over one base document, yet the
-// legacy path re-parses and re-validates the full JSON item and rebuilds an
-// EstimationInput for every grid point. The kernel removes all per-item JSON
-// work:
+// per-item path re-parses and re-validates the full JSON item and rebuilds
+// an EstimationInput for every grid point. The plan removes that per-item
+// JSON work:
 //
-//  * plan_batch_kernel() analyzes the sweep ONCE: it resolves the registry
-//    profile set, parses and validates each axis VALUE once (not each grid
-//    item), stores the parsed payloads as structure-of-arrays columns in a
-//    per-batch Arena (common/arena.hpp), and precomputes the canonical
-//    cache-key skeleton so per-item keys are spliced, not re-serialized;
-//  * run_batch_kernel() evaluates grid items by writing axis columns into a
-//    per-worker scratch EstimationInput and calling estimate_into() — on the
-//    steady-state path (plan built, buffers warm) this performs zero heap
-//    allocations per item (see docs/performance.md, "allocation contract");
+//  * plan_batch_kernel() analyzes the sweep ONCE: it parses and validates
+//    each axis VALUE once (not each grid item), keeps the parsed input of
+//    every value, and precomputes the canonical cache-key skeleton so
+//    per-item keys are spliced, not re-serialized;
+//  * run_batch_kernel() evaluates a grid item as estimate() on a copy of the
+//    plan's reference input with each axis's section copied in from the
+//    picked value;
 //  * items the plan cannot cover — an axis value whose materialized document
-//    fails validation — run through the legacy per-item fallback runner, so
-//    mixed batches produce exactly the documents the scalar path would.
+//    fails validation — run through the per-item fallback runner, so mixed
+//    batches produce exactly the documents the per-item path would.
 //
 // Eligibility is conservative; plan_batch_kernel() declines (with a reason
 // recorded in batchStats.batchKernel) whenever per-axis-value analysis could
@@ -33,29 +31,25 @@
 //  * the spliced key skeleton must round-trip canonical_key() exactly
 //    (checked structurally at plan time; degenerate documents decline).
 //
-// The kernel is asserted bit-identical to the scalar path — same estimate()
-// arithmetic, same report rendering, same cache keys — by
-// tests/test_batch_kernel.cpp; EngineOptions::use_batch_kernel retains the
-// scalar path for comparison (qre_cli --no-batch-kernel).
+// A declined sweep runs the per-item path. The plan is asserted
+// bit-identical to that path — same estimate() arithmetic, same report
+// rendering, same cache keys — by tests/test_batch_kernel.cpp.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "api/registry.hpp"
-#include "common/arena.hpp"
 #include "core/estimator.hpp"
 #include "json/json.hpp"
 #include "service/engine.hpp"
 
 namespace qre::service {
 
-/// One sweep axis, analyzed: its grid geometry plus the parsed payload of
-/// every axis value, laid out as arena-backed structure-of-arrays columns so
-/// the evaluation loop touches contiguous typed memory instead of JSON
-/// nodes. Only the columns of the axis's section are populated.
+/// One sweep axis, analyzed: its grid geometry plus the parsed input of
+/// every axis value. Only the axis's own section of each input is used.
 struct BatchKernelAxis {
   enum class Section { kLogicalCounts, kErrorBudget, kConstraints, kQubitParams };
 
@@ -64,110 +58,39 @@ struct BatchKernelAxis {
   std::size_t size = 0;    // number of values
   std::size_t stride = 1;  // row-major stride in the expanded grid
 
-  /// Per-value: 1 when the materialized probe document validated and parsed
-  /// (items picking an invalid value fall back to the legacy runner).
-  const std::uint8_t* valid = nullptr;
+  /// Per-value: the parsed input of the value's materialized probe
+  /// document, or nullopt when that document failed validation or parsing
+  /// (items picking the value run the per-item fallback).
+  std::vector<std::optional<EstimationInput>> inputs;
 
   /// Per-value canonical dump of the raw axis value, spliced into cache keys.
   std::vector<std::string> key_dumps;
 
-  // kLogicalCounts columns. Keep in sync with struct LogicalCounts.
-  const std::uint64_t* lc_num_qubits = nullptr;
-  const std::uint64_t* lc_t_count = nullptr;
-  const std::uint64_t* lc_rotation_count = nullptr;
-  const std::uint64_t* lc_rotation_depth = nullptr;
-  const std::uint64_t* lc_ccz_count = nullptr;
-  const std::uint64_t* lc_ccix_count = nullptr;
-  const std::uint64_t* lc_measurement_count = nullptr;
-  const std::uint64_t* lc_clifford_count = nullptr;
-
-  // kErrorBudget / kConstraints: arena arrays of the parsed values (both
-  // types are trivially destructible, the Arena requirement).
-  const ErrorBudget* budgets = nullptr;
-  const Constraints* constraints = nullptr;
-
-  // kQubitParams columns. Keep in sync with struct QubitParams; the
-  // bit-identity suite sweeps presets differing in every field, so a column
-  // missing here fails tests rather than silently drifting.
-  const double* qp_one_qubit_measurement_time_ns = nullptr;
-  const double* qp_one_qubit_gate_time_ns = nullptr;
-  const double* qp_two_qubit_gate_time_ns = nullptr;
-  const double* qp_two_qubit_joint_measurement_time_ns = nullptr;
-  const double* qp_t_gate_time_ns = nullptr;
-  const double* qp_one_qubit_measurement_error_rate = nullptr;
-  const double* qp_one_qubit_gate_error_rate = nullptr;
-  const double* qp_two_qubit_gate_error_rate = nullptr;
-  const double* qp_two_qubit_joint_measurement_error_rate = nullptr;
-  const double* qp_t_gate_error_rate = nullptr;
-  const double* qp_idle_error_rate = nullptr;
-  const std::int32_t* qp_instruction_set = nullptr;
-  /// Non-trivial per-value state lives beside the columns: preset names and
-  /// the QEC scheme each qubit value resolves to (registry default for its
-  /// instruction set, or the registry scheme the value names).
-  std::vector<std::string> qp_names;
-  std::vector<QecScheme> qp_qecs;
+  /// The value grid item `index` picks on this axis.
+  std::size_t pick(std::size_t index) const { return (index / stride) % size; }
 };
 
-/// Per-worker evaluation scratch. Reusing one scratch per worker slot is
-/// what makes the steady-state loop allocation-free: the EstimationInput and
-/// ResourceEstimate keep their string/vector capacity across items, and keys
-/// are spliced into `key_buf` in place.
-struct BatchKernelScratch {
-  EstimationInput input;
-  ResourceEstimate estimate;
-  std::vector<std::uint32_t> picks;
-  std::string key_buf;
-};
-
-/// The per-sweep analysis result. Move-only: the axis columns point into the
-/// plan's own Arena.
+/// The per-sweep analysis result.
 class BatchKernelPlan {
  public:
-  BatchKernelPlan() = default;
-  BatchKernelPlan(const BatchKernelPlan&) = delete;
-  BatchKernelPlan& operator=(const BatchKernelPlan&) = delete;
-  BatchKernelPlan(BatchKernelPlan&&) = default;
-  BatchKernelPlan& operator=(BatchKernelPlan&&) = default;
-
-  /// The kernel can evaluate this sweep; when false, `reason()` says why and
-  /// the caller runs the legacy path.
+  /// The plan can evaluate this sweep; when false, `reason()` says why and
+  /// the caller runs the per-item path.
   bool eligible() const { return eligible_; }
   const std::string& reason() const { return reason_; }
 
   std::size_t num_items() const { return num_items_; }
-  std::size_t num_axes() const { return axes_.size(); }
-  const std::vector<BatchKernelAxis>& axes() const { return axes_; }
 
-  /// The fully parsed input of the first all-valid grid point; per-item
-  /// evaluation starts from a copy of this and overwrites axis sections.
-  const EstimationInput& reference_input() const { return reference_input_; }
+  /// Every value grid item `index` picks passed plan-time validation (else:
+  /// per-item fallback).
+  bool covers(std::size_t index) const;
 
-  /// Splits a row-major grid index into per-axis value picks.
-  void decompose(std::size_t index, std::vector<std::uint32_t>& picks) const {
-    for (std::size_t j = 0; j < axes_.size(); ++j) {
-      picks[j] = static_cast<std::uint32_t>((index / axes_[j].stride) % axes_[j].size);
-    }
-  }
+  /// The input of grid item `index`: the reference input with each axis's
+  /// section copied from the picked value. Requires covers(index).
+  EstimationInput item_input(std::size_t index) const;
 
-  /// All picked values passed plan-time validation (else: legacy fallback).
-  bool picks_valid(const std::vector<std::uint32_t>& picks) const {
-    for (std::size_t j = 0; j < axes_.size(); ++j) {
-      if (!axes_[j].valid[picks[j]]) return false;
-    }
-    return true;
-  }
-
-  /// Writes the picked axis values into `input` (all other sections were
-  /// fixed by the reference input). Allocation-free at steady state.
-  void apply(const std::vector<std::uint32_t>& picks, EstimationInput& input) const;
-
-  /// Builds the canonical cache key for the picked grid point into `out` by
-  /// splicing precomputed value dumps into the key skeleton. Byte-identical
-  /// to canonical_key() of the expanded item document.
-  void splice_key(const std::vector<std::uint32_t>& picks, std::string& out) const;
-
-  /// Convenience (tests, diagnostics): the canonical key of grid item
-  /// `index` via decompose + splice_key.
+  /// The canonical cache key of grid item `index`, spliced from the key
+  /// skeleton and the picked values' dumps. Byte-identical to
+  /// canonical_key() of the expanded item document.
   std::string item_key(std::size_t index) const;
 
  private:
@@ -175,11 +98,12 @@ class BatchKernelPlan {
                                            const std::vector<json::Value>& items,
                                            const api::Registry& registry);
 
-  Arena arena_;  // declared first: columns must die before their storage
   bool eligible_ = false;
   std::string reason_;
   std::size_t num_items_ = 0;
   std::vector<BatchKernelAxis> axes_;
+  /// The fully parsed input of the first all-valid grid point; it fixes
+  /// every section no axis targets.
   EstimationInput reference_input_;
   /// Key skeleton: literals_[0] + dump(axis key_order_[0]) + literals_[1] +
   /// ... + literals_[num_axes].
@@ -193,11 +117,11 @@ class BatchKernelPlan {
 BatchKernelPlan plan_batch_kernel(const json::Value& job, const std::vector<json::Value>& items,
                                   const api::Registry& registry);
 
-/// Evaluates the expanded grid through the kernel on the engine's worker
-/// pool (run_batch_indexed), so ordering, error isolation, cancellation,
-/// streaming, and cache accounting are shared with the legacy path and every
-/// counter tallies exactly once. Items with invalid axis values run through
-/// `fallback` (the legacy per-item runner). Requires plan.eligible() and
+/// Evaluates the expanded grid through the plan on the engine's worker pool
+/// (run_batch_indexed), so ordering, error isolation, cancellation,
+/// streaming, and cache accounting are shared with the per-item path and
+/// every counter tallies exactly once. Items with invalid axis values run
+/// through `fallback` (the per-item runner). Requires plan.eligible() and
 /// items.size() == plan.num_items(). Fills stats->kernel when stats is
 /// given.
 json::Array run_batch_kernel(const BatchKernelPlan& plan, const std::vector<json::Value>& items,

@@ -67,21 +67,21 @@ json::Value cancelled_value(const CancelToken& cancel) {
 /// Runs one item, memoized when a cache is present. All failures — from the
 /// runner directly or replayed out of the cache — collapse to an error
 /// document, preserving the batch's isolation contract.
-json::Value run_one(std::size_t index, std::size_t worker, const IndexedRunner& runner,
-                    const IndexedKeyFn& key_fn, EstimateCache* cache) {
+json::Value run_one(std::size_t index, const IndexedRunner& runner, const IndexedKeyFn& key_fn,
+                    EstimateCache* cache) {
   try {
     QRE_FAILPOINT("engine.evaluate.before");
     if (cache != nullptr) {
-      return cache->get_or_compute(key_fn(index, worker), [&] { return runner(index, worker); });
+      return cache->get_or_compute(key_fn(index), [&] { return runner(index); });
     }
-    return runner(index, worker);
+    return runner(index);
   } catch (const std::exception& e) {
     return error_value("estimation-failed", e.what());
   }
 }
 
-}  // namespace
-
+/// The pool width for `num_items` items: 0 means hardware concurrency, and
+/// the pool is never wider than the item count, nor empty.
 std::size_t resolve_num_workers(const EngineOptions& options, std::size_t num_items) {
   std::size_t num_workers = options.num_workers;
   if (num_workers == 0) {
@@ -90,20 +90,13 @@ std::size_t resolve_num_workers(const EngineOptions& options, std::size_t num_it
   return std::max<std::size_t>(1, std::min(num_workers, num_items));
 }
 
+}  // namespace
+
 json::Array run_batch(const std::vector<json::Value>& items, const JobRunner& runner,
                       const EngineOptions& options, BatchStats* stats) {
   QRE_REQUIRE(runner != nullptr, "run_batch requires a job runner");
-  // Per-worker key buffers let the key function hand the cache a reference
-  // without a fresh allocation per call site (canonical_key itself still
-  // builds a new string; the batch kernel's key splicer does not).
-  std::vector<std::string> key_bufs(resolve_num_workers(options, items.size()));
-  const IndexedRunner indexed = [&](std::size_t index, std::size_t) {
-    return runner(items[index]);
-  };
-  const IndexedKeyFn key_fn = [&](std::size_t index, std::size_t worker) -> const std::string& {
-    key_bufs[worker] = canonical_key(items[index]);
-    return key_bufs[worker];
-  };
+  const IndexedRunner indexed = [&](std::size_t index) { return runner(items[index]); };
+  const IndexedKeyFn key_fn = [&](std::size_t index) { return canonical_key(items[index]); };
   return run_batch_indexed(items.size(), indexed, key_fn, options, stats);
 }
 
@@ -153,7 +146,7 @@ json::Array run_batch_indexed(std::size_t num_items, const IndexedRunner& runner
     }
   };
 
-  auto work = [&](std::size_t worker) {
+  auto work = [&] {
     // Propagate the request's collector and span parentage onto this
     // thread (restored on exit — the inline num_workers<=1 path runs on
     // the caller's thread, which has its own state to preserve).
@@ -170,18 +163,18 @@ json::Array run_batch_indexed(std::size_t num_items, const IndexedRunner& runner
       json::Value result;
       {
         QRE_TRACE_SPAN("engine.item");
-        result = run_one(i, worker, runner, key_fn, cache);
+        result = run_one(i, runner, key_fn, cache);
       }
       complete(i, std::move(result));
     }
   };
 
   if (num_workers <= 1) {
-    work(0);
+    work();
   } else {
     std::vector<std::thread> pool;
     pool.reserve(num_workers);
-    for (std::size_t w = 0; w < num_workers; ++w) pool.emplace_back(work, w);
+    for (std::size_t w = 0; w < num_workers; ++w) pool.emplace_back(work);
     for (std::thread& t : pool) t.join();
   }
 

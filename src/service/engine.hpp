@@ -46,15 +46,12 @@ json::Value result_bytes(const json::Value& result);
 /// Executes one complete (non-batch) job document.
 using JobRunner = std::function<json::Value(const json::Value& job)>;
 
-/// Executes item `index` on worker slot `worker` (in [0, num_workers)).
-/// The worker slot lets runners keep per-worker scratch state — the batch
-/// kernel's zero-allocation evaluation buffers — without synchronization.
-using IndexedRunner = std::function<json::Value(std::size_t index, std::size_t worker)>;
+/// Executes item `index`; called concurrently from the worker pool.
+using IndexedRunner = std::function<json::Value(std::size_t index)>;
 
 /// Produces the memoization key for item `index` (only called when caching
-/// is enabled). Returning a reference lets key builders reuse a per-worker
-/// buffer instead of allocating a fresh string per item.
-using IndexedKeyFn = std::function<const std::string&(std::size_t index, std::size_t worker)>;
+/// is enabled).
+using IndexedKeyFn = std::function<std::string(std::size_t index)>;
 
 /// Observes the result of item `index`; called in item order.
 using ResultSink = std::function<void(std::size_t index, const json::Value& result)>;
@@ -66,11 +63,6 @@ struct EngineOptions {
   /// Memoize results by canonical item key (duplicated grid points are
   /// computed once).
   bool use_cache = true;
-  /// Route eligible sweep batches through the vectorized SoA batch kernel
-  /// (service/batch_kernel.hpp). The kernel is bit-identical to the scalar
-  /// path; this switch retains the scalar path for comparison and debugging
-  /// (qre_cli/qre_serve --no-batch-kernel).
-  bool use_batch_kernel = true;
   /// Entry bound for the batch-private cache (LRU evicted beyond it;
   /// 0 = unbounded). Ignored when an external `cache` is supplied.
   std::size_t cache_capacity = EstimateCache::kDefaultCapacity;
@@ -98,15 +90,14 @@ struct EngineOptions {
 /// to programmatic consumers (benches, the CLI's --cache-stats) but kept
 /// out of to_json(), because prior runs change them and result documents
 /// for identical jobs must stay byte-identical.
-/// Batch-kernel engagement counters, nested as "batchKernel" in the
-/// "batchStats" document whenever the kernel was consulted for a batch
-/// (i.e. the job was a sweep and use_batch_kernel was on). Items the kernel
-/// plan could not cover (per-value validation failures, say) run through the
-/// legacy per-item fallback and are counted here — their cache hits/misses
-/// still tally through the same engine counters as kernel items, so mixed
-/// batches never double-count.
+/// Sweep-plan engagement counters, nested as "batchKernel" in the
+/// "batchStats" document of every sweep. Items the plan could not cover
+/// (per-value validation failures, say) run through the per-item fallback
+/// and are counted here — their cache hits/misses still tally through the
+/// same engine counters as planned items, so mixed batches never
+/// double-count.
 struct BatchKernelStats {
-  /// The kernel evaluated this batch (false = planning bailed; see reason).
+  /// The plan evaluated this batch (false = planning declined; see reason).
   bool engaged = false;
   /// Why planning declined the batch; empty when engaged.
   std::string reason;
@@ -123,19 +114,12 @@ struct BatchStats {
   std::uint64_t cache_evictions = 0;
   std::uint64_t factory_cache_hits = 0;
   std::uint64_t factory_cache_misses = 0;
-  /// Present iff the batch kernel was consulted; absent for items batches
-  /// and kernel-disabled runs, keeping their documents byte-identical to
-  /// earlier releases.
+  /// Present iff the batch was a sweep; absent for items batches, keeping
+  /// their documents byte-identical to earlier releases.
   std::optional<BatchKernelStats> kernel;
 
   json::Value to_json() const;
 };
-
-/// Resolves the worker-pool width run_batch/run_batch_indexed will use for
-/// `num_items` items under `options` (0 = hardware concurrency; never wider
-/// than the item count, never 0). Exposed so callers pre-sizing per-worker
-/// scratch — the batch kernel — agree with the engine's slot numbering.
-std::size_t resolve_num_workers(const EngineOptions& options, std::size_t num_items);
 
 /// Runs `items` (complete job documents) through `runner` on the worker
 /// pool. The returned array preserves item order; item failures (qre::Error
@@ -146,12 +130,12 @@ json::Array run_batch(const std::vector<json::Value>& items, const JobRunner& ru
                       const EngineOptions& options = {}, BatchStats* stats = nullptr);
 
 /// The index-based generalization run_batch wraps: items are identified by
-/// index, runners receive their worker slot, and the memoization key comes
-/// from `key_fn` (may be null when options.use_cache is false). Every batch
-/// execution path — legacy scalar items and the SoA batch kernel — funnels
-/// through this single implementation, so ordering, error isolation,
-/// cancellation, streaming, and cache accounting behave identically and are
-/// counted once regardless of which path produced a result.
+/// index and the memoization key comes from `key_fn` (may be null when
+/// options.use_cache is false). Every batch execution path — per-item
+/// documents and planned sweeps — funnels through this single
+/// implementation, so ordering, error isolation, cancellation, streaming,
+/// and cache accounting behave identically and are counted once regardless
+/// of which path produced a result.
 json::Array run_batch_indexed(std::size_t num_items, const IndexedRunner& runner,
                               const IndexedKeyFn& key_fn, const EngineOptions& options = {},
                               BatchStats* stats = nullptr);

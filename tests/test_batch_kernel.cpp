@@ -1,19 +1,15 @@
-// Tests of the vectorized batch-estimation kernel (service layer) and its
-// Arena backing store: bit-identity against the scalar path on Fig. 3/4
-// style and randomized grids, spliced cache keys, exact cache accounting
-// for mixed kernel/fallback batches, warm-vs-cold store identity, kernel
-// eligibility declines, and the steady-state allocation contract (zero
-// heap allocations per re-evaluated grid point, counted by a global
-// operator new hook).
+// Tests of the sweep plan (service/batch_kernel.hpp): bit-identity against
+// the per-item path on Fig. 3/4 style and randomized grids, spliced cache
+// keys, exact cache accounting for mixed planned/fallback batches,
+// warm-vs-cold store identity, and eligibility declines. The per-item
+// reference is the same grid submitted as an "items" batch of the expanded
+// documents, which never consults the plan.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <mutex>
-#include <new>
 #include <optional>
 #include <random>
 #include <string>
@@ -22,9 +18,6 @@
 
 #include "api/api.hpp"
 #include "api/registry.hpp"
-#include "common/arena.hpp"
-#include "common/error.hpp"
-#include "core/estimator.hpp"
 #include "core/job.hpp"
 #include "json/json.hpp"
 #include "service/batch_kernel.hpp"
@@ -32,73 +25,42 @@
 #include "service/engine.hpp"
 #include "service/sweep.hpp"
 
-// ------------------------------------------- allocation-counting hook ---
-//
-// Counts every global operator new while armed. Disabled under sanitizers,
-// which interpose their own allocator and would misattribute bookkeeping
-// allocations to the code under test.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define QRE_ALLOC_HOOK_DISABLED 1
-#endif
-#if !defined(QRE_ALLOC_HOOK_DISABLED) && defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define QRE_ALLOC_HOOK_DISABLED 1
-#endif
-#endif
-
-#ifndef QRE_ALLOC_HOOK_DISABLED
-
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::uint64_t> g_alloc_count{0};
-
-void* counted_alloc(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(size ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-#endif  // QRE_ALLOC_HOOK_DISABLED
-
 namespace qre {
 namespace {
 
-using service::BatchStats;
 using service::EngineOptions;
 using service::EstimateCache;
 
-json::Value run_sweep(const json::Value& job, bool use_kernel, std::size_t workers = 1,
+json::Value run_sweep(const json::Value& job, std::size_t workers = 1,
                       EstimateCache* cache = nullptr) {
   EngineOptions options;
   options.num_workers = workers;
-  options.use_batch_kernel = use_kernel;
   options.cache = cache;
   return run_job(job, options);
+}
+
+/// The per-item reference: the sweep's expanded documents submitted as an
+/// "items" batch, which runs every grid point through the per-item runner.
+json::Value run_items(const json::Value& sweep_job) {
+  json::Array items;
+  for (json::Value& item : service::expand_sweep(sweep_job)) items.push_back(std::move(item));
+  json::Object job;
+  job.emplace_back("items", json::Value(std::move(items)));
+  return run_sweep(json::Value(std::move(job)));
 }
 
 // Asserts both runs produced byte-identical result arrays and the same
 // top-level batch counters (batchStats differs only by the batchKernel
 // block, which records which path ran).
-void expect_bit_identical(const json::Value& kernel, const json::Value& scalar) {
-  const json::Array& a = kernel.at("results").as_array();
-  const json::Array& b = scalar.at("results").as_array();
+void expect_bit_identical(const json::Value& planned, const json::Value& reference) {
+  const json::Array& a = planned.at("results").as_array();
+  const json::Array& b = reference.at("results").as_array();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].dump(), b[i].dump()) << "item " << i;
   }
-  const json::Value& sa = kernel.at("batchStats");
-  const json::Value& sb = scalar.at("batchStats");
+  const json::Value& sa = planned.at("batchStats");
+  const json::Value& sb = reference.at("batchStats");
   EXPECT_EQ(sa.at("numItems").dump(), sb.at("numItems").dump());
   EXPECT_EQ(sa.at("numErrors").dump(), sb.at("numErrors").dump());
 }
@@ -107,62 +69,7 @@ const json::Value& kernel_stats(const json::Value& result) {
   return result.at("batchStats").at("batchKernel");
 }
 
-// ---------------------------------------------------------------- arena ---
-
-TEST(Arena, AllocationsAreAlignedAndCounted) {
-  Arena arena;
-  void* a = arena.allocate(3, 1);
-  void* b = arena.allocate(8, 8);
-  void* c = arena.allocate(1, 64);
-  EXPECT_NE(a, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 8, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c) % 64, 0u);
-  EXPECT_EQ(arena.bytes_allocated(), 12u);  // 3 + 8 + 1, padding excluded
-  EXPECT_GE(arena.bytes_reserved(), Arena::kDefaultChunkBytes);
-}
-
-TEST(Arena, AllocArrayValueInitializes) {
-  Arena arena;
-  const std::uint64_t* xs = arena.alloc_array<std::uint64_t>(1000);
-  for (std::size_t i = 0; i < 1000; ++i) ASSERT_EQ(xs[i], 0u) << i;
-  const double* ds = arena.alloc_array<double>(16);
-  for (std::size_t i = 0; i < 16; ++i) ASSERT_EQ(ds[i], 0.0) << i;
-}
-
-TEST(Arena, OversizedRequestGetsDedicatedChunk) {
-  Arena arena(1024);
-  void* big = arena.allocate(1 << 20, 16);
-  EXPECT_NE(big, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big) % 16, 0u);
-  // A small follow-up allocation still succeeds (fresh normal chunk or the
-  // oversized chunk's tail), and the footprint covers both.
-  void* small = arena.allocate(64);
-  EXPECT_NE(small, nullptr);
-  EXPECT_GE(arena.bytes_reserved(), static_cast<std::size_t>(1 << 20));
-}
-
-TEST(Arena, ResetKeepsChunksForReuse) {
-  Arena arena(4096);
-  for (int i = 0; i < 8; ++i) arena.allocate(1024);
-  const std::size_t chunks = arena.num_chunks();
-  const std::size_t reserved = arena.bytes_reserved();
-  arena.reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  // An identically shaped second batch fits in the retained chunks.
-  for (int i = 0; i < 8; ++i) arena.allocate(1024);
-  EXPECT_EQ(arena.num_chunks(), chunks);
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-}
-
-TEST(Arena, ArenaAllocatorWorksWithStdVector) {
-  Arena arena;
-  std::vector<int, ArenaAllocator<int>> xs{ArenaAllocator<int>(arena)};
-  for (int i = 0; i < 1000; ++i) xs.push_back(i);
-  for (int i = 0; i < 1000; ++i) ASSERT_EQ(xs[i], i);
-  EXPECT_GT(arena.bytes_allocated(), 1000 * sizeof(int) - 1);
-}
-
-// --------------------------------------------------- kernel engagement ---
+// ----------------------------------------------------------- engagement ---
 
 const char* kFig4StyleSweep = R"({
   "logicalCounts": {"numQubits": 100, "tCount": 100000},
@@ -176,7 +83,7 @@ const char* kFig4StyleSweep = R"({
 })";
 
 TEST(BatchKernel, EngagesOnFig4StyleSweep) {
-  json::Value result = run_sweep(json::parse(kFig4StyleSweep), true);
+  json::Value result = run_sweep(json::parse(kFig4StyleSweep));
   const json::Value& ks = kernel_stats(result);
   EXPECT_TRUE(ks.at("engaged").as_bool());
   EXPECT_EQ(ks.find("reason"), nullptr);
@@ -185,31 +92,28 @@ TEST(BatchKernel, EngagesOnFig4StyleSweep) {
   EXPECT_EQ(result.at("batchStats").at("numItems").as_uint(), 28u);
 }
 
-TEST(BatchKernel, DisabledRunsAndItemsBatchesOmitTheStatsBlock) {
-  // --no-batch-kernel runs and hand-written "items" batches must keep their
-  // batchStats documents byte-identical to pre-kernel releases.
-  json::Value scalar = run_sweep(json::parse(kFig4StyleSweep), false);
-  EXPECT_EQ(scalar.at("batchStats").find("batchKernel"), nullptr);
-
+TEST(BatchKernel, ItemsBatchesOmitTheStatsBlock) {
+  // Hand-written "items" batches must keep their batchStats documents
+  // byte-identical to releases before the sweep plan.
   json::Value items_job = json::parse(R"({
     "logicalCounts": {"numQubits": 50, "tCount": 50000},
     "items": [{"errorBudget": 0.001}, {"errorBudget": 0.01}]
   })");
-  json::Value items_result = run_sweep(items_job, true);
+  json::Value items_result = run_sweep(items_job);
   EXPECT_EQ(items_result.at("batchStats").find("batchKernel"), nullptr);
 }
 
 // ------------------------------------------------------- bit identity ---
 
-TEST(BatchKernel, BitIdenticalToScalarOnFig4StyleGrid) {
+TEST(BatchKernel, BitIdenticalToPerItemPathOnFig4StyleGrid) {
   json::Value job = json::parse(kFig4StyleSweep);
-  json::Value kernel = run_sweep(job, true);
-  json::Value scalar = run_sweep(job, false);
+  json::Value kernel = run_sweep(job);
+  json::Value per_item = run_items(job);
   ASSERT_TRUE(kernel_stats(kernel).at("engaged").as_bool());
-  expect_bit_identical(kernel, scalar);
+  expect_bit_identical(kernel, per_item);
 }
 
-TEST(BatchKernel, BitIdenticalToScalarOnFig3StyleGrid) {
+TEST(BatchKernel, BitIdenticalToPerItemPathOnFig3StyleGrid) {
   // Figure 3 shape: whole-section logicalCounts axis (different circuit
   // sizes) crossed with hardware profiles.
   json::Value job = json::parse(R"({
@@ -223,10 +127,10 @@ TEST(BatchKernel, BitIdenticalToScalarOnFig3StyleGrid) {
       "qubitParams": [{"name": "qubit_gate_ns_e3"}, {"name": "qubit_maj_ns_e6"}]
     }
   })");
-  json::Value kernel = run_sweep(job, true);
-  json::Value scalar = run_sweep(job, false);
+  json::Value kernel = run_sweep(job);
+  json::Value per_item = run_items(job);
   ASSERT_TRUE(kernel_stats(kernel).at("engaged").as_bool());
-  expect_bit_identical(kernel, scalar);
+  expect_bit_identical(kernel, per_item);
 }
 
 TEST(BatchKernel, BitIdenticalOnDottedAxesIntoEverySection) {
@@ -240,28 +144,28 @@ TEST(BatchKernel, BitIdenticalOnDottedAxesIntoEverySection) {
       "constraints.maxTFactories": [2, 8]
     }
   })");
-  json::Value kernel = run_sweep(job, true);
-  json::Value scalar = run_sweep(job, false);
+  json::Value kernel = run_sweep(job);
+  json::Value per_item = run_items(job);
   ASSERT_TRUE(kernel_stats(kernel).at("engaged").as_bool())
       << kernel_stats(kernel).dump();
   EXPECT_EQ(kernel_stats(kernel).at("kernelItems").as_uint(), 8u);
-  expect_bit_identical(kernel, scalar);
+  expect_bit_identical(kernel, per_item);
 }
 
-TEST(BatchKernel, ParallelKernelMatchesSerialKernelAndScalar) {
+TEST(BatchKernel, ParallelPlanMatchesSerialPlanAndPerItemPath) {
   json::Value job = json::parse(kFig4StyleSweep);
-  json::Value serial = run_sweep(job, true, 1);
-  json::Value parallel = run_sweep(job, true, 4);
-  json::Value scalar = run_sweep(job, false, 1);
+  json::Value serial = run_sweep(job, 1);
+  json::Value parallel = run_sweep(job, 4);
+  json::Value per_item = run_items(job);
   ASSERT_TRUE(kernel_stats(parallel).at("engaged").as_bool());
   expect_bit_identical(parallel, serial);
-  expect_bit_identical(parallel, scalar);
+  expect_bit_identical(parallel, per_item);
 }
 
-TEST(BatchKernel, RandomizedGridsAreBitIdenticalToScalar) {
+TEST(BatchKernel, RandomizedGridsAreBitIdenticalToPerItemPath) {
   // Deterministic fuzz over grid shapes: every iteration builds a sweep
   // with a random subset of axis sections and random values, then asserts
-  // kernel output is byte-identical to the scalar path.
+  // planned output is byte-identical to the per-item path.
   std::mt19937 rng(20230807);
   const char* presets[] = {"qubit_gate_ns_e3", "qubit_gate_ns_e4", "qubit_gate_us_e3",
                            "qubit_gate_us_e4", "qubit_maj_ns_e4",  "qubit_maj_ns_e6"};
@@ -310,12 +214,12 @@ TEST(BatchKernel, RandomizedGridsAreBitIdenticalToScalar) {
     job.emplace_back("sweep", json::Value(std::move(sweep)));
     json::Value doc{std::move(job)};
 
-    json::Value kernel = run_sweep(doc, true, uniform(1, 4));
-    json::Value scalar = run_sweep(doc, false);
+    json::Value kernel = run_sweep(doc, uniform(1, 4));
+    json::Value per_item = run_items(doc);
     ASSERT_TRUE(kernel_stats(kernel).at("engaged").as_bool())
         << "iter " << iter << ": " << kernel_stats(kernel).dump();
     SCOPED_TRACE("iter " + std::to_string(iter) + " job " + doc.dump());
-    expect_bit_identical(kernel, scalar);
+    expect_bit_identical(kernel, per_item);
   }
 }
 
@@ -323,7 +227,7 @@ TEST(BatchKernel, RandomizedGridsAreBitIdenticalToScalar) {
 
 TEST(BatchKernel, InvalidAxisValuesFallBackToIdenticalErrorDocuments) {
   // The third qubit value fails validation, so its grid row runs through
-  // the legacy fallback runner; documents must match the scalar path
+  // the per-item fallback runner; documents must match the per-item path
   // exactly, including the structured error entries.
   json::Value job = json::parse(R"({
     "logicalCounts": {"numQubits": 50, "tCount": 50000},
@@ -336,19 +240,19 @@ TEST(BatchKernel, InvalidAxisValuesFallBackToIdenticalErrorDocuments) {
       "errorBudget": [0.001, 0.01]
     }
   })");
-  json::Value kernel = run_sweep(job, true);
-  json::Value scalar = run_sweep(job, false);
+  json::Value kernel = run_sweep(job);
+  json::Value per_item = run_items(job);
   const json::Value& ks = kernel_stats(kernel);
   EXPECT_TRUE(ks.at("engaged").as_bool());
   EXPECT_EQ(ks.at("kernelItems").as_uint(), 4u);
   EXPECT_EQ(ks.at("fallbackItems").as_uint(), 2u);
   EXPECT_EQ(kernel.at("batchStats").at("numErrors").as_uint(), 2u);
-  expect_bit_identical(kernel, scalar);
+  expect_bit_identical(kernel, per_item);
 }
 
-TEST(BatchKernel, CacheAccountingIsExactAcrossKernelAndFallbackItems) {
+TEST(BatchKernel, CacheAccountingIsExactAcrossPlannedAndFallbackItems) {
   // 2 qubit values (one invalid) x errorBudget [a, b, a]: six grid items,
-  // four distinct documents. Kernel items and fallback items tally hits
+  // four distinct documents. Planned items and fallback items tally hits
   // and misses through the same engine counters — each duplicate is one
   // hit no matter which path computed its original.
   json::Value job = json::parse(R"({
@@ -358,7 +262,7 @@ TEST(BatchKernel, CacheAccountingIsExactAcrossKernelAndFallbackItems) {
       "errorBudget": [0.001, 0.01, 0.001]
     }
   })");
-  json::Value result = run_sweep(job, true);
+  json::Value result = run_sweep(job);
   const json::Value& stats = result.at("batchStats");
   const json::Value& ks = kernel_stats(result);
   EXPECT_TRUE(ks.at("engaged").as_bool());
@@ -367,17 +271,17 @@ TEST(BatchKernel, CacheAccountingIsExactAcrossKernelAndFallbackItems) {
   EXPECT_EQ(stats.at("numItems").as_uint(), 6u);
   EXPECT_EQ(stats.at("cacheMisses").as_uint(), 4u);
   EXPECT_EQ(stats.at("cacheHits").as_uint(), 2u);
-  // The duplicated budget re-serves both the kernel-computed result and the
+  // The duplicated budget re-serves both the planned result and the
   // fallback error document.
   const json::Array& results = result.at("results").as_array();
   EXPECT_EQ(results[0].dump(), results[2].dump());
   EXPECT_EQ(results[3].dump(), results[5].dump());
   EXPECT_NE(results[3].find("error"), nullptr);
 
-  // Same accounting on the scalar path (satellite: one code path for both).
-  json::Value scalar = run_sweep(job, false);
-  EXPECT_EQ(scalar.at("batchStats").at("cacheMisses").as_uint(), 4u);
-  EXPECT_EQ(scalar.at("batchStats").at("cacheHits").as_uint(), 2u);
+  // Same accounting on the per-item path: both run through one engine.
+  json::Value per_item = run_items(job);
+  EXPECT_EQ(per_item.at("batchStats").at("cacheMisses").as_uint(), 4u);
+  EXPECT_EQ(per_item.at("batchStats").at("cacheHits").as_uint(), 2u);
 }
 
 // A StoreBacking double: an in-memory second-level store with counters.
@@ -412,32 +316,32 @@ class MapBacking : public service::StoreBacking {
 };
 
 TEST(BatchKernel, WarmStoreReplaysBitIdenticalResults) {
-  // Cold run populates the store through the kernel; a fresh cache backed
-  // by the warm store must replay byte-identical results, which must also
-  // match a storeless scalar run. This is the restart-reuse path: spliced
-  // kernel keys hit records written under scalar-era keys and vice versa.
+  // Cold run populates the store through the plan; a fresh cache backed by
+  // the warm store must replay byte-identical results, which must also
+  // match a storeless per-item run. This is the restart-reuse path: spliced
+  // keys hit records written under canonical_key() keys and vice versa.
   json::Value job = json::parse(kFig4StyleSweep);
   MapBacking store;
 
   EstimateCache cold_cache;
   cold_cache.set_backing(&store);
-  json::Value first = run_sweep(job, true, 2, &cold_cache);
+  json::Value first = run_sweep(job, 2, &cold_cache);
   EXPECT_EQ(store.size(), 28u);
   EXPECT_EQ(store.served(), 0u);
 
   EstimateCache warm_cache;
   warm_cache.set_backing(&store);
-  json::Value replay = run_sweep(job, true, 2, &warm_cache);
+  json::Value replay = run_sweep(job, 2, &warm_cache);
   EXPECT_EQ(store.served(), 28u);  // every item served from the store
 
-  json::Value scalar = run_sweep(job, false);
+  json::Value per_item = run_items(job);
   expect_bit_identical(replay, first);
-  expect_bit_identical(replay, scalar);
+  expect_bit_identical(replay, per_item);
 }
 
 // -------------------------------------------------------- eligibility ---
 
-TEST(BatchKernel, DeclinesRecordReasonAndStillMatchScalar) {
+TEST(BatchKernel, DeclinesRecordReasonAndStillMatchPerItemPath) {
   struct Case {
     const char* name;
     const char* job;
@@ -460,7 +364,7 @@ TEST(BatchKernel, DeclinesRecordReasonAndStillMatchScalar) {
         "qecScheme": {"name": "surface_code"},
         "sweep": {"qubitParams": [{"name": "qubit_gate_ns_e3"}, {"name": "qubit_gate_ns_e4"}]}
       })"},
-      {"axis outside the SoA sections", R"({
+      {"axis outside the planned sections", R"({
         "logicalCounts": {"numQubits": 20, "tCount": 5000},
         "sweep": {"qecScheme.name": ["surface_code"], "errorBudget": [0.001, 0.01]}
       })"},
@@ -468,13 +372,13 @@ TEST(BatchKernel, DeclinesRecordReasonAndStillMatchScalar) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     json::Value job = json::parse(c.job);
-    json::Value kernel = run_sweep(job, true);
-    json::Value scalar = run_sweep(job, false);
+    json::Value kernel = run_sweep(job);
+    json::Value per_item = run_items(job);
     const json::Value& ks = kernel_stats(kernel);
     EXPECT_FALSE(ks.at("engaged").as_bool());
     EXPECT_FALSE(ks.at("reason").as_string().empty());
     EXPECT_EQ(ks.at("kernelItems").as_uint(), 0u);
-    expect_bit_identical(kernel, scalar);
+    expect_bit_identical(kernel, per_item);
   }
 }
 
@@ -482,7 +386,7 @@ TEST(BatchKernel, DeclinesRecordReasonAndStillMatchScalar) {
 
 TEST(BatchKernel, SplicedKeysMatchCanonicalKeysOfExpandedItems) {
   // Cache correctness hinges on spliced keys being byte-identical to
-  // canonical_key() of the expanded documents the scalar path keys on.
+  // canonical_key() of the expanded documents the per-item path keys on.
   json::Value job = json::parse(R"({
     "logicalCounts": {"numQubits": 60, "tCount": 80000},
     "constraints": {"logicalDepthFactor": 2},
@@ -500,55 +404,6 @@ TEST(BatchKernel, SplicedKeysMatchCanonicalKeysOfExpandedItems) {
   for (std::size_t i = 0; i < items.size(); ++i) {
     EXPECT_EQ(plan.item_key(i), service::canonical_key(items[i])) << "item " << i;
   }
-}
-
-// ------------------------------------------------ allocation contract ---
-
-TEST(BatchKernel, SteadyStateEvaluationPerformsZeroHeapAllocations) {
-#ifdef QRE_ALLOC_HOOK_DISABLED
-  GTEST_SKIP() << "allocation hook disabled under sanitizers";
-#else
-  // The contract (docs/performance.md): once a worker's scratch buffers
-  // have warmed on a grid point, re-evaluating it — decompose, apply,
-  // estimate_into, splice_key — touches the heap zero times. Every grid
-  // point of a Fig. 4 style batch is checked individually.
-  json::Value job = json::parse(kFig4StyleSweep);
-  std::vector<json::Value> items = service::expand_sweep(job);
-  service::BatchKernelPlan plan =
-      service::plan_batch_kernel(job, items, api::Registry::global());
-  ASSERT_TRUE(plan.eligible()) << plan.reason();
-
-  service::BatchKernelScratch scratch;
-  scratch.input = plan.reference_input();
-  scratch.picks.resize(plan.num_axes());
-
-  // Warm pass: grows scratch capacity to the batch's high-water mark and
-  // populates the process-level factory and QEC formula caches.
-  for (std::size_t i = 0; i < plan.num_items(); ++i) {
-    plan.decompose(i, scratch.picks);
-    ASSERT_TRUE(plan.picks_valid(scratch.picks));
-    plan.apply(scratch.picks, scratch.input);
-    estimate_into(scratch.input, scratch.estimate);
-    plan.splice_key(scratch.picks, scratch.key_buf);
-  }
-
-  for (std::size_t i = 0; i < plan.num_items(); ++i) {
-    // Bring the scratch to this grid point, then count a re-evaluation.
-    plan.decompose(i, scratch.picks);
-    plan.apply(scratch.picks, scratch.input);
-    estimate_into(scratch.input, scratch.estimate);
-    plan.splice_key(scratch.picks, scratch.key_buf);
-
-    g_alloc_count.store(0, std::memory_order_relaxed);
-    g_count_allocs.store(true, std::memory_order_relaxed);
-    plan.decompose(i, scratch.picks);
-    plan.apply(scratch.picks, scratch.input);
-    estimate_into(scratch.input, scratch.estimate);
-    plan.splice_key(scratch.picks, scratch.key_buf);
-    g_count_allocs.store(false, std::memory_order_relaxed);
-    EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u) << "item " << i;
-  }
-#endif
 }
 
 }  // namespace

@@ -403,16 +403,22 @@ TEST(Service, SweepJobParallelMatchesSerial) {
 TEST(Service, RepeatedSweepSharesResultBytes) {
   // Results are serialized once, in the worker that computed them; the
   // engine cache then holds those bytes, so a repeated request gets the
-  // same buffers back instead of copies of a tree.
+  // same buffers back instead of copies of a tree. The same grid runs once
+  // as a sweep (the sweep plan) and once as an "items" batch of its
+  // expanded documents (the per-item path); both must answer the same bytes.
   api::Registry registry = api::Registry::with_builtins();
-  const api::EstimateRequest request =
-      api::EstimateRequest::parse(json::parse(kFig4StyleSweep), registry);
-  ASSERT_TRUE(request.ok());
-  for (bool kernel : {true, false}) {
-    SCOPED_TRACE(kernel ? "batch kernel" : "scalar path");
+  const json::Value sweep_job = json::parse(kFig4StyleSweep);
+  json::Array expanded;
+  for (json::Value& item : service::expand_sweep(sweep_job)) expanded.push_back(std::move(item));
+  json::Object items_job;
+  items_job.emplace_back("items", json::Value(std::move(expanded)));
+  std::vector<std::string> first_path;
+  for (const json::Value& job : {sweep_job, json::Value(std::move(items_job))}) {
+    SCOPED_TRACE(job.find("sweep") != nullptr ? "sweep plan" : "per-item path");
+    const api::EstimateRequest request = api::EstimateRequest::parse(job, registry);
+    ASSERT_TRUE(request.ok());
     service::Engine engine;
-    EngineOptions options = engine.options();
-    options.use_batch_kernel = kernel;
+    const EngineOptions options = engine.options();
     const api::EstimateResponse cold = api::run(request, options, registry);
     const api::EstimateResponse warm = api::run(request, options, registry);
     ASSERT_TRUE(cold.success);
@@ -427,6 +433,13 @@ TEST(Service, RepeatedSweepSharesResultBytes) {
       EXPECT_EQ(a[i].raw_bytes().get(), b[i].raw_bytes().get()) << "item " << i;
     }
     EXPECT_EQ(engine.cache().hits(), a.size());
+    if (first_path.empty()) {
+      for (const json::Value& r : a) first_path.push_back(r.dump());
+    } else {
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].dump(), first_path[i]) << "item " << i;
+      }
+    }
   }
 }
 

@@ -88,9 +88,6 @@ void print_usage(std::FILE* out) {
                "                              \"frontier\" section when absent); combine\n"
                "                              with --stream for one NDJSON line per probe\n"
                "  qre_cli --no-cache <job.json>  disable result memoization\n"
-               "  qre_cli --no-batch-kernel <job.json>  evaluate sweeps on the legacy\n"
-               "                              scalar path instead of the SoA batch\n"
-               "                              kernel (docs/performance.md)\n"
                "  qre_cli --cache-capacity N  bound the result cache to N entries\n"
                "                              (LRU eviction; 0 = unbounded)\n"
                "  qre_cli --cache-dir DIR     persistent estimate store: prewarm from\n"
@@ -145,7 +142,6 @@ struct Options {
   bool frontier = false;
   bool expand_only = false;
   bool use_cache = true;
-  bool use_batch_kernel = true;
   bool validate_only = false;
   bool list_profiles = false;
   bool response_envelope = false;
@@ -179,8 +175,6 @@ int parse_args(int argc, char** argv, Options& opts) {
       opts.frontier = true;
     } else if (arg == "--no-cache") {
       opts.use_cache = false;
-    } else if (arg == "--no-batch-kernel") {
-      opts.use_batch_kernel = false;
     } else if (arg == "--cache-stats") {
       opts.cache_stats = true;
     } else if (arg == "--cache-capacity") {
@@ -592,7 +586,6 @@ int main(int argc, char** argv) {
     qre::service::EngineOptions engine_options;
     engine_options.num_workers = opts.num_workers;
     engine_options.use_cache = opts.use_cache;
-    engine_options.use_batch_kernel = opts.use_batch_kernel;
     engine_options.cache_capacity = opts.cache_capacity;
     qre::service::Engine engine(engine_options);
 

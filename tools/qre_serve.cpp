@@ -16,6 +16,8 @@
 //
 // SIGINT/SIGTERM drain gracefully: in-flight requests finish, queued async
 // jobs flip to cancelled, then the process exits 0.
+#include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -57,8 +59,6 @@ void print_usage(std::FILE* out) {
                "                      429 (default 64)\n"
                "  --jobs N            worker threads per batch/sweep request\n"
                "                      (default: hardware concurrency)\n"
-               "  --no-batch-kernel   evaluate sweeps on the legacy scalar path instead\n"
-               "                      of the SoA batch kernel (docs/performance.md)\n"
                "  --cache-capacity N  shared estimate-cache entry bound (LRU; 0 =\n"
                "                      unbounded; default %zu)\n"
                "  --cache-dir DIR     persistent estimate store: prewarm from\n"
@@ -106,10 +106,19 @@ struct Options {
   std::vector<std::string> profile_packs;
 };
 
-bool parse_size(const char* text, long min_value, long& out) {
+/// Parses a decimal integer in [min_value, max_value]. Out-of-range text,
+/// including values strtol cannot represent, is an error rather than a
+/// silently clamped or truncated setting.
+bool parse_size(const char* text, long min_value, long& out, long max_value = LONG_MAX) {
   char* end = nullptr;
+  errno = 0;
   out = std::strtol(text, &end, 10);
-  return end != nullptr && *end == '\0' && out >= min_value;
+  if (end == nullptr || *end != '\0' || errno == ERANGE || out < min_value || out > max_value) {
+    std::fprintf(stderr, "error: expected an integer in [%ld, %ld], got '%s'\n", min_value,
+                 max_value, text);
+    return false;
+  }
+  return true;
 }
 
 int parse_args(int argc, char** argv, Options& opts) {
@@ -127,7 +136,7 @@ int parse_args(int argc, char** argv, Options& opts) {
     long n = 0;
     if (arg == "--port") {
       const char* v = next("--port");
-      if (v == nullptr || !parse_size(v, 0, n) || n > 65535) return 2;
+      if (v == nullptr || !parse_size(v, 0, n, 65535)) return 2;
       opts.server.port = static_cast<std::uint16_t>(n);
     } else if (arg == "--bind") {
       const char* v = next("--bind");
@@ -153,8 +162,6 @@ int parse_args(int argc, char** argv, Options& opts) {
       const char* v = next("--jobs");
       if (v == nullptr || !parse_size(v, 1, n)) return 2;
       opts.service.engine.num_workers = static_cast<std::size_t>(n);
-    } else if (arg == "--no-batch-kernel") {
-      opts.service.engine.use_batch_kernel = false;
     } else if (arg == "--cache-capacity") {
       const char* v = next("--cache-capacity");
       if (v == nullptr || !parse_size(v, 0, n)) return 2;
@@ -189,11 +196,11 @@ int parse_args(int argc, char** argv, Options& opts) {
       opts.service.request_deadline_s = seconds;
     } else if (arg == "--recv-timeout") {
       const char* v = next("--recv-timeout");
-      if (v == nullptr || !parse_size(v, 0, n)) return 2;
+      if (v == nullptr || !parse_size(v, 0, n, INT_MAX)) return 2;
       opts.server.receive_timeout_seconds = static_cast<int>(n);
     } else if (arg == "--send-timeout") {
       const char* v = next("--send-timeout");
-      if (v == nullptr || !parse_size(v, 0, n)) return 2;
+      if (v == nullptr || !parse_size(v, 0, n, INT_MAX)) return 2;
       opts.server.send_timeout_seconds = static_cast<int>(n);
     } else if (arg == "--failpoints") {
       const char* v = next("--failpoints");
