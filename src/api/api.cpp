@@ -169,16 +169,16 @@ json::Value run_single_document(const json::Value& doc, const Registry& registry
     estimate_type = type->as_string();
   }
   if (estimate_type == "singlePoint") {
-    return report_to_json(estimate(input));
+    return json::Value::raw(report_bytes(estimate(input)));
   }
   if (estimate_type == "frontier") {
-    json::Array points;
+    std::string out = "{\"frontier\":[";
     for (const ResourceEstimate& e : estimate_frontier(input)) {
-      points.push_back(report_to_json(e));
+      if (out.back() != '[') out.push_back(',');
+      out += report_bytes(e);
     }
-    json::Object out;
-    out.emplace_back("frontier", json::Value(std::move(points)));
-    return json::Value(std::move(out));
+    out += "]}";
+    return json::Value::raw(std::move(out));
   }
   throw_error("unknown estimateType '" + estimate_type +
               "' (expected singlePoint or frontier)");
@@ -247,7 +247,7 @@ EstimateResponse run(const EstimateRequest& request, const service::EngineOption
           return item_error("invalid-item", item_diags.summary(), &item_diags);
         }
         Diagnostics sink;  // tolerate unknown keys; validation warned above
-        return service::result_bytes(run_single_document(item, registry, &sink));
+        return run_single_document(item, registry, &sink);
       };
       service::BatchStats stats;
       json::Array results;
@@ -284,9 +284,7 @@ EstimateResponse run(const EstimateRequest& request, const service::EngineOption
       // the cache replays the exact result document.
       trace::PhaseTimer phase(timings, "api.execute");
       Diagnostics sink;
-      auto compute = [&] {
-        return service::result_bytes(run_single_document(doc, registry, &sink));
-      };
+      auto compute = [&] { return run_single_document(doc, registry, &sink); };
       if (run_options.use_cache && run_options.cache != nullptr) {
         response.result =
             run_options.cache->get_or_compute(service::canonical_key(doc), compute);

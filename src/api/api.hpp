@@ -64,7 +64,10 @@ struct EstimateResponse {
 EstimationInput input_from_document(const json::Value& doc, const Registry& registry,
                                     Diagnostics* diags = nullptr);
 
-/// Runs one non-batch document: the report object, or {"frontier": [...]}.
+/// Runs one non-batch document: the report object, or {"frontier": [...]},
+/// as a raw leaf of compact bytes (see json::Value::raw) written straight
+/// from the estimate by report_bytes. The caches, the store and the writers
+/// hold and splice these bytes; readers that need fields materialize().
 /// Throws qre::Error (or ValidationError) on invalid/infeasible input.
 json::Value run_single_document(const json::Value& doc, const Registry& registry,
                                 Diagnostics* diags = nullptr);

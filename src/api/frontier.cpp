@@ -39,12 +39,13 @@ json::Value FrontierResponse::to_json() const {
 
 namespace {
 
-/// The probe executor: one validated single-estimate document -> report,
-/// as result bytes: probes share cache keys with single estimates.
+/// The probe executor: one validated single-estimate document -> report
+/// bytes, the same leaf a single estimate yields: probes share cache keys
+/// with single estimates.
 service::JobRunner estimator_runner(const Registry& registry) {
   return [&registry](const json::Value& item) -> json::Value {
     Diagnostics sink;  // probes derive from a validated document
-    return service::result_bytes(run_single_document(item, registry, &sink));
+    return run_single_document(item, registry, &sink);
   };
 }
 

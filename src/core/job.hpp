@@ -60,7 +60,9 @@ EstimationInput estimation_input_from_json(const json::Value& job);
 
 /// Runs one non-batch job document: the report object (estimateType
 /// "singlePoint", the default) or {"frontier": [...]} (estimateType
-/// "frontier"). Rejects documents carrying "items" or "sweep".
+/// "frontier"), as a raw leaf of compact bytes (json::Value::raw): dump()
+/// and pretty() print it, readers that need fields call materialize().
+/// Rejects documents carrying "items", "sweep" or "frontier".
 json::Value run_single_job(const json::Value& job);
 
 /// Runs a job document and returns the result document. Single jobs yield

@@ -127,9 +127,7 @@ void Value::set(std::string_view key, Value v) {
   o.emplace_back(std::string(key), std::move(v));
 }
 
-namespace {
-
-void write_escaped(std::string& out, const std::string& s) {
+void write_escaped(std::string& out, std::string_view s) {
   out.push_back('"');
   for (char c : s) {
     switch (c) {
@@ -183,6 +181,26 @@ void write_number(std::string& out, double d) {
   out.append(buf, std::to_chars(buf, end, d, std::chars_format::general, 17).ptr);
 }
 
+namespace {
+
+void write_integer(std::string& out, std::int64_t i) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, i).ptr);
+}
+
+}  // namespace
+
+// The rule of Value(std::uint64_t): exact up to INT64_MAX, a double above.
+void write_count(std::string& out, std::uint64_t n) {
+  if (n <= static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max())) {
+    write_integer(out, static_cast<std::int64_t>(n));
+  } else {
+    write_number(out, static_cast<double>(n));
+  }
+}
+
+namespace {
+
 void indent_to(std::string& out, int indent, int depth) {
   if (indent <= 0) return;
   out.push_back('\n');
@@ -197,7 +215,7 @@ void Value::write(std::string& out, int indent, int depth) const {
   } else if (const bool* b = std::get_if<bool>(&data_)) {
     out += *b ? "true" : "false";
   } else if (const std::int64_t* i = std::get_if<std::int64_t>(&data_)) {
-    out += std::to_string(*i);
+    write_integer(out, *i);
   } else if (const double* d = std::get_if<double>(&data_)) {
     write_number(out, *d);
   } else if (const std::string* s = std::get_if<std::string>(&data_)) {
@@ -466,7 +484,9 @@ class Parser {
     const std::string_view token = text_.substr(start, pos_ - start);
     const char* const first = token.data();
     const char* const last = first + token.size();
-    if (is_integer) {
+    // "-0" is an integer token with no int64 value of its own: read as the
+    // double -0.0 it keeps its sign through dump().
+    if (is_integer && token != "-0") {
       std::int64_t i = 0;
       if (std::from_chars(first, last, i).ec != std::errc()) {
         pos_ = start;

@@ -109,12 +109,22 @@ class Value {
       data_;
 };
 
+/// The writers dump() uses, for code that appends a document straight into a
+/// string without building a tree (report_bytes in report/report.hpp).
+/// Appends `s` as a quoted JSON string with the escapes dump() emits.
+void write_escaped(std::string& out, std::string_view s);
+/// Appends the shortest text that reads back as `d`; non-finite is `null`.
+void write_number(std::string& out, double d);
+/// Appends `n` as Value(n) dumps it: exact up to INT64_MAX, a double above.
+void write_count(std::string& out, std::uint64_t n);
+
 /// Deepest container nesting parse() accepts. Far above any job document;
 /// it keeps the recursive parser, writer and destructor off the stack limit.
 inline constexpr int kMaxNestingDepth = 512;
 
 /// Parses a complete JSON document (exactly the RFC 8259 grammar; integers
-/// must fit int64); throws qre::Error with line/column info.
+/// must fit int64, and "-0" reads as the double -0.0); throws qre::Error
+/// with line/column info.
 Value parse(std::string_view text);
 
 /// Reads and parses a JSON file; throws qre::Error on I/O or parse failure.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <string_view>
 
 #include "common/format.hpp"
 
@@ -77,6 +78,200 @@ json::Value report_to_json(const ResourceEstimate& e) {
   root.emplace_back("assumptions", json::Value(std::move(assumptions)));
 
   return json::Value(std::move(root));
+}
+
+namespace {
+
+/// Appends one JSON object to a string, member by member. Keys are fixed
+/// identifiers that need no escaping; values go through the writers dump()
+/// uses, so the bytes match the tree's.
+class ObjectWriter {
+ public:
+  explicit ObjectWriter(std::string& out) : out_(out) { out_.push_back('{'); }
+
+  /// Appends the separator and `"k":`; returns the string for the value.
+  std::string& key(std::string_view k) {
+    if (!first_) out_.push_back(',');
+    first_ = false;
+    out_.push_back('"');
+    out_.append(k);
+    out_ += "\":";
+    return out_;
+  }
+  void count(std::string_view k, std::uint64_t v) { json::write_count(key(k), v); }
+  void number(std::string_view k, double v) { json::write_number(key(k), v); }
+  void string(std::string_view k, std::string_view v) { json::write_escaped(key(k), v); }
+  void close() { out_.push_back('}'); }
+
+ private:
+  std::string& out_;
+  bool first_ = true;
+};
+
+void write_value(std::string& out, std::uint64_t v) { json::write_count(out, v); }
+void write_value(std::string& out, double v) { json::write_number(out, v); }
+
+/// Appends the array of one per-round field.
+template <typename T>
+void write_per_round(std::string& out, const std::vector<DistillationRound>& rounds,
+                     T DistillationRound::*field) {
+  out.push_back('[');
+  for (std::size_t i = 0; i < rounds.size(); ++i) {
+    if (i != 0) out.push_back(',');
+    write_value(out, rounds[i].*field);
+  }
+  out.push_back(']');
+}
+
+void write_tfactory(std::string& out, const TFactory& f) {
+  ObjectWriter o(out);
+  o.count("numRounds", f.rounds.size());
+  std::string& names = o.key("unitNamePerRound");
+  names.push_back('[');
+  for (std::size_t i = 0; i < f.rounds.size(); ++i) {
+    if (i != 0) names.push_back(',');
+    json::write_escaped(names, f.rounds[i].unit_name);
+    names.pop_back();  // reopen the string: the suffix needs no escaping
+    names += f.rounds[i].physical ? " (physical)\"" : " (logical)\"";
+  }
+  names.push_back(']');
+  write_per_round(o.key("codeDistancePerRound"), f.rounds, &DistillationRound::code_distance);
+  write_per_round(o.key("numUnitsPerRound"), f.rounds, &DistillationRound::num_units);
+  write_per_round(o.key("physicalQubitsPerRound"), f.rounds,
+                  &DistillationRound::physical_qubits);
+  write_per_round(o.key("runtimePerRound"), f.rounds, &DistillationRound::duration_ns);
+  write_per_round(o.key("failureProbabilityPerRound"), f.rounds,
+                  &DistillationRound::failure_probability);
+  write_per_round(o.key("outputErrorRatePerRound"), f.rounds,
+                  &DistillationRound::output_error_rate);
+  o.count("physicalQubits", f.physical_qubits);
+  o.number("runtime", f.duration_ns);
+  o.number("inputTErrorRate", f.input_t_error_rate);
+  o.number("outputTErrorRate", f.output_error_rate);
+  o.number("tstatesPerInvocation", f.tstates_per_invocation);
+  o.close();
+}
+
+void write_qubit(std::string& out, const QubitParams& q) {
+  const bool gate_based = q.instruction_set == InstructionSet::kGateBased;
+  ObjectWriter o(out);
+  o.string("name", q.name);
+  o.string("instructionSet", to_string(q.instruction_set));
+  o.number("oneQubitMeasurementTime", q.one_qubit_measurement_time_ns);
+  if (gate_based) {
+    o.number("oneQubitGateTime", q.one_qubit_gate_time_ns);
+    o.number("twoQubitGateTime", q.two_qubit_gate_time_ns);
+  } else {
+    o.number("twoQubitJointMeasurementTime", q.two_qubit_joint_measurement_time_ns);
+  }
+  o.number("tGateTime", q.t_gate_time_ns);
+  o.number("oneQubitMeasurementErrorRate", q.one_qubit_measurement_error_rate);
+  if (gate_based) {
+    o.number("oneQubitGateErrorRate", q.one_qubit_gate_error_rate);
+    o.number("twoQubitGateErrorRate", q.two_qubit_gate_error_rate);
+  } else {
+    o.number("twoQubitJointMeasurementErrorRate", q.two_qubit_joint_measurement_error_rate);
+  }
+  o.number("tGateErrorRate", q.t_gate_error_rate);
+  o.number("idleErrorRate", q.idle_error_rate);
+  o.close();
+}
+
+/// The constant "assumptions" array, serialized once per process.
+const std::string& assumptions_bytes() {
+  static const std::string bytes = [] {
+    std::string out = "[";
+    for (const std::string& a : estimator_assumptions()) {
+      if (out.size() > 1) out.push_back(',');
+      json::write_escaped(out, a);
+    }
+    out.push_back(']');
+    return out;
+  }();
+  return bytes;
+}
+
+}  // namespace
+
+std::string report_bytes(const ResourceEstimate& e) {
+  std::string out;
+  out.reserve(4096);  // a result is about 3 KB: no regrowth while writing
+  ObjectWriter root(out);
+
+  ObjectWriter physical(root.key("physicalCounts"));
+  physical.count("physicalQubits", e.total_physical_qubits);
+  physical.number("runtime", e.runtime_ns);
+  physical.number("rqops", e.rqops);
+  physical.close();
+
+  ObjectWriter breakdown(root.key("physicalCountsBreakdown"));
+  breakdown.count("algorithmicLogicalQubits", e.algorithmic_logical_qubits);
+  breakdown.count("algorithmicLogicalDepth", e.algorithmic_logical_depth);
+  breakdown.count("logicalDepth", e.logical_depth);
+  breakdown.number("logicalDepthFactor", e.logical_depth_factor);
+  breakdown.count("numTstates", e.num_tstates);
+  breakdown.count("numTfactories", e.num_t_factories);
+  breakdown.count("numTfactoryRuns", e.num_t_factory_invocations);
+  breakdown.count("numInvocationsPerTfactory", e.num_invocations_per_factory);
+  breakdown.count("physicalQubitsForAlgorithm", e.physical_qubits_for_algorithm);
+  breakdown.count("physicalQubitsForTfactories", e.physical_qubits_for_tfactories);
+  breakdown.number("requiredLogicalQubitErrorRate", e.required_logical_qubit_error_rate);
+  breakdown.number("requiredTstateErrorRate", e.required_tstate_error_rate);
+  breakdown.count("numTsPerRotation", e.num_ts_per_rotation);
+  breakdown.number("clockFrequency", e.clock_frequency_hz);
+  breakdown.number("logicalOperations", e.logical_operations);
+  breakdown.close();
+
+  ObjectWriter logical(root.key("logicalQubit"));
+  logical.count("codeDistance", e.logical_qubit.code_distance);
+  logical.count("physicalQubits", e.logical_qubit.physical_qubits);
+  logical.number("logicalCycleTime", e.logical_qubit.cycle_time_ns);
+  logical.number("logicalErrorRate", e.logical_qubit.logical_error_rate);
+  logical.number("logicalClockFrequency", e.logical_qubit.clock_frequency_hz());
+  logical.close();
+
+  if (e.tfactory.has_value()) {
+    write_tfactory(root.key("tfactory"), *e.tfactory);
+  } else {
+    root.key("tfactory") += "null";
+  }
+
+  const LogicalCounts& c = e.pre_layout;
+  ObjectWriter counts(root.key("logicalCounts"));
+  counts.count("numQubits", c.num_qubits);
+  counts.count("tCount", c.t_count);
+  counts.count("rotationCount", c.rotation_count);
+  counts.count("rotationDepth", c.rotation_depth);
+  counts.count("cczCount", c.ccz_count);
+  counts.count("ccixCount", c.ccix_count);
+  counts.count("measurementCount", c.measurement_count);
+  counts.count("cliffordCount", c.clifford_count);
+  counts.close();
+
+  ObjectWriter budget(root.key("errorBudget"));
+  budget.number("logical", e.budget.logical);
+  budget.number("tstates", e.budget.tstates);
+  budget.number("rotations", e.budget.rotations);
+  budget.number("achievedLogical", e.achieved_logical_error);
+  budget.number("achievedTstates", e.achieved_tstate_error);
+  budget.close();
+
+  write_qubit(root.key("physicalQubitParameters"), e.qubit);
+
+  ObjectWriter qec(root.key("qecScheme"));
+  qec.string("name", e.qec.name());
+  qec.number("errorCorrectionThreshold", e.qec.threshold());
+  qec.number("crossingPrefactor", e.qec.crossing_prefactor());
+  qec.string("logicalCycleTime", e.qec.logical_cycle_time_text());
+  qec.string("physicalQubitsPerLogicalQubit", e.qec.physical_qubits_text());
+  qec.count("maxCodeDistance", e.qec.max_code_distance());
+  qec.close();
+
+  root.key("assumptions") += assumptions_bytes();
+  root.close();
+  // Results outlive the call in caches and the store: keep only their bytes.
+  out.shrink_to_fit();
+  return out;
 }
 
 std::string report_to_text(const ResourceEstimate& e) {

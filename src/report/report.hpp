@@ -12,6 +12,12 @@
 // Output is available as JSON (the service response shape) and as a
 // human-readable text report; space_diagram() summarizes the physical qubit
 // split between algorithm and T factories.
+//
+// The JSON comes in two forms with the same bytes. report_bytes() is what
+// every runner serves: it appends the compact document straight into one
+// string, with no tree in between. report_to_json() builds the tree; it is
+// the independent reference the writer is tested against, and the form for
+// callers that want to read fields.
 #pragma once
 
 #include <string>
@@ -22,6 +28,8 @@
 namespace qre {
 
 json::Value report_to_json(const ResourceEstimate& estimate);
+/// Exactly report_to_json(estimate).dump(), written without the tree.
+std::string report_bytes(const ResourceEstimate& estimate);
 std::string report_to_text(const ResourceEstimate& estimate);
 std::string space_diagram(const ResourceEstimate& estimate);
 

@@ -264,7 +264,7 @@ json::Array run_batch_kernel(const BatchKernelPlan& plan, const std::vector<json
   // and fallback results tally through one code path.
   const IndexedRunner runner = [&](std::size_t index) -> json::Value {
     if (!plan.covers(index)) return fallback(items[index]);
-    return result_bytes(report_to_json(estimate(plan.item_input(index))));
+    return json::Value::raw(report_bytes(estimate(plan.item_input(index))));
   };
   const IndexedKeyFn key_fn = [&plan](std::size_t index) { return plan.item_key(index); };
 

@@ -46,10 +46,12 @@ json::Value cache_counters_to_json(std::uint64_t hits, std::uint64_t misses,
   return json::Value(std::move(out));
 }
 
-json::Value EstimateCache::get_or_compute(const std::string& key, const Compute& compute) {
+json::Value EstimateCache::get_or_compute(const std::string& key, const Compute& compute,
+                                          LookupCounts* counts) {
   std::shared_future<json::Value> future;
   std::promise<json::Value> promise;
   bool owner = false;
+  std::uint64_t evicted = 0;
   {
     MutexLock lock(mutex_);
     if (const std::shared_future<json::Value>* found = entries_.find(key)) {
@@ -58,9 +60,14 @@ json::Value EstimateCache::get_or_compute(const std::string& key, const Compute&
     } else {
       misses_.fetch_add(1);
       future = promise.get_future().share();
-      evictions_.fetch_add(entries_.insert(key, future));
+      evicted = entries_.insert(key, future);
+      evictions_.fetch_add(evicted);
       owner = true;
     }
+  }
+  if (counts != nullptr) {
+    ++(owner ? counts->misses : counts->hits);
+    counts->evictions += evicted;
   }
   if (!owner) {
     QRE_TRACE_INSTANT("estimate.cache.hit");

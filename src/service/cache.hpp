@@ -60,10 +60,27 @@ class StoreBacking {
   virtual void record(const std::string& key, const json::Value& result) = 0;
 };
 
+/// Lookup counts one caller's get_or_compute calls added: the request-local
+/// tally behind batchStats, which the process-wide counters cannot give
+/// once other requests share the cache.
+struct LookupCounts {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  /// Entries the caller's own inserts pushed out.
+  std::uint64_t evictions = 0;
+
+  LookupCounts& operator+=(const LookupCounts& other) {
+    hits += other.hits;
+    misses += other.misses;
+    evictions += other.evictions;
+    return *this;
+  }
+};
+
 /// Concurrency-safe, LRU-bounded memoization table from canonical job keys
 /// to result documents. Estimate results arrive as raw leaves (see
-/// service::result_bytes in engine.hpp), so a hit is a reference-count copy
-/// of the bytes and an eviction frees one string.
+/// api::run_single_document), so a hit is a reference-count copy of the
+/// bytes and an eviction frees one string.
 class EstimateCache {
  public:
   using Compute = std::function<json::Value()>;
@@ -78,8 +95,11 @@ class EstimateCache {
   /// Returns the result for `key`, invoking `compute` only if no other
   /// caller has. Concurrent callers with the same key block on the single
   /// computation. If `compute` throws, the exception is cached and
-  /// rethrown to every caller of this key.
-  json::Value get_or_compute(const std::string& key, const Compute& compute);
+  /// rethrown to every caller of this key. When `counts` is non-null this
+  /// call's hit, or miss and evictions, are added to it before `compute`
+  /// runs, so they are counted even when the lookup throws.
+  json::Value get_or_compute(const std::string& key, const Compute& compute,
+                             LookupCounts* counts = nullptr);
 
   /// Attaches (or detaches, with nullptr) the second-level store. Follows
   /// the registry discipline: wire the backing before traffic starts; it

@@ -34,8 +34,6 @@ json::Value BatchStats::to_json() const {
   return json::Value(std::move(o));
 }
 
-json::Value result_bytes(const json::Value& result) { return json::Value::raw(result.dump()); }
-
 json::Value Engine::stats_to_json() const {
   json::Object out;
   out.emplace_back("estimateCache",
@@ -64,15 +62,16 @@ json::Value cancelled_value(const CancelToken& cancel) {
                                       : "item skipped: request cancelled");
 }
 
-/// Runs one item, memoized when a cache is present. All failures — from the
-/// runner directly or replayed out of the cache — collapse to an error
-/// document, preserving the batch's isolation contract.
+/// Runs one item, memoized when a cache is present; the lookup is added to
+/// `counts`. All failures — from the runner directly or replayed out of the
+/// cache — collapse to an error document, preserving the batch's isolation
+/// contract.
 json::Value run_one(std::size_t index, const IndexedRunner& runner, const IndexedKeyFn& key_fn,
-                    EstimateCache* cache) {
+                    EstimateCache* cache, LookupCounts* counts) {
   try {
     QRE_FAILPOINT("engine.evaluate.before");
     if (cache != nullptr) {
-      return cache->get_or_compute(key_fn(index), [&] { return runner(index); });
+      return cache->get_or_compute(key_fn(index), [&] { return runner(index); }, counts);
     }
     return runner(index);
   } catch (const std::exception& e) {
@@ -115,9 +114,6 @@ json::Array run_batch_indexed(std::size_t num_items, const IndexedRunner& runner
   EstimateCache local_cache(options.cache_capacity);
   EstimateCache* cache = nullptr;
   if (options.use_cache) cache = options.cache != nullptr ? options.cache : &local_cache;
-  const std::uint64_t hits_before = cache != nullptr ? cache->hits() : 0;
-  const std::uint64_t misses_before = cache != nullptr ? cache->misses() : 0;
-  const std::uint64_t evictions_before = cache != nullptr ? cache->evictions() : 0;
   FactoryCache& factory_cache = FactoryCache::global();
   const std::uint64_t factory_hits_before = factory_cache.hits();
   const std::uint64_t factory_misses_before = factory_cache.misses();
@@ -130,6 +126,9 @@ json::Array run_batch_indexed(std::size_t num_items, const IndexedRunner& runner
   std::atomic<std::size_t> num_errors{0};
   Mutex emit_mutex;
   std::size_t next_emit = 0;
+  // This batch's own cache lookups: the shared cache's counters also move
+  // with every other request running through it.
+  LookupCounts cache_counts;
 
   // Stores result `i` and streams the contiguous prefix of completed items,
   // so the sink observes results strictly in item order.
@@ -151,9 +150,10 @@ json::Array run_batch_indexed(std::size_t num_items, const IndexedRunner& runner
     // thread (restored on exit — the inline num_workers<=1 path runs on
     // the caller's thread, which has its own state to preserve).
     trace::CollectorScope scope(options.timings, batch_span);
+    LookupCounts counts;
     for (;;) {
       const std::size_t i = next_item.fetch_add(1);
-      if (i >= n) return;
+      if (i >= n) break;
       // Cancellation is observed at item boundaries: skipped items become
       // structured "cancelled" entries so the output array keeps its shape.
       if (options.cancel.should_stop()) {
@@ -163,10 +163,12 @@ json::Array run_batch_indexed(std::size_t num_items, const IndexedRunner& runner
       json::Value result;
       {
         QRE_TRACE_SPAN("engine.item");
-        result = run_one(i, runner, key_fn, cache);
+        result = run_one(i, runner, key_fn, cache, &counts);
       }
       complete(i, std::move(result));
     }
+    MutexLock lock(emit_mutex);
+    cache_counts += counts;
   };
 
   if (num_workers <= 1) {
@@ -182,9 +184,9 @@ json::Array run_batch_indexed(std::size_t num_items, const IndexedRunner& runner
     stats->num_items = n;
     stats->num_workers = num_workers;
     stats->num_errors = num_errors.load();
-    stats->cache_hits = cache != nullptr ? cache->hits() - hits_before : 0;
-    stats->cache_misses = cache != nullptr ? cache->misses() - misses_before : 0;
-    stats->cache_evictions = cache != nullptr ? cache->evictions() - evictions_before : 0;
+    stats->cache_hits = cache_counts.hits;
+    stats->cache_misses = cache_counts.misses;
+    stats->cache_evictions = cache_counts.evictions;
     stats->factory_cache_hits = factory_cache.hits() - factory_hits_before;
     stats->factory_cache_misses = factory_cache.misses() - factory_misses_before;
   }

@@ -35,15 +35,11 @@
 
 namespace qre::service {
 
-/// Serializes a successful result once, on the thread that computed it, into
-/// the raw leaf every later layer holds: the cache and the store keep these
-/// bytes, and the writers splice them (see json::Value::raw). Every runner
-/// that produces an estimate passes it through here. Error documents
-/// ({"error": ...}) never do: they stay trees, so the engine and the store
+/// Executes one complete (non-batch) job document. A successful estimate is
+/// the raw leaf api::run_single_document returns: the cache and the store
+/// keep its bytes, and the writers splice them (see json::Value::raw).
+/// Error documents ({"error": ...}) stay trees, so the engine and the store
 /// recognize them with find("error").
-json::Value result_bytes(const json::Value& result);
-
-/// Executes one complete (non-batch) job document.
 using JobRunner = std::function<json::Value(const json::Value& job)>;
 
 /// Executes item `index`; called concurrently from the worker pool.
@@ -85,7 +81,9 @@ struct EngineOptions {
 };
 
 /// Aggregate counters for one batch run, echoed as "batchStats" by run_job.
-/// The estimate-cache counters are deltas for this batch. The factory-cache
+/// The estimate-cache counters count this batch's own lookups only, however
+/// many requests share the cache: every item that reaches the cache is one
+/// hit or one miss. The factory-cache
 /// counters are deltas of the process-level FactoryCache; they are exposed
 /// to programmatic consumers (benches, the CLI's --cache-stats) but kept
 /// out of to_json(), because prior runs change them and result documents

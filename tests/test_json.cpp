@@ -202,7 +202,6 @@ TEST(Json, NumberFormattingMatchesTheReferenceByteForByte) {
 
 TEST(Json, NumberGrammarIsExactlyRfc8259) {
   EXPECT_EQ(parse("0").as_int(), 0);
-  EXPECT_EQ(parse("-0").dump(), "0");
   EXPECT_EQ(parse("-0.0").dump(), "-0");
   EXPECT_DOUBLE_EQ(parse("0.5").as_double(), 0.5);
   EXPECT_DOUBLE_EQ(parse("1E5").as_double(), 1e5);
@@ -213,6 +212,18 @@ TEST(Json, NumberGrammarIsExactlyRfc8259) {
                           "0x10", "1e5.", "[01]", "[1.]", "{\"a\":1e}"}) {
     EXPECT_THROW(parse(bad), Error) << bad;
   }
+}
+
+TEST(Json, NegativeZeroKeepsItsSign) {
+  // The integer token "-0" has no int64 of its own; it reads as -0.0.
+  EXPECT_EQ(parse("-0").dump(), "-0");
+  EXPECT_TRUE(std::signbit(parse("-0").as_double()));
+  EXPECT_EQ(parse("-0").as_int(), 0);
+  EXPECT_EQ(parse("0").dump(), "0");
+  EXPECT_EQ(parse("[-0,0,-0.0]").dump(), "[-0,0,-0]");
+  // A raw leaf's pretty() re-parses its bytes, so the sign survives it too.
+  EXPECT_EQ(Value::raw("[-0]").pretty(), "[\n  -0\n]");
+  EXPECT_EQ(Value::raw(R"({"a":-0})").pretty(), Value(Object{{"a", Value(-0.0)}}).pretty());
 }
 
 TEST(Json, IntegersOutsideInt64AreRejectedNotRounded) {

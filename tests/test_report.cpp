@@ -1,5 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "api/api.hpp"
 #include "core/estimator.hpp"
 #include "report/report.hpp"
 
@@ -86,6 +95,190 @@ TEST(Report, CliffordOnlyReportOmitsFactory) {
   EXPECT_TRUE(j.at("tfactory").is_null());
   std::string text = report_to_text(e);
   EXPECT_EQ(text.find("T factory parameters"), std::string::npos);
+}
+
+// ------------------------------------------- report_bytes against the tree --
+//
+// report_bytes writes the document without building it; report_to_json is
+// the independent reference. Each case asserts the bytes match exactly.
+
+void expect_bytes_match_tree(const ResourceEstimate& e) {
+  EXPECT_EQ(report_bytes(e), report_to_json(e).dump());
+}
+
+LogicalCounts mixed_counts() {
+  LogicalCounts counts;
+  counts.num_qubits = 200;
+  counts.t_count = 3'000'000;
+  counts.rotation_count = 4'000;
+  counts.rotation_depth = 1'000;
+  counts.ccz_count = 50'000;
+  counts.ccix_count = 7'000;
+  counts.measurement_count = 120'000;
+  counts.clifford_count = 9'000'000;
+  return counts;
+}
+
+TEST(ReportBytes, MatchesTheTreeForEveryProfileAndBudget) {
+  int checked = 0;
+  for (const std::string& profile : QubitParams::preset_names()) {
+    for (int exponent = 1; exponent <= 10; ++exponent) {
+      const double budget = std::pow(10.0, -exponent);
+      SCOPED_TRACE(profile + " budget 1e-" + std::to_string(exponent));
+      ResourceEstimate e;
+      try {
+        e = estimate(EstimationInput::for_profile(mixed_counts(), profile, budget));
+      } catch (const Error&) {
+        continue;  // infeasible at this budget: nothing to write
+      }
+      expect_bytes_match_tree(e);
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 50);  // most of the 6 x 10 grid is feasible
+}
+
+TEST(ReportBytes, CliffordOnlyJobWritesANullFactory) {
+  LogicalCounts counts;
+  counts.num_qubits = 5;
+  counts.measurement_count = 10;
+  const ResourceEstimate e =
+      estimate(EstimationInput::for_profile(counts, "qubit_maj_ns_e4", 1e-3));
+  ASSERT_FALSE(e.tfactory.has_value());
+  EXPECT_NE(report_bytes(e).find("\"tfactory\":null"), std::string::npos);
+  expect_bytes_match_tree(e);
+}
+
+TEST(ReportBytes, RawTStatesWriteEmptyRoundArrays) {
+  LogicalCounts counts;
+  counts.num_qubits = 4;
+  counts.t_count = 10;
+  EstimationInput input = EstimationInput::for_profile(counts, "qubit_gate_ns_e3", 0.5);
+  input.qubit.t_gate_error_rate = 1e-12;
+  const ResourceEstimate e = estimate(input);
+  ASSERT_TRUE(e.tfactory.has_value());
+  ASSERT_TRUE(e.tfactory->no_distillation());
+  EXPECT_NE(report_bytes(e).find("\"unitNamePerRound\":[]"), std::string::npos);
+  expect_bytes_match_tree(e);
+}
+
+TEST(ReportBytes, EscapesCustomNames) {
+  ResourceEstimate e = sample_estimate();
+  ASSERT_TRUE(e.tfactory.has_value());
+  ASSERT_FALSE(e.tfactory->rounds.empty());
+  e.qubit.name = "my \"qubit\" \\ v2\x01\n";
+  for (DistillationRound& round : e.tfactory->rounds) round.unit_name = "unit\\\"\x1f\t";
+  const std::string bytes = report_bytes(e);
+  EXPECT_NE(bytes.find(R"("my \"qubit\" \\ v2\u0001\n")"), std::string::npos) << bytes;
+  expect_bytes_match_tree(e);
+  // Majorana models write the other field set.
+  e.qubit = QubitParams::maj_ns_e6();
+  e.qubit.name = "\x7f\"";
+  expect_bytes_match_tree(e);
+}
+
+TEST(ReportBytes, CountsAboveInt64MaxAreWrittenAsDoubles) {
+  ResourceEstimate e = sample_estimate();
+  e.pre_layout.t_count = std::numeric_limits<std::uint64_t>::max();
+  e.total_physical_qubits = static_cast<std::uint64_t>(INT64_MAX) + 1;
+  e.num_tstates = static_cast<std::uint64_t>(INT64_MAX);
+  const std::string bytes = report_bytes(e);
+  EXPECT_NE(bytes.find("\"tCount\":1.8446744073709552e+19"), std::string::npos) << bytes;
+  EXPECT_NE(bytes.find("\"numTstates\":9223372036854775807,"), std::string::npos);
+  expect_bytes_match_tree(e);
+}
+
+TEST(ReportBytes, NonFiniteDoublesAreWrittenAsNull) {
+  ResourceEstimate e = sample_estimate();
+  e.rqops = std::numeric_limits<double>::infinity();
+  e.runtime_ns = std::numeric_limits<double>::quiet_NaN();
+  e.budget.rotations = -std::numeric_limits<double>::infinity();
+  const std::string bytes = report_bytes(e);
+  EXPECT_NE(bytes.find("\"runtime\":null,\"rqops\":null"), std::string::npos) << bytes;
+  expect_bytes_match_tree(e);
+}
+
+TEST(ReportBytes, MatchesTheTreeOnRandomEstimates) {
+  std::mt19937_64 rng(20240617);
+  auto count = [&rng] { return rng() >> (rng() % 64); };  // every magnitude
+  int estimated = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    // A real estimate of random counts on a random profile and budget...
+    LogicalCounts counts;
+    counts.num_qubits = 1 + rng() % 5000;
+    counts.t_count = rng() % 3 == 0 ? 0 : rng() % 100'000'000;
+    counts.rotation_count = rng() % 2 == 0 ? 0 : 1 + rng() % 100'000;
+    counts.rotation_depth = counts.rotation_count == 0 ? 0 : 1 + rng() % counts.rotation_count;
+    counts.ccz_count = rng() % 1'000'000;
+    counts.ccix_count = rng() % 1'000;
+    counts.measurement_count = rng() % 10'000'000;
+    counts.clifford_count = rng() % 100'000'000;
+    const auto& profiles = QubitParams::preset_names();
+    const std::string& profile = profiles[rng() % profiles.size()];
+    const double budget = std::pow(10.0, -1.0 - static_cast<double>(rng() % 900) / 100.0);
+    ResourceEstimate e;
+    try {
+      e = estimate(EstimationInput::for_profile(counts, profile, budget));
+      ++estimated;
+    } catch (const Error&) {
+      e = sample_estimate();
+    }
+    expect_bytes_match_tree(e);
+
+    // ...then every number replaced by arbitrary bits: any double (NaN,
+    // infinities, subnormals, -0) and any count.
+    auto number = [&rng] {
+      const std::uint64_t bits = rng();
+      double d = 0.0;
+      std::memcpy(&d, &bits, sizeof d);
+      return d;
+    };
+    for (double* d : {&e.runtime_ns, &e.rqops, &e.logical_depth_factor,
+                      &e.required_logical_qubit_error_rate, &e.required_tstate_error_rate,
+                      &e.clock_frequency_hz, &e.logical_operations,
+                      &e.logical_qubit.cycle_time_ns, &e.logical_qubit.logical_error_rate,
+                      &e.budget.logical, &e.budget.tstates, &e.budget.rotations,
+                      &e.achieved_logical_error, &e.achieved_tstate_error,
+                      &e.qubit.t_gate_time_ns, &e.qubit.idle_error_rate}) {
+      *d = number();
+    }
+    for (std::uint64_t* c :
+         {&e.total_physical_qubits, &e.algorithmic_logical_qubits, &e.logical_depth,
+          &e.num_tstates, &e.num_t_factories, &e.num_ts_per_rotation,
+          &e.logical_qubit.code_distance, &e.pre_layout.clifford_count}) {
+      *c = count();
+    }
+    if (e.tfactory.has_value()) {
+      for (DistillationRound& r : e.tfactory->rounds) {
+        r.duration_ns = number();
+        r.failure_probability = number();
+        r.num_units = count();
+        r.physical = rng() % 2 == 0;
+      }
+      e.tfactory->tstates_per_invocation = number();
+    }
+    expect_bytes_match_tree(e);
+  }
+  EXPECT_GE(estimated, 100);
+}
+
+TEST(ReportBytes, FrontierEstimateTypeJoinsTheReports) {
+  const json::Value doc = json::parse(R"({
+    "logicalCounts": {"numQubits": 40, "tCount": 200000, "measurementCount": 1000},
+    "estimateType": "frontier"
+  })");
+  const json::Value result = api::run_single_document(doc, api::Registry::global());
+  ASSERT_TRUE(result.is_raw());
+  json::Array points;
+  for (const ResourceEstimate& e :
+       estimate_frontier(api::input_from_document(doc, api::Registry::global()))) {
+    points.push_back(report_to_json(e));
+  }
+  ASSERT_GE(points.size(), 2u);
+  json::Object tree;
+  tree.emplace_back("frontier", json::Value(std::move(points)));
+  EXPECT_EQ(result.dump(), json::Value(std::move(tree)).dump());
 }
 
 }  // namespace

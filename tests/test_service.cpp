@@ -270,6 +270,25 @@ TEST(Cache, HitsShareTheComputedBytes) {
   EXPECT_EQ(hit.raw_bytes().get(), computed.raw_bytes().get());
 }
 
+TEST(Cache, LookupCountsAreTheCallersOwn) {
+  EstimateCache cache(1);
+  auto value = [] { return json::Value(1); };
+  service::LookupCounts mine;
+  cache.get_or_compute("a", value, &mine);
+  cache.get_or_compute("a", value, &mine);
+  cache.get_or_compute("b", value);  // another caller: evicts "a", not counted here
+  cache.get_or_compute("a", value, &mine);  // evicts "b"
+  EXPECT_THROW(cache.get_or_compute("c", []() -> json::Value { throw Error("infeasible"); },
+                                    &mine),
+               Error);  // a failing miss still counts, with its eviction
+  EXPECT_EQ(mine.hits, 1u);
+  EXPECT_EQ(mine.misses, 3u);
+  EXPECT_EQ(mine.evictions, 2u);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.evictions(), 3u);
+}
+
 // --------------------------------------------------------------- engine ---
 
 TEST(Engine, PreservesItemOrderAcrossWorkers) {
@@ -569,6 +588,69 @@ TEST(Service, ConcurrentRequestsOnOneEngineAreBitIdenticalToSerial) {
   EXPECT_EQ(cache.hits(), kThreads * kItems - kDistinct);
   EXPECT_EQ(cache.size(), kDistinct);
   EXPECT_EQ(cache.evictions(), 0u);
+}
+
+// Concurrent distinct sweeps through one shared Engine: each response's
+// batchStats must count that request's own lookups, not whatever else moved
+// the shared cache's counters while it ran.
+TEST(Service, ConcurrentSweepsCountOnlyTheirOwnCacheTraffic) {
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kRequestsPerThread = 5;
+  constexpr std::uint64_t kItems = 18;  // 6 profiles x 3 budgets
+  api::Registry registry = api::Registry::with_builtins();
+  EngineOptions defaults;
+  defaults.num_workers = 2;
+  defaults.cache_capacity = 64;  // smaller than the traffic: evictions happen
+  service::Engine engine(defaults);
+
+  std::vector<json::Value> stats(kThreads * kRequestsPerThread);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t r = 0; r < kRequestsPerThread; ++r) {
+        // Each pair of consecutive requests shares its grid, so some lookups hit.
+        const std::size_t num_qubits = 10 + t * 100 + r / 2;
+        const json::Value job = json::parse(R"({
+          "schemaVersion": 2,
+          "logicalCounts": {"numQubits": )" + std::to_string(num_qubits) +
+                                            R"(, "tCount": 5000},
+          "sweep": {
+            "qubitParams": [{"name": "qubit_gate_ns_e3"}, {"name": "qubit_gate_ns_e4"},
+                            {"name": "qubit_gate_us_e3"}, {"name": "qubit_gate_us_e4"},
+                            {"name": "qubit_maj_ns_e4"}, {"name": "qubit_maj_ns_e6"}],
+            "errorBudget": [0.01, 0.001, 0.0001]
+          }
+        })");
+        api::EstimateRequest request = api::EstimateRequest::parse(job, registry);
+        api::EstimateResponse response = api::run(request, engine.options(), registry);
+        if (response.success) stats[t * kRequestsPerThread + r] = response.result.at("batchStats");
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t evictions = 0;
+  for (std::size_t k = 0; k < stats.size(); ++k) {
+    SCOPED_TRACE("request " + std::to_string(k));
+    ASSERT_TRUE(stats[k].is_object());
+    EXPECT_EQ(stats[k].at("numItems").as_uint(), kItems);
+    const std::uint64_t h = stats[k].at("cacheHits").as_uint();
+    const std::uint64_t m = stats[k].at("cacheMisses").as_uint();
+    const std::uint64_t e = stats[k].at("cacheEvictions").as_uint();
+    EXPECT_EQ(h + m, kItems);
+    EXPECT_LE(e, m);
+    hits += h;
+    misses += m;
+    evictions += e;
+  }
+  // The requests' own counts partition the shared cache's counters.
+  EXPECT_EQ(hits, engine.cache().hits());
+  EXPECT_EQ(misses, engine.cache().misses());
+  EXPECT_EQ(evictions, engine.cache().evictions());
+  EXPECT_GT(evictions, 0u);
 }
 
 // Same-document single estimates through one Engine: the serving layer's
