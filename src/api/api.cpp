@@ -223,18 +223,6 @@ EstimateResponse run(const EstimateRequest& request, const service::EngineOption
       response.result = run_frontier_document(doc, registry, run_options);
       response.success = true;
     } else if (items != nullptr || sweep != nullptr) {
-      std::vector<json::Value> expanded;
-      {
-        trace::PhaseTimer phase(timings, "api.expand");
-        if (sweep != nullptr) {
-          expanded = service::expand_sweep(doc);
-        } else {
-          expanded.reserve(items->as_array().size());
-          for (const json::Value& item : items->as_array()) {
-            expanded.push_back(merge_job_item(doc, item));
-          }
-        }
-      }
       auto runner = [&registry](const json::Value& item) -> json::Value {
         // Per-item isolation: a merged item is validated as a complete
         // single job of its own, so an invalid item degrades to a
@@ -249,27 +237,41 @@ EstimateResponse run(const EstimateRequest& request, const service::EngineOption
         Diagnostics sink;  // tolerate unknown keys; validation warned above
         return run_single_document(item, registry, &sink);
       };
+      // Sweep grids are planned from their axis values and run through the
+      // plan when it covers them (see service/batch_kernel.hpp); only items
+      // batches and declined sweeps are expanded into documents and run the
+      // per-item path. Both funnel into run_batch_indexed, so the result
+      // array and batch counters are identical either way.
+      service::BatchKernelPlan plan;
+      if (sweep != nullptr) {
+        trace::PhaseTimer phase(timings, "service.plan");
+        plan = service::plan_batch_kernel(doc, registry);
+      }
       service::BatchStats stats;
       json::Array results;
-      {
+      if (plan.eligible()) {
         trace::PhaseTimer phase(timings, "api.execute");
-        // Sweep grids run through their sweep plan when it covers them
-        // (see service/batch_kernel.hpp); everything else — items batches,
-        // ineligible sweeps — runs the per-item path. Both funnel into
-        // run_batch_indexed, so the result array and batch counters are
-        // identical either way.
-        service::BatchKernelPlan plan;
-        if (sweep != nullptr) plan = service::plan_batch_kernel(doc, expanded, registry);
-        if (plan.eligible()) {
-          results = service::run_batch_kernel(plan, expanded, runner, run_options, &stats);
-        } else {
-          results = service::run_batch(expanded, runner, run_options, &stats);
+        results = service::run_batch_kernel(plan, runner, run_options, &stats);
+      } else {
+        std::vector<json::Value> expanded;
+        {
+          trace::PhaseTimer phase(timings, "api.expand");
           if (sweep != nullptr) {
-            service::BatchKernelStats declined;
-            declined.reason = plan.reason();
-            declined.fallback_items = expanded.size();
-            stats.kernel = std::move(declined);
+            expanded = service::expand_sweep(doc);
+          } else {
+            expanded.reserve(items->as_array().size());
+            for (const json::Value& item : items->as_array()) {
+              expanded.push_back(merge_job_item(doc, item));
+            }
           }
+        }
+        trace::PhaseTimer phase(timings, "api.execute");
+        results = service::run_batch(expanded, runner, run_options, &stats);
+        if (sweep != nullptr) {
+          service::BatchKernelStats declined;
+          declined.reason = plan.reason();
+          declined.fallback_items = expanded.size();
+          stats.kernel = std::move(declined);
         }
       }
       json::Object out;

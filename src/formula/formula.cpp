@@ -91,7 +91,7 @@ double apply2(Fn fn, double x, double y) {
 /// Recursive-descent parser emitting the stack program directly.
 class FormulaParser {
  public:
-  FormulaParser(std::string_view text, Formula& out) : text_(text), out_(out) {}
+  FormulaParser(std::string_view text, Formula::Program& out) : text_(text), out_(out) {}
 
   void run() {
     skip_ws();
@@ -128,10 +128,10 @@ class FormulaParser {
   }
 
   void emit(Op op, std::uint32_t operand, std::uint32_t& depth, int delta) {
-    out_.program_.push_back({op, operand});
+    out_.code.push_back({op, operand});
     QRE_ASSERT(delta >= 0 || depth >= static_cast<std::uint32_t>(-delta));
     depth = static_cast<std::uint32_t>(static_cast<int>(depth) + delta);
-    out_.max_stack_ = std::max(out_.max_stack_, depth);
+    out_.max_stack = std::max(out_.max_stack, depth);
   }
 
   // Each parse_* returns the stack depth after its subexpression, given the
@@ -225,8 +225,8 @@ class FormulaParser {
       fail("invalid numeric literal '" + token + "'");
     }
     if (used != token.size()) fail("invalid numeric literal '" + token + "'");
-    auto idx = static_cast<std::uint32_t>(out_.constants_.size());
-    out_.constants_.push_back(value);
+    auto idx = static_cast<std::uint32_t>(out_.constants.size());
+    out_.constants.push_back(value);
     std::uint32_t d = depth;
     emit(Op::kPushConst, idx, d, +1);
     return d;
@@ -260,13 +260,13 @@ class FormulaParser {
       return d;
     }
     // Variable reference: intern the name.
-    auto it = std::find(out_.var_names_.begin(), out_.var_names_.end(), name);
+    auto it = std::find(out_.var_names.begin(), out_.var_names.end(), name);
     std::uint32_t idx;
-    if (it == out_.var_names_.end()) {
-      idx = static_cast<std::uint32_t>(out_.var_names_.size());
-      out_.var_names_.push_back(name);
+    if (it == out_.var_names.end()) {
+      idx = static_cast<std::uint32_t>(out_.var_names.size());
+      out_.var_names.push_back(name);
     } else {
-      idx = static_cast<std::uint32_t>(it - out_.var_names_.begin());
+      idx = static_cast<std::uint32_t>(it - out_.var_names.begin());
     }
     std::uint32_t d = depth;
     emit(Op::kPushVar, idx, d, +1);
@@ -274,48 +274,49 @@ class FormulaParser {
   }
 
   std::string_view text_;
-  Formula& out_;
+  Formula::Program& out_;
   std::size_t pos_ = 0;
 };
 
 Formula Formula::parse(std::string_view text) {
-  Formula f;
-  f.text_.assign(text);
-  FormulaParser parser(text, f);
+  auto program = std::make_shared<Program>();
+  program->text.assign(text);
+  FormulaParser parser(text, *program);
   parser.run();
-  return f;
+  return Formula(std::move(program));
 }
 
 double Formula::evaluate(const Environment& env) const {
+  const Program& p = *program_;
   // Resolve variables once per evaluation, then run the stack program.
   double vars[16];
   double* var_values = vars;
   std::vector<double> var_storage;
-  if (var_names_.size() > 16) {
-    var_storage.resize(var_names_.size());
+  if (p.var_names.size() > 16) {
+    var_storage.resize(p.var_names.size());
     var_values = var_storage.data();
   }
-  for (std::size_t i = 0; i < var_names_.size(); ++i) var_values[i] = env.get(var_names_[i]);
+  for (std::size_t i = 0; i < p.var_names.size(); ++i) var_values[i] = env.get(p.var_names[i]);
 
   double stack_buf[32];
   double* stack = stack_buf;
   std::vector<double> stack_storage;
-  if (max_stack_ > 32) {
-    stack_storage.resize(max_stack_);
+  if (p.max_stack > 32) {
+    stack_storage.resize(p.max_stack);
     stack = stack_storage.data();
   }
 
   std::size_t sp = 0;
-  for (const Instr& in : program_) {
+  for (const Instr& in : p.code) {
     switch (in.op) {
-      case Op::kPushConst: stack[sp++] = constants_[in.operand]; break;
+      case Op::kPushConst: stack[sp++] = p.constants[in.operand]; break;
       case Op::kPushVar: stack[sp++] = var_values[in.operand]; break;
       case Op::kAdd: --sp; stack[sp - 1] += stack[sp]; break;
       case Op::kSub: --sp; stack[sp - 1] -= stack[sp]; break;
       case Op::kMul: --sp; stack[sp - 1] *= stack[sp]; break;
       case Op::kDiv:
         --sp;
-        if (stack[sp] == 0.0) throw_error("formula \"" + text_ + "\": division by zero");
+        if (stack[sp] == 0.0) throw_error("formula \"" + p.text + "\": division by zero");
         stack[sp - 1] /= stack[sp];
         break;
       case Op::kPow: --sp; stack[sp - 1] = std::pow(stack[sp - 1], stack[sp]); break;
@@ -330,7 +331,7 @@ double Formula::evaluate(const Environment& env) const {
   QRE_ASSERT(sp == 1);
   double result = stack[0];
   if (!std::isfinite(result)) {
-    throw_error("formula \"" + text_ + "\" evaluated to a non-finite value");
+    throw_error("formula \"" + p.text + "\" evaluated to a non-finite value");
   }
   return result;
 }

@@ -23,8 +23,10 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace qre {
@@ -49,7 +51,9 @@ class Environment {
   std::map<std::string, double> vars_;
 };
 
-/// A parsed, immutable arithmetic formula.
+/// A parsed, immutable arithmetic formula. Copies share the compiled
+/// program, so copying a formula (and every scheme or unit holding one) is
+/// a reference-count increment, not a re-allocation.
 class Formula {
  public:
   /// Parses `text`; throws qre::Error with position information on failure.
@@ -60,10 +64,10 @@ class Formula {
   double evaluate(const Environment& env) const;
 
   /// The original source text.
-  const std::string& text() const { return text_; }
+  const std::string& text() const { return program_->text; }
 
   /// The distinct variable names referenced by the formula.
-  const std::vector<std::string>& variables() const { return var_names_; }
+  const std::vector<std::string>& variables() const { return program_->var_names; }
 
  private:
   enum class Op : std::uint8_t {
@@ -84,13 +88,19 @@ class Formula {
     std::uint32_t operand = 0;
   };
 
+  struct Program {
+    std::string text;
+    std::vector<Instr> code;
+    std::vector<double> constants;
+    std::vector<std::string> var_names;
+    std::uint32_t max_stack = 0;
+  };
+
   friend class FormulaParser;
 
-  std::string text_;
-  std::vector<Instr> program_;
-  std::vector<double> constants_;
-  std::vector<std::string> var_names_;
-  std::uint32_t max_stack_ = 0;
+  explicit Formula(std::shared_ptr<const Program> program) : program_(std::move(program)) {}
+
+  std::shared_ptr<const Program> program_;
 };
 
 }  // namespace qre

@@ -42,23 +42,31 @@ QecScheme::QecScheme(std::string name, double threshold, double prefactor, Formu
       physical_qubits_per_logical_qubit_(std::move(physical_qubits)),
       eval_cache_(std::make_shared<EvalCache>()) {}
 
+// The built-in schemes are parsed once per process and handed out by copy:
+// every EstimationInput and ResourceEstimate starts from one, so parsing
+// their formulas per call dominated input construction. Copies share the
+// exactly keyed eval memo; customize() gives a changed scheme its own.
+
 QecScheme QecScheme::surface_code_gate_based() {
-  return QecScheme(
+  static const QecScheme kScheme(
       "surface_code", 0.01, 0.03,
       Formula::parse("(4 * twoQubitGateTime + 2 * oneQubitMeasurementTime) * codeDistance"),
       Formula::parse("2 * codeDistance * codeDistance"));
+  return kScheme;
 }
 
 QecScheme QecScheme::surface_code_majorana() {
-  return QecScheme("surface_code", 0.0015, 0.08,
-                   Formula::parse("20 * oneQubitMeasurementTime * codeDistance"),
-                   Formula::parse("2 * codeDistance * codeDistance"));
+  static const QecScheme kScheme("surface_code", 0.0015, 0.08,
+                                 Formula::parse("20 * oneQubitMeasurementTime * codeDistance"),
+                                 Formula::parse("2 * codeDistance * codeDistance"));
+  return kScheme;
 }
 
 QecScheme QecScheme::floquet_code() {
-  return QecScheme("floquet_code", 0.01, 0.07,
-                   Formula::parse("3 * oneQubitMeasurementTime * codeDistance"),
-                   Formula::parse("4 * codeDistance * codeDistance + 8 * (codeDistance - 1)"));
+  static const QecScheme kScheme(
+      "floquet_code", 0.01, 0.07, Formula::parse("3 * oneQubitMeasurementTime * codeDistance"),
+      Formula::parse("4 * codeDistance * codeDistance + 8 * (codeDistance - 1)"));
+  return kScheme;
 }
 
 QecScheme QecScheme::default_for(InstructionSet set) {

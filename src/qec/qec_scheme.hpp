@@ -14,7 +14,8 @@
 // distance d with P(d) <= target.
 //
 // Defaults match the tool's presets: the surface code for both instruction
-// sets and the floquet (Hastings-Haah) code for Majorana hardware.
+// sets and the floquet (Hastings-Haah) code for Majorana hardware. Each
+// built-in scheme is built once per process; the factories return copies.
 #pragma once
 
 #include <cstdint>

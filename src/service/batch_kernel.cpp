@@ -100,8 +100,15 @@ std::string BatchKernelPlan::item_key(std::size_t index) const {
   return out;
 }
 
-BatchKernelPlan plan_batch_kernel(const json::Value& job, const std::vector<json::Value>& items,
-                                  const api::Registry& registry) {
+json::Value BatchKernelPlan::item_document(std::size_t index) const {
+  // The same steps as expand_sweep: the base, then each axis's picked value
+  // deep-set in declaration order.
+  json::Value item = base_;
+  for (const BatchKernelAxis& a : axes_) set_path(item, a.path, a.values[a.pick(index)]);
+  return item;
+}
+
+BatchKernelPlan plan_batch_kernel(const json::Value& job, const api::Registry& registry) {
   BatchKernelPlan plan;
   auto decline = [&plan](std::string reason) {
     plan.eligible_ = false;
@@ -121,7 +128,7 @@ BatchKernelPlan plan_batch_kernel(const json::Value& job, const std::vector<json
       }
     }
 
-    const std::vector<SweepAxis> declared = sweep_axes(job.at("sweep"));
+    std::vector<SweepAxis> declared = sweep_axes(job.at("sweep"));
     bool section_used[4] = {false, false, false, false};
     for (const SweepAxis& axis : declared) {
       BatchKernelAxis::Section section;
@@ -139,40 +146,37 @@ BatchKernelPlan plan_batch_kernel(const json::Value& job, const std::vector<json
       }
     }
 
-    std::size_t total = 1;
-    for (const SweepAxis& axis : declared) total *= axis.values.size();
-    if (total != items.size()) {
-      return decline("expanded item count does not match the axis grid");
-    }
-    plan.num_items_ = total;
+    // Over the cap this throws expand_sweep's error, before anything is
+    // allocated; the plan declines and expand_sweep reports it.
+    plan.num_items_ = sweep_grid_size(declared);
+    plan.base_ = sweep_base(job);
 
     // Row-major geometry, matching expand_sweep: first axis varies slowest.
     plan.axes_.resize(declared.size());
     {
-      std::size_t stride = total;
+      std::size_t stride = plan.num_items_;
       for (std::size_t j = 0; j < declared.size(); ++j) {
         BatchKernelAxis& a = plan.axes_[j];
-        a.path = declared[j].path;
-        a.size = declared[j].values.size();
-        stride /= a.size;
+        a.path = std::move(declared[j].path);
+        a.values = std::move(declared[j].values);
+        stride /= a.values.size();
         a.stride = stride;
         head_section(a.path, a.section);
       }
     }
 
-    // Parse and validate each axis VALUE once, via its materialized probe
-    // document (base + this value, every other axis at its first value) —
-    // the same parse the per-item path would run for that item, so inputs
-    // are exact. A value whose probe fails validation/parsing stays
-    // nullopt; grid items picking it run the per-item fallback and produce
-    // identical error documents.
-    for (std::size_t j = 0; j < plan.axes_.size(); ++j) {
-      BatchKernelAxis& a = plan.axes_[j];
-      a.inputs.resize(a.size);
-      a.key_dumps.reserve(a.size);
-      for (std::size_t k = 0; k < a.size; ++k) {
-        a.key_dumps.push_back(canonical_key(declared[j].values[k]));
-        const json::Value& probe = items[k * a.stride];
+    // Parse and validate each axis VALUE once, via its probe document (base
+    // + this value, every other axis at its first value): the grid document
+    // the per-item path would parse for that item, so inputs are exact. A
+    // value whose probe fails validation/parsing stays nullopt; grid items
+    // picking it run the per-item fallback and produce identical error
+    // documents.
+    for (BatchKernelAxis& a : plan.axes_) {
+      a.inputs.resize(a.values.size());
+      a.key_dumps.reserve(a.values.size());
+      for (std::size_t k = 0; k < a.values.size(); ++k) {
+        a.key_dumps.push_back(canonical_key(a.values[k]));
+        const json::Value probe = plan.item_document(k * a.stride);
         Diagnostics probe_diags;
         api::validate_job(probe, registry, probe_diags);
         if (probe_diags.has_errors()) continue;
@@ -183,22 +187,19 @@ BatchKernelPlan plan_batch_kernel(const json::Value& job, const std::vector<json
           // leave invalid: the fallback runner reports the exact error
         }
       }
+      if (std::none_of(a.inputs.begin(), a.inputs.end(),
+                       [](const auto& input) { return input.has_value(); })) {
+        return decline("axis '" + a.path + "' has no valid values");
+      }
     }
 
-    // Reference input: the first grid point whose picks are all valid; its
-    // parse fixes every non-axis section once per sweep.
+    // Reference input: any valid probe's. Every grid document shares the
+    // sections no axis targets with the base, and item_input() overwrites
+    // the rest.
     {
-      std::size_t reference = 0;
-      for (const BatchKernelAxis& a : plan.axes_) {
-        std::size_t first_valid = 0;
-        while (first_valid < a.size && !a.inputs[first_valid].has_value()) ++first_valid;
-        if (first_valid == a.size) {
-          return decline("axis '" + a.path + "' has no valid values");
-        }
-        reference += first_valid * a.stride;
-      }
-      Diagnostics sink;
-      plan.reference_input_ = api::input_from_document(items[reference], registry, &sink);
+      const BatchKernelAxis& first = plan.axes_.front();
+      plan.reference_input_ = **std::find_if(first.inputs.begin(), first.inputs.end(),
+                                             [](const auto& input) { return input.has_value(); });
     }
 
     // Cache-key skeleton: substitute a unique sentinel string for each axis
@@ -206,11 +207,7 @@ BatchKernelPlan plan_batch_kernel(const json::Value& job, const std::vector<json
     // then literal segments with per-value dumps spliced in — byte-identical
     // to canonical_key(item) without re-serializing the document.
     {
-      json::Object base;
-      for (const auto& [key, value] : job.as_object()) {
-        if (key != "sweep" && key != "items") base.emplace_back(key, value);
-      }
-      json::Value skeleton{std::move(base)};
+      json::Value skeleton = plan.base_;
       for (std::size_t j = 0; j < plan.axes_.size(); ++j) {
         set_path(skeleton, plan.axes_[j].path, json::Value(axis_sentinel(j)));
       }
@@ -242,20 +239,28 @@ BatchKernelPlan plan_batch_kernel(const json::Value& job, const std::vector<json
   }
 }
 
-json::Array run_batch_kernel(const BatchKernelPlan& plan, const std::vector<json::Value>& items,
-                             const JobRunner& fallback, const EngineOptions& options,
-                             BatchStats* stats) {
+BatchKernelPlan plan_batch_kernel(const json::Value& job, const std::vector<json::Value>& items,
+                                  const api::Registry& registry) {
+  BatchKernelPlan plan = plan_batch_kernel(job, registry);
+  if (plan.eligible() && plan.num_items() != items.size()) {
+    plan.eligible_ = false;
+    plan.reason_ = "expanded item count does not match the axis grid";
+  }
+  return plan;
+}
+
+json::Array run_batch_kernel(const BatchKernelPlan& plan, const JobRunner& fallback,
+                             const EngineOptions& options, BatchStats* stats) {
   QRE_REQUIRE(plan.eligible(), "run_batch_kernel requires an eligible plan");
-  QRE_REQUIRE(items.size() == plan.num_items(),
-              "run_batch_kernel: item count does not match the plan");
   QRE_REQUIRE(fallback != nullptr, "run_batch_kernel requires a fallback runner");
 
   // Classify every grid item up front (cheap: a few divisions each), so the
   // engagement counters partition numItems exactly — a duplicated grid
   // point served from the cache still counts under the path that covers
   // it, and kernelItems + fallbackItems always equals the grid size.
+  const std::size_t num_items = plan.num_items();
   std::uint64_t kernel_items = 0;
-  for (std::size_t index = 0; index < items.size(); ++index) {
+  for (std::size_t index = 0; index < num_items; ++index) {
     if (plan.covers(index)) ++kernel_items;
   }
 
@@ -263,17 +268,17 @@ json::Array run_batch_kernel(const BatchKernelPlan& plan, const std::vector<json
   // error isolation, and cache counters are the engine's — planned results
   // and fallback results tally through one code path.
   const IndexedRunner runner = [&](std::size_t index) -> json::Value {
-    if (!plan.covers(index)) return fallback(items[index]);
+    if (!plan.covers(index)) return fallback(plan.item_document(index));
     return json::Value::raw(report_bytes(estimate(plan.item_input(index))));
   };
   const IndexedKeyFn key_fn = [&plan](std::size_t index) { return plan.item_key(index); };
 
-  json::Array out = run_batch_indexed(items.size(), runner, key_fn, options, stats);
+  json::Array out = run_batch_indexed(num_items, runner, key_fn, options, stats);
   if (stats != nullptr) {
     BatchKernelStats kernel_stats;
     kernel_stats.engaged = true;
     kernel_stats.kernel_items = kernel_items;
-    kernel_stats.fallback_items = items.size() - kernel_items;
+    kernel_stats.fallback_items = num_items - kernel_items;
     stats->kernel = std::move(kernel_stats);
   }
   return out;

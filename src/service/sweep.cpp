@@ -123,26 +123,31 @@ std::vector<SweepAxis> sweep_axes(const json::Value& sweep) {
   return axes;
 }
 
-std::vector<json::Value> expand_sweep(const json::Value& job, std::size_t max_items) {
-  QRE_REQUIRE(job.is_object(), "sweep job must be a JSON object");
-  const json::Value* sweep = job.find("sweep");
-  QRE_REQUIRE(sweep != nullptr, "job has no sweep to expand");
-  const std::vector<SweepAxis> axes = sweep_axes(*sweep);
-
+std::size_t sweep_grid_size(const std::vector<SweepAxis>& axes, std::size_t max_items) {
   std::size_t total = 1;
   for (const SweepAxis& axis : axes) {
     QRE_REQUIRE(axis.values.size() <= max_items / total,
                 "sweep grid exceeds the maximum item count");
     total *= axis.values.size();
   }
+  return total;
+}
 
-  // Base document: everything but the sweep specification itself (and any
-  // stray "items"; a job cannot carry both).
+json::Value sweep_base(const json::Value& job) {
   json::Object base;
   for (const auto& [key, value] : job.as_object()) {
     if (key != "sweep" && key != "items") base.emplace_back(key, value);
   }
-  const json::Value base_value{std::move(base)};
+  return json::Value(std::move(base));
+}
+
+std::vector<json::Value> expand_sweep(const json::Value& job, std::size_t max_items) {
+  QRE_REQUIRE(job.is_object(), "sweep job must be a JSON object");
+  const json::Value* sweep = job.find("sweep");
+  QRE_REQUIRE(sweep != nullptr, "job has no sweep to expand");
+  const std::vector<SweepAxis> axes = sweep_axes(*sweep);
+  const std::size_t total = sweep_grid_size(axes, max_items);
+  const json::Value base_value = sweep_base(job);
 
   std::vector<json::Value> items;
   items.reserve(total);

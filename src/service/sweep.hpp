@@ -59,11 +59,23 @@ std::vector<SweepAxis> sweep_axes(const json::Value& sweep);
 /// axis path.
 void set_path(json::Value& root, const std::string& path, json::Value value);
 
+/// The largest grid a sweep may describe.
+constexpr std::size_t kMaxSweepItems = 1'000'000;
+
+/// The number of grid items `axes` span. Throws qre::Error, before
+/// anything is allocated, when the grid exceeds `max_items`.
+std::size_t sweep_grid_size(const std::vector<SweepAxis>& axes,
+                            std::size_t max_items = kMaxSweepItems);
+
+/// The document every grid item starts from: `job` without "sweep" and
+/// "items" (a job cannot carry both).
+json::Value sweep_base(const json::Value& job);
+
 /// Expands job["sweep"] into the cartesian grid of complete job documents.
 /// Each item inherits every non-swept base field; "sweep" and "items" never
 /// appear in the output. Throws qre::Error if "sweep" is missing or the
 /// grid exceeds `max_items`.
 std::vector<json::Value> expand_sweep(const json::Value& job,
-                                      std::size_t max_items = 1'000'000);
+                                      std::size_t max_items = kMaxSweepItems);
 
 }  // namespace qre::service

@@ -35,7 +35,11 @@ DistillationUnit DistillationUnit::space_efficient_15_to_1() {
 }
 
 std::vector<DistillationUnit> DistillationUnit::default_units() {
-  return {rm_prep_15_to_1(), space_efficient_15_to_1()};
+  // Parsed once per process and returned by copy: every default-constructed
+  // EstimationInput starts from this set.
+  static const std::vector<DistillationUnit> kUnits = {rm_prep_15_to_1(),
+                                                       space_efficient_15_to_1()};
+  return kUnits;
 }
 
 const std::vector<std::string_view>& DistillationUnit::json_keys() {

@@ -57,7 +57,8 @@ struct DistillationUnit {
   static DistillationUnit rm_prep_15_to_1();
   /// 15-to-1 space-efficient unit (logical level only).
   static DistillationUnit space_efficient_15_to_1();
-  /// The default unit set used when none is specified.
+  /// The default unit set used when none is specified (built once per
+  /// process; each call returns a copy).
   static std::vector<DistillationUnit> default_units();
 
   /// JSON customization; see tests/test_tfactory.cpp for the schema.

@@ -1,11 +1,13 @@
 // Tests of the sweep plan (service/batch_kernel.hpp): bit-identity against
 // the per-item path on Fig. 3/4 style and randomized grids, spliced cache
-// keys, exact cache accounting for mixed planned/fallback batches,
-// warm-vs-cold store identity, and eligibility declines. The per-item
+// keys, on-demand grid documents, exact cache accounting for mixed
+// planned/fallback batches, warm-vs-cold store identity, the grid cap, and
+// eligibility declines. The per-item
 // reference is the same grid submitted as an "items" batch of the expanded
 // documents, which never consults the plan.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -162,59 +164,65 @@ TEST(BatchKernel, ParallelPlanMatchesSerialPlanAndPerItemPath) {
   expect_bit_identical(parallel, per_item);
 }
 
-TEST(BatchKernel, RandomizedGridsAreBitIdenticalToPerItemPath) {
-  // Deterministic fuzz over grid shapes: every iteration builds a sweep
-  // with a random subset of axis sections and random values, then asserts
-  // planned output is byte-identical to the per-item path.
-  std::mt19937 rng(20230807);
+/// A random sweep job: a qubitParams axis and a log errorBudget range, plus
+/// optionally a dotted constraints axis and a dotted logicalCounts axis.
+json::Value random_sweep_job(std::mt19937& rng) {
   const char* presets[] = {"qubit_gate_ns_e3", "qubit_gate_ns_e4", "qubit_gate_us_e3",
                            "qubit_gate_us_e4", "qubit_maj_ns_e4",  "qubit_maj_ns_e6"};
   auto uniform = [&](int lo, int hi) {
     return std::uniform_int_distribution<int>(lo, hi)(rng);
   };
+  json::Object sweep;
+
+  json::Array qubits;
+  const int num_presets = uniform(1, 3);
+  for (int i = 0; i < num_presets; ++i) {
+    json::Object q;
+    q.emplace_back("name", json::Value(presets[uniform(0, 5)]));
+    qubits.push_back(json::Value(std::move(q)));
+  }
+  sweep.emplace_back("qubitParams", json::Value(std::move(qubits)));
+
+  json::Object budget_range;
+  budget_range.emplace_back("start", json::Value(std::pow(10.0, -uniform(3, 5))));
+  budget_range.emplace_back("stop", json::Value(0.05));
+  budget_range.emplace_back("steps", json::Value(uniform(2, 4)));
+  budget_range.emplace_back("scale", json::Value("log"));
+  sweep.emplace_back("errorBudget", json::Value(std::move(budget_range)));
+
+  if (uniform(0, 1) == 1) {
+    json::Array factories;
+    const int num = uniform(1, 2);
+    for (int i = 0; i < num; ++i) factories.push_back(json::Value(uniform(1, 8)));
+    sweep.emplace_back("constraints.maxTFactories", json::Value(std::move(factories)));
+  }
+  if (uniform(0, 1) == 1) {
+    json::Array tcounts;
+    const int num = uniform(1, 2);
+    for (int i = 0; i < num; ++i) {
+      tcounts.push_back(json::Value(static_cast<std::int64_t>(uniform(1000, 200000))));
+    }
+    sweep.emplace_back("logicalCounts.tCount", json::Value(std::move(tcounts)));
+  }
+
+  json::Object counts;
+  counts.emplace_back("numQubits", json::Value(uniform(10, 300)));
+  counts.emplace_back("tCount", json::Value(uniform(1000, 500000)));
+  json::Object job;
+  job.emplace_back("logicalCounts", json::Value(std::move(counts)));
+  job.emplace_back("sweep", json::Value(std::move(sweep)));
+  return json::Value(std::move(job));
+}
+
+TEST(BatchKernel, RandomizedGridsAreBitIdenticalToPerItemPath) {
+  // Deterministic fuzz over grid shapes: every iteration builds a sweep
+  // with a random subset of axis sections and random values, then asserts
+  // planned output is byte-identical to the per-item path.
+  std::mt19937 rng(20230807);
   for (int iter = 0; iter < 6; ++iter) {
-    json::Object sweep;
-
-    json::Array qubits;
-    const int num_presets = uniform(1, 3);
-    for (int i = 0; i < num_presets; ++i) {
-      json::Object q;
-      q.emplace_back("name", json::Value(presets[uniform(0, 5)]));
-      qubits.push_back(json::Value(std::move(q)));
-    }
-    sweep.emplace_back("qubitParams", json::Value(std::move(qubits)));
-
-    json::Object budget_range;
-    budget_range.emplace_back("start", json::Value(std::pow(10.0, -uniform(3, 5))));
-    budget_range.emplace_back("stop", json::Value(0.05));
-    budget_range.emplace_back("steps", json::Value(uniform(2, 4)));
-    budget_range.emplace_back("scale", json::Value("log"));
-    sweep.emplace_back("errorBudget", json::Value(std::move(budget_range)));
-
-    if (uniform(0, 1) == 1) {
-      json::Array factories;
-      const int num = uniform(1, 2);
-      for (int i = 0; i < num; ++i) factories.push_back(json::Value(uniform(1, 8)));
-      sweep.emplace_back("constraints.maxTFactories", json::Value(std::move(factories)));
-    }
-    if (uniform(0, 1) == 1) {
-      json::Array tcounts;
-      const int num = uniform(1, 2);
-      for (int i = 0; i < num; ++i) {
-        tcounts.push_back(json::Value(static_cast<std::int64_t>(uniform(1000, 200000))));
-      }
-      sweep.emplace_back("logicalCounts.tCount", json::Value(std::move(tcounts)));
-    }
-
-    json::Object counts;
-    counts.emplace_back("numQubits", json::Value(uniform(10, 300)));
-    counts.emplace_back("tCount", json::Value(uniform(1000, 500000)));
-    json::Object job;
-    job.emplace_back("logicalCounts", json::Value(std::move(counts)));
-    job.emplace_back("sweep", json::Value(std::move(sweep)));
-    json::Value doc{std::move(job)};
-
-    json::Value kernel = run_sweep(doc, uniform(1, 4));
+    const json::Value doc = random_sweep_job(rng);
+    const int workers = std::uniform_int_distribution<int>(1, 4)(rng);
+    json::Value kernel = run_sweep(doc, workers);
     json::Value per_item = run_items(doc);
     ASSERT_TRUE(kernel_stats(kernel).at("engaged").as_bool())
         << "iter " << iter << ": " << kernel_stats(kernel).dump();
@@ -404,6 +412,144 @@ TEST(BatchKernel, SplicedKeysMatchCanonicalKeysOfExpandedItems) {
   for (std::size_t i = 0; i < items.size(); ++i) {
     EXPECT_EQ(plan.item_key(i), service::canonical_key(items[i])) << "item " << i;
   }
+}
+
+// ------------------------------------------------ on-demand documents ---
+
+/// Plans `job` from its axis values alone and asserts every grid document
+/// the plan builds is byte-identical to expand_sweep's.
+void expect_item_documents_match_expansion(const json::Value& job) {
+  const service::BatchKernelPlan plan = service::plan_batch_kernel(job, api::Registry::global());
+  ASSERT_TRUE(plan.eligible()) << plan.reason();
+  const std::vector<json::Value> items = service::expand_sweep(job);
+  ASSERT_EQ(plan.num_items(), items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    EXPECT_EQ(plan.item_document(i).dump(), items[i].dump()) << "item " << i;
+  }
+}
+
+TEST(BatchKernel, ItemDocumentsMatchExpandedSweepOnRandomizedGrids) {
+  std::mt19937 rng(20230807);
+  for (int iter = 0; iter < 6; ++iter) {
+    const json::Value job = random_sweep_job(rng);
+    SCOPED_TRACE("iter " + std::to_string(iter) + " job " + job.dump());
+    expect_item_documents_match_expansion(job);
+  }
+}
+
+TEST(BatchKernel, ItemDocumentsMatchExpandedSweepOnDottedRangeAndExplicitAxes) {
+  const char* jobs[] = {
+      // Dotted paths into every section, one ranged, over nested base fields.
+      R"({
+        "logicalCounts": {"numQubits": 60, "tCount": 80000},
+        "qubitParams": {"name": "qubit_gate_ns_e3"},
+        "constraints": {"logicalDepthFactor": 2},
+        "sweep": {
+          "constraints.maxTFactories": [2, 8, 3],
+          "logicalCounts.tCount": [60000, 90000],
+          "qubitParams.oneQubitGateErrorRate": {"start": 1e-4, "stop": 1e-3, "steps": 3},
+          "errorBudget": {"start": 1e-3, "stop": 1e-2, "steps": 2, "scale": "log"}
+        }
+      })",
+      // Dotted paths creating sections the base lacks, after base fields.
+      R"({
+        "errorBudget": 0.001,
+        "logicalCounts": {"numQubits": 20, "tCount": 5000},
+        "sweep": {
+          "constraints.logicalDepthFactor": {"start": 1, "stop": 4, "steps": 4},
+          "qubitParams.name": ["qubit_gate_ns_e3", "qubit_maj_ns_e6"]
+        }
+      })",
+      kFig4StyleSweep,
+      // An invalid value: its items fall back, but the documents still match.
+      R"({
+        "logicalCounts": {"numQubits": 50, "tCount": 50000},
+        "sweep": {
+          "qubitParams": [{"name": "qubit_gate_ns_e3"}, {"name": "no_such_preset"}],
+          "errorBudget": [0.001, 0.01, 0.001]
+        }
+      })",
+  };
+  for (const char* text : jobs) {
+    const json::Value job = json::parse(text);
+    SCOPED_TRACE(job.dump());
+    expect_item_documents_match_expansion(job);
+  }
+}
+
+TEST(BatchKernel, FallbackItemsAreRunOnTheirOnDemandDocuments) {
+  // The fallback runner sees exactly the expanded document of each item it
+  // is handed, and is handed exactly the items with an invalid value.
+  const json::Value job = json::parse(R"({
+    "logicalCounts": {"numQubits": 50, "tCount": 50000},
+    "sweep": {
+      "errorBudget": [0.001, 0.01],
+      "qubitParams": [{"name": "qubit_gate_ns_e3"}, {"name": "no_such_preset"},
+                      {"name": "qubit_maj_ns_e4"}]
+    }
+  })");
+  const service::BatchKernelPlan plan = service::plan_batch_kernel(job, api::Registry::global());
+  ASSERT_TRUE(plan.eligible()) << plan.reason();
+  const std::vector<json::Value> items = service::expand_sweep(job);
+  std::vector<std::string> seen;
+  const service::JobRunner fallback = [&seen](const json::Value& item) {
+    seen.push_back(item.dump());
+    return json::Value(json::Object{});
+  };
+  EngineOptions serial;
+  serial.num_workers = 1;  // items run in order, on this thread
+  service::BatchStats stats;
+  service::run_batch_kernel(plan, fallback, serial, &stats);
+  const std::vector<std::string> expected = {items[1].dump(), items[4].dump()};
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(stats.kernel->kernel_items, 4u);
+  EXPECT_EQ(stats.kernel->fallback_items, 2u);
+}
+
+// ------------------------------------------------------------ grid cap ---
+
+json::Value square_sweep(int rows, int cols) {
+  json::Value job = json::parse(R"({
+    "logicalCounts": {"numQubits": 20, "tCount": 5000},
+    "sweep": {
+      "logicalCounts.tCount": {"start": 1000, "stop": 2000, "steps": 2},
+      "errorBudget": {"start": 1e-4, "stop": 1e-2, "steps": 2, "scale": "log"}
+    }
+  })");
+  json::Value& sweep = job.as_object()[1].second;
+  sweep.as_object()[0].second.set("stop", json::Value(1000 + rows - 1));
+  sweep.as_object()[0].second.set("steps", json::Value(rows));
+  sweep.as_object()[1].second.set("steps", json::Value(cols));
+  return job;
+}
+
+TEST(BatchKernel, GridOverTheCapAnswersWithTheExpansionError) {
+  const api::EstimateRequest request = api::EstimateRequest::parse(square_sweep(1001, 1000));
+  ASSERT_TRUE(request.ok()) << request.diagnostics.summary();
+  const api::EstimateResponse response = api::run(request);
+  EXPECT_FALSE(response.success);
+  ASSERT_EQ(response.diagnostics.entries().size(), 1u);
+  EXPECT_EQ(response.diagnostics.entries()[0].code, "estimation-failed");
+  EXPECT_EQ(response.diagnostics.entries()[0].message,
+            "sweep grid exceeds the maximum item count");
+
+  const service::BatchKernelPlan plan =
+      service::plan_batch_kernel(square_sweep(1001, 1000), api::Registry::global());
+  EXPECT_FALSE(plan.eligible());
+}
+
+TEST(BatchKernel, GridAtTheCapPlansWithoutExpanding) {
+  // A million-item grid plans from its 2,000 axis values; expanding it
+  // would build a million documents first.
+  const json::Value job = square_sweep(1000, 1000);
+  const auto start = std::chrono::steady_clock::now();
+  const service::BatchKernelPlan plan = service::plan_batch_kernel(job, api::Registry::global());
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  ASSERT_TRUE(plan.eligible()) << plan.reason();
+  EXPECT_EQ(plan.num_items(), 1'000'000u);
+  EXPECT_TRUE(plan.covers(999'999));
+  EXPECT_LT(seconds, 1.0);
 }
 
 }  // namespace

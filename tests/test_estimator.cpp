@@ -26,6 +26,27 @@ LogicalCounts t_workload() {
   return c;
 }
 
+TEST(Estimator, DefaultInputMatchesFreshlyBuiltDefaults) {
+  // EstimationInput{} starts from the once-per-process built-in scheme and
+  // distillation units; they must equal freshly built ones.
+  const EstimationInput input;
+  const QecScheme fresh_qec = QecScheme::customize(
+      QecScheme::surface_code_gate_based(),
+      json::parse(R"({"logicalCycleTime":
+                        "(4 * twoQubitGateTime + 2 * oneQubitMeasurementTime) * codeDistance",
+                      "physicalQubitsPerLogicalQubit": "2 * codeDistance * codeDistance"})"));
+  EXPECT_EQ(input.qec.to_json().dump(), fresh_qec.to_json().dump());
+  const DistillationUnit fresh_units[] = {DistillationUnit::rm_prep_15_to_1(),
+                                          DistillationUnit::space_efficient_15_to_1()};
+  ASSERT_EQ(input.distillation_units.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(input.distillation_units[i].name, fresh_units[i].name);
+    EXPECT_EQ(input.distillation_units[i].to_json().dump(), fresh_units[i].to_json().dump());
+  }
+  EXPECT_EQ(QecScheme::default_for(InstructionSet::kMajorana).to_json().dump(),
+            QecScheme::floquet_code().to_json().dump());
+}
+
 TEST(ErrorBudgetTest, DefaultPartitions) {
   ErrorBudget b = ErrorBudget::from_total(9e-4);
   ErrorBudgetPartition rot = b.resolve(true, true);

@@ -177,5 +177,45 @@ TEST(Qec, JsonRejectsOrWarnsOnUnknownKeys) {
   EXPECT_EQ(diags.entries()[0].path, "/qecScheme/crossingPrefator");
 }
 
+TEST(Qec, CustomizedCopyOfTheSharedDefaultKeepsItsOwnMemo) {
+  // The built-in schemes are built once per process and copies share their
+  // eval memo. A customized copy must not read the default's memoized
+  // entries for the same (qubit, distance) key.
+  const QubitParams q = QubitParams::gate_ns_e3();
+  const QecScheme shared = QecScheme::surface_code_gate_based();
+  EXPECT_DOUBLE_EQ(shared.logical_cycle_time_ns(q, 9), 3600.0);  // memoized now
+  EXPECT_EQ(shared.physical_qubits_per_logical_qubit(9), 162u);
+
+  const QecScheme custom = QecScheme::customize(
+      QecScheme::surface_code_gate_based(),
+      json::parse(R"({"logicalCycleTime": "7 * twoQubitGateTime * codeDistance",
+                      "physicalQubitsPerLogicalQubit": "3 * codeDistance"})"));
+  EXPECT_DOUBLE_EQ(custom.logical_cycle_time_ns(q, 9), 7.0 * 50.0 * 9.0);
+  EXPECT_EQ(custom.physical_qubits_per_logical_qubit(9), 27u);
+
+  // ...and the customized values never leak back into the shared default.
+  const QecScheme again = QecScheme::surface_code_gate_based();
+  EXPECT_DOUBLE_EQ(again.logical_cycle_time_ns(q, 9), 3600.0);
+  EXPECT_EQ(again.physical_qubits_per_logical_qubit(9), 162u);
+}
+
+TEST(Qec, SharedDefaultsMatchTheirPresetDocuments) {
+  EXPECT_EQ(QecScheme::surface_code_gate_based().to_json().dump(),
+            R"({"name":"surface_code","errorCorrectionThreshold":0.01,"crossingPrefactor":0.03,)"
+            R"("logicalCycleTime":"(4 * twoQubitGateTime + 2 * oneQubitMeasurementTime) * )"
+            R"(codeDistance","physicalQubitsPerLogicalQubit":"2 * codeDistance * codeDistance",)"
+            R"("maxCodeDistance":51})");
+  EXPECT_EQ(QecScheme::surface_code_majorana().to_json().dump(),
+            R"({"name":"surface_code","errorCorrectionThreshold":0.0015,"crossingPrefactor":0.08,)"
+            R"("logicalCycleTime":"20 * oneQubitMeasurementTime * codeDistance",)"
+            R"("physicalQubitsPerLogicalQubit":"2 * codeDistance * codeDistance",)"
+            R"("maxCodeDistance":51})");
+  EXPECT_EQ(QecScheme::floquet_code().to_json().dump(),
+            R"({"name":"floquet_code","errorCorrectionThreshold":0.01,"crossingPrefactor":0.07,)"
+            R"("logicalCycleTime":"3 * oneQubitMeasurementTime * codeDistance",)"
+            R"("physicalQubitsPerLogicalQubit":"4 * codeDistance * codeDistance + 8 * )"
+            R"x((codeDistance - 1)","maxCodeDistance":51})x");
+}
+
 }  // namespace
 }  // namespace qre

@@ -320,6 +320,35 @@ TEST(ApiTimings, CollectTimingsAppendsBlockWithConsistentPhases) {
   EXPECT_TRUE(saw_items);
 }
 
+TEST(ApiTimings, PlannedSweepsAreNeverExpanded) {
+  // A sweep the plan covers is planned and run; only items batches and
+  // declined sweeps pay for expansion into documents.
+  const struct {
+    const char* job;
+    std::vector<std::string> phases;
+  } cases[] = {
+      {R"({"logicalCounts": {"numQubits": 10, "tCount": 100},
+           "sweep": {"constraints.maxTFactories": [1, 2, 3]}, "collectTimings": true})",
+       {"service.plan", "api.execute"}},
+      {R"({"logicalCounts": {"numQubits": 10, "tCount": 100},
+           "sweep": {"qecScheme.maxCodeDistance": [25, 51]}, "collectTimings": true})",
+       {"service.plan", "api.expand", "api.execute"}},
+      {R"({"logicalCounts": {"numQubits": 10, "tCount": 100},
+           "items": [{"errorBudget": 0.01}, {}], "collectTimings": true})",
+       {"api.expand", "api.execute"}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.job);
+    EstimateResponse response = api::run(EstimateRequest::parse(json::parse(c.job)));
+    ASSERT_TRUE(response.success);
+    std::vector<std::string> phases;
+    for (const json::Value& phase : response.result.at("timings").at("phases").as_array()) {
+      phases.push_back(phase.at("name").as_string());
+    }
+    EXPECT_EQ(phases, c.phases);
+  }
+}
+
 TEST(ApiTimings, ResultsAreIdenticalWithAndWithoutTimings) {
   EstimateRequest with = EstimateRequest::parse(sweep_job(true));
   EstimateRequest without = EstimateRequest::parse(sweep_job(false));
