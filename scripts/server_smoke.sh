@@ -2,8 +2,8 @@
 # End-to-end smoke test of the qre_serve daemon, used by CI and runnable
 # locally: starts the server on an ephemeral port, exercises the endpoint
 # surface with curl (health, version, profiles, validate, sync estimate of
-# the checked-in Figure 4 sweep, async job lifecycle, NDJSON streaming,
-# metrics), then checks that SIGTERM drains gracefully with exit code 0.
+# the checked-in Figure 4 sweep, the same sweep from 4 concurrent clients,
+# async job lifecycle, NDJSON streaming, metrics), then checks that SIGTERM drains gracefully with exit code 0.
 #
 # usage: scripts/server_smoke.sh [build-dir]   (default: build)
 #
@@ -44,7 +44,7 @@ fail() {
 CACHE_DIR="$WORK_DIR/cache"
 TRACE_FILE="$WORK_DIR/trace.json"
 ACCESS_LOG="$WORK_DIR/access.log"
-"$SERVE" --port 0 --port-file "$PORT_FILE" --job-workers 1 --cache-dir "$CACHE_DIR" \
+"$SERVE" --port 0 --port-file "$PORT_FILE" --job-workers 1 --jobs 4 --cache-dir "$CACHE_DIR" \
          --trace-file "$TRACE_FILE" --access-log "$ACCESS_LOG" &
 SERVER_PID=$!
 
@@ -72,6 +72,22 @@ STATUS=$(curl -sS -o "$WORK_DIR/estimate.json" -w '%{http_code}' \
 [[ "$STATUS" == "200" ]] || fail "estimate returned HTTP $STATUS"
 jq -e '.success == true and (.result.results | length == 18)' \
   "$WORK_DIR/estimate.json" > /dev/null || fail "estimate payload"
+
+# --- concurrent sweeps on one daemon share the batch worker pool ----------
+jq -c '.result.results' "$WORK_DIR/estimate.json" > "$WORK_DIR/results.json"
+CLIENT_PIDS=()
+for c in 1 2 3 4; do
+  curl -fsS -o "$WORK_DIR/concurrent$c.json" -X POST --data-binary "@$JOB" \
+       "$BASE/v2/estimate" &
+  CLIENT_PIDS+=($!)
+done
+for pid in "${CLIENT_PIDS[@]}"; do
+  wait "$pid" || fail "concurrent estimate request"
+done
+for c in 1 2 3 4; do
+  jq -c '.result.results' "$WORK_DIR/concurrent$c.json" | cmp -s - "$WORK_DIR/results.json" \
+    || fail "concurrent sweep $c differs from the single request"
+done
 
 # --- frontier job kind (sync + NDJSON probe stream) -----------------------
 STATUS=$(curl -sS -o "$WORK_DIR/frontier.json" -w '%{http_code}' \

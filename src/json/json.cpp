@@ -1,8 +1,11 @@
 #include "json/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -151,13 +154,59 @@ void write_escaped(std::string& out, std::string_view s) {
   out.push_back('"');
 }
 
+namespace {
+
+// Appends the std::to_chars scientific text [first, last), "[-]d[.ddd]e±XX"
+// with n significant digits and exponent X, laid out the way "%.ng" prints
+// those digits: as is when X < -4 or X >= n, else in fixed notation with
+// the decimal point placed by X.
+void write_shortest_as_general(std::string& out, const char* first, const char* last) {
+  const char* const lead = *first == '-' ? first + 1 : first;
+  const char* const e = static_cast<const char*>(std::memchr(lead, 'e', last - lead));
+  const char* const frac = lead + 2;  // digits after the first; [frac, e) when n > 1
+  const int n = e - lead == 1 ? 1 : static_cast<int>(e - frac) + 1;
+  int exponent = 0;
+  for (const char* p = e + 2; p != last; ++p) exponent = exponent * 10 + (*p - '0');
+  if (e[1] == '-') exponent = -exponent;
+  if (exponent < -4 || exponent >= n) {
+    out.append(first, last);
+    return;
+  }
+  char buf[32];
+  char* w = buf;
+  if (first != lead) *w++ = '-';
+  if (exponent < 0) {  // 0.000ddd
+    *w++ = '0';
+    *w++ = '.';
+    for (int z = -1; z > exponent; --z) *w++ = '0';
+    *w++ = *lead;
+    if (n > 1) w = std::copy(frac, e, w);
+  } else {  // ddd[.ddd]: the first exponent + 1 digits before the point
+    *w++ = *lead;
+    if (n > 1) {
+      w = std::copy(frac, frac + exponent, w);
+      if (exponent < n - 1) {
+        *w++ = '.';
+        w = std::copy(frac + exponent, e, w);
+      }
+    }
+  }
+  out.append(buf, w);
+}
+
+}  // namespace
+
 // Shortest "%.*g" text that parses back to `d`, i.e. the smallest precision
 // p <= 16 whose correctly rounded "%.pg" round-trips, else "%.17g".
-// No p below the shortest round-trip digit count n can round-trip, so the
-// search starts at n (from the scientific shortest form) instead of 1. It
-// rarely steps past n: only where the rounding interval is asymmetric (at
-// powers of two) can the nearest n-digit value miss while another n-digit
-// value hits.
+// No p below the shortest round-trip digit count n can round-trip. When `d`
+// has a fraction bit set, its rounding interval is symmetric, so the
+// n-digit value nearest to `d` lies in it whenever any n-digit value does.
+// That nearest value is what "%.ng" prints and what the shortest form picks
+// among its candidates, both breaking a tie (2^50 + 0.25, say) to the even
+// digit: the shortest scientific digits are exactly "%.ng"'s digits, and
+// only their layout is left to do. A zero fraction (a power of two, or ±0)
+// has an asymmetric interval, where the nearest n-digit value can miss while
+// another one hits; those search "%.pg" from p = n upward.
 void write_number(std::string& out, double d) {
   if (!std::isfinite(d)) {
     out += "null";  // JSON has no NaN/Inf; estimator results never produce them
@@ -166,6 +215,13 @@ void write_number(std::string& out, double d) {
   char buf[32];
   char* const end = buf + sizeof buf;
   const char* const sci = std::to_chars(buf, end, d, std::chars_format::scientific).ptr;
+  constexpr std::uint64_t kFractionBits = (std::uint64_t{1} << 52) - 1;
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof bits);
+  if ((bits & kFractionBits) != 0) {
+    write_shortest_as_general(out, buf, sci);
+    return;
+  }
   int prec = 0;
   for (const char* p = buf; p != sci && *p != 'e'; ++p) {
     if (*p >= '0' && *p <= '9') ++prec;

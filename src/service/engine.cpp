@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
+#include <exception>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "common/mutex.hpp"
 #include "common/trace.hpp"
-#include "tfactory/factory_cache.hpp"
 
 namespace qre::service {
 
@@ -20,9 +23,6 @@ json::Value BatchStats::to_json() const {
   o.emplace_back("cacheHits", json::Value(cache_hits));
   o.emplace_back("cacheMisses", json::Value(cache_misses));
   o.emplace_back("cacheEvictions", json::Value(cache_evictions));
-  // The factory-cache deltas stay out of the document on purpose: the
-  // process-level cache makes them depend on what ran before this batch,
-  // and result documents for identical jobs must stay byte-identical.
   if (kernel.has_value()) {
     json::Object k;
     k.emplace_back("engaged", json::Value(kernel->engaged));
@@ -79,8 +79,8 @@ json::Value run_one(std::size_t index, const IndexedRunner& runner, const Indexe
   }
 }
 
-/// The pool width for `num_items` items: 0 means hardware concurrency, and
-/// the pool is never wider than the item count, nor empty.
+/// The batch width for `num_items` items: 0 means hardware concurrency, and
+/// a batch is never wider than its item count, nor empty.
 std::size_t resolve_num_workers(const EngineOptions& options, std::size_t num_items) {
   std::size_t num_workers = options.num_workers;
   if (num_workers == 0) {
@@ -88,6 +88,157 @@ std::size_t resolve_num_workers(const EngineOptions& options, std::size_t num_it
   }
   return std::max<std::size_t>(1, std::min(num_workers, num_items));
 }
+
+// Guards the worker pool and the counters of every batch running on it.
+Mutex pool_mutex;
+
+/// One multi-worker batch's share of the pool: the loop its helpers run and
+/// the helpers that started it. Lives on the calling thread's stack.
+struct PoolBatch {
+  explicit PoolBatch(const std::function<void()>& w) : work(w) {}
+  const std::function<void()>& work;
+  std::size_t running QRE_GUARDED_BY(pool_mutex) = 0;
+  std::exception_ptr error QRE_GUARDED_BY(pool_mutex);
+  CondVar helpers_done;
+};
+
+/// The process-wide helper threads every multi-worker batch borrows from.
+/// A batch of width w posts w - 1 tickets and runs its loop on the calling
+/// thread too; an idle helper takes a ticket at once, a busy pool queues it.
+/// Once the caller's own loop ends, every item has been claimed, so the
+/// caller withdraws the tickets no helper took and waits only for helpers
+/// that started. Nothing ever waits on a ticket, which is why nested and
+/// concurrent batches cannot deadlock. Started lazily, by the first
+/// multi-worker batch, with hardware_concurrency - 1 helpers; it grows to
+/// the widest batch ever run and joins its helpers at exit.
+class WorkerPool {
+ public:
+  static WorkerPool& instance() {
+    static WorkerPool pool;
+    return pool;
+  }
+
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
+
+  ~WorkerPool() {
+    std::vector<std::thread> threads;
+    {
+      MutexLock lock(pool_mutex);
+      stopping_ = true;
+      for (const std::unique_ptr<CondVar>& wake : wake_) wake->notify_one();
+      threads.swap(threads_);
+    }
+    for (std::thread& t : threads) t.join();
+  }
+
+  /// Runs `work` on the calling thread and on up to `helpers` pool threads;
+  /// returns once every helper that started it has returned. The first
+  /// exception `work` throws, on any of those threads, is rethrown here.
+  void run(std::size_t helpers, const std::function<void()>& work) {
+    PoolBatch batch(work);
+    {
+      MutexLock lock(pool_mutex);
+      grow_to(helpers);
+      for (std::size_t t = 0; t < helpers; ++t) {
+        if (idle_.empty()) {
+          pending_.push_back(&batch);
+        } else {
+          assign(idle_.back(), &batch);
+          idle_.pop_back();
+        }
+      }
+    }
+    std::exception_ptr error;
+    try {
+      work();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    MutexLock lock(pool_mutex);
+    pending_.erase(std::remove(pending_.begin(), pending_.end(), &batch), pending_.end());
+    for (std::size_t h = 0; h < slot_.size(); ++h) {
+      if (slot_[h] == &batch) {
+        slot_[h] = nullptr;
+        release(h);
+      }
+    }
+    while (batch.running > 0) batch.helpers_done.wait(pool_mutex);
+    if (error == nullptr) error = batch.error;
+    if (error != nullptr) std::rethrow_exception(error);
+  }
+
+ private:
+  WorkerPool() = default;
+
+  /// Starts helpers up to `helpers`; the first call starts at least
+  /// hardware_concurrency - 1.
+  void grow_to(std::size_t helpers) QRE_REQUIRES(pool_mutex) {
+    if (threads_.empty()) {
+      const std::size_t hardware = std::thread::hardware_concurrency();
+      helpers = std::max(helpers, hardware > 1 ? hardware - 1 : 0);
+    }
+    while (threads_.size() < helpers) {
+      const std::size_t h = threads_.size();
+      slot_.push_back(nullptr);
+      wake_.push_back(std::make_unique<CondVar>());
+      idle_.push_back(h);
+      threads_.emplace_back([this, h, wake = wake_.back().get()] { helper_loop(h, *wake); });
+    }
+  }
+
+  void assign(std::size_t h, PoolBatch* batch) QRE_REQUIRES(pool_mutex) {
+    slot_[h] = batch;
+    wake_[h]->notify_one();
+  }
+
+  /// Hands helper `h` the oldest queued ticket, or parks it as idle. The
+  /// idle list is a stack, so back-to-back batches reuse the same threads.
+  void release(std::size_t h) QRE_REQUIRES(pool_mutex) {
+    if (pending_.empty()) {
+      idle_.push_back(h);
+      return;
+    }
+    assign(h, pending_.front());
+    pending_.pop_front();
+  }
+
+  void helper_loop(std::size_t h, CondVar& wake) {
+    for (;;) {
+      PoolBatch* batch = nullptr;
+      {
+        MutexLock lock(pool_mutex);
+        while (slot_[h] == nullptr && !stopping_) wake.wait(pool_mutex);
+        if (stopping_) return;
+        batch = slot_[h];
+        slot_[h] = nullptr;
+        ++batch->running;
+      }
+      std::exception_ptr error;
+      try {
+        batch->work();
+      } catch (...) {
+        error = std::current_exception();
+      }
+      MutexLock lock(pool_mutex);
+      if (error != nullptr && batch->error == nullptr) batch->error = error;
+      // Notified under the lock: the caller may return, destroying the
+      // batch, as soon as it can observe running == 0.
+      --batch->running;
+      if (batch->running == 0) batch->helpers_done.notify_one();
+      release(h);
+    }
+  }
+
+  // Per helper: the batch assigned to it but not yet started, and the
+  // condition it sleeps on (stable addresses: helpers keep a reference).
+  std::vector<PoolBatch*> slot_ QRE_GUARDED_BY(pool_mutex);
+  std::vector<std::unique_ptr<CondVar>> wake_ QRE_GUARDED_BY(pool_mutex);
+  std::vector<std::size_t> idle_ QRE_GUARDED_BY(pool_mutex);
+  std::deque<PoolBatch*> pending_ QRE_GUARDED_BY(pool_mutex);
+  bool stopping_ QRE_GUARDED_BY(pool_mutex) = false;
+  std::vector<std::thread> threads_ QRE_GUARDED_BY(pool_mutex);
+};
 
 }  // namespace
 
@@ -114,9 +265,6 @@ json::Array run_batch_indexed(std::size_t num_items, const IndexedRunner& runner
   EstimateCache local_cache(options.cache_capacity);
   EstimateCache* cache = nullptr;
   if (options.use_cache) cache = options.cache != nullptr ? options.cache : &local_cache;
-  FactoryCache& factory_cache = FactoryCache::global();
-  const std::uint64_t factory_hits_before = factory_cache.hits();
-  const std::uint64_t factory_misses_before = factory_cache.misses();
 
   const std::size_t num_workers = resolve_num_workers(options, n);
 
@@ -145,10 +293,10 @@ json::Array run_batch_indexed(std::size_t num_items, const IndexedRunner& runner
     }
   };
 
-  auto work = [&] {
+  const std::function<void()> work = [&] {
     // Propagate the request's collector and span parentage onto this
-    // thread (restored on exit — the inline num_workers<=1 path runs on
-    // the caller's thread, which has its own state to preserve).
+    // thread (restored on exit — the calling thread runs this loop too,
+    // and has its own state to preserve).
     trace::CollectorScope scope(options.timings, batch_span);
     LookupCounts counts;
     for (;;) {
@@ -174,10 +322,7 @@ json::Array run_batch_indexed(std::size_t num_items, const IndexedRunner& runner
   if (num_workers <= 1) {
     work();
   } else {
-    std::vector<std::thread> pool;
-    pool.reserve(num_workers);
-    for (std::size_t w = 0; w < num_workers; ++w) pool.emplace_back(work);
-    for (std::thread& t : pool) t.join();
+    WorkerPool::instance().run(num_workers - 1, work);
   }
 
   if (stats != nullptr) {
@@ -187,8 +332,6 @@ json::Array run_batch_indexed(std::size_t num_items, const IndexedRunner& runner
     stats->cache_hits = cache_counts.hits;
     stats->cache_misses = cache_counts.misses;
     stats->cache_evictions = cache_counts.evictions;
-    stats->factory_cache_hits = factory_cache.hits() - factory_hits_before;
-    stats->factory_cache_misses = factory_cache.misses() - factory_misses_before;
   }
 
   json::Array out;

@@ -1,8 +1,9 @@
 // Concurrent batch execution engine (service layer).
 //
 // Turns the estimator into a service-grade batch executor: expanded sweep
-// items (or hand-written "items" entries) run on a std::thread worker pool
-// of configurable width, with
+// items (or hand-written "items" entries) run at a configurable width on the
+// calling thread plus helpers borrowed from one process-wide worker pool,
+// with
 //
 //  - deterministic output: results are reported in item order regardless of
 //    which worker finishes first;
@@ -42,7 +43,7 @@ namespace qre::service {
 /// recognize them with find("error").
 using JobRunner = std::function<json::Value(const json::Value& job)>;
 
-/// Executes item `index`; called concurrently from the worker pool.
+/// Executes item `index`; called concurrently from the batch's threads.
 using IndexedRunner = std::function<json::Value(std::size_t index)>;
 
 /// Produces the memoization key for item `index` (only called when caching
@@ -53,8 +54,10 @@ using IndexedKeyFn = std::function<std::string(std::size_t index)>;
 using ResultSink = std::function<void(std::size_t index, const json::Value& result)>;
 
 struct EngineOptions {
-  /// Worker threads; 0 means std::thread::hardware_concurrency(). The pool
-  /// never exceeds the number of items, and width 1 runs inline.
+  /// Batch width: at most this many threads run the items, the calling
+  /// thread plus helpers borrowed from the process-wide pool; 0 means
+  /// std::thread::hardware_concurrency(). The width never exceeds the number
+  /// of items, and width 1 runs inline.
   std::size_t num_workers = 0;
   /// Memoize results by canonical item key (duplicated grid points are
   /// computed once).
@@ -80,14 +83,6 @@ struct EngineOptions {
   trace::Collector* timings = nullptr;
 };
 
-/// Aggregate counters for one batch run, echoed as "batchStats" by run_job.
-/// The estimate-cache counters count this batch's own lookups only, however
-/// many requests share the cache: every item that reaches the cache is one
-/// hit or one miss. The factory-cache
-/// counters are deltas of the process-level FactoryCache; they are exposed
-/// to programmatic consumers (benches, the CLI's --cache-stats) but kept
-/// out of to_json(), because prior runs change them and result documents
-/// for identical jobs must stay byte-identical.
 /// Sweep-plan engagement counters, nested as "batchKernel" in the
 /// "batchStats" document of every sweep. Items the plan could not cover
 /// (per-value validation failures, say) run through the per-item fallback
@@ -103,6 +98,10 @@ struct BatchKernelStats {
   std::uint64_t fallback_items = 0;
 };
 
+/// Aggregate counters for one batch run, echoed as "batchStats" by run_job.
+/// The estimate-cache counters count this batch's own lookups only, however
+/// many requests share the cache: every item that reaches the cache is one
+/// hit or one miss.
 struct BatchStats {
   std::size_t num_items = 0;
   std::size_t num_workers = 1;
@@ -110,8 +109,6 @@ struct BatchStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
-  std::uint64_t factory_cache_hits = 0;
-  std::uint64_t factory_cache_misses = 0;
   /// Present iff the batch was a sweep; absent for items batches, keeping
   /// their documents byte-identical to earlier releases.
   std::optional<BatchKernelStats> kernel;
@@ -119,8 +116,8 @@ struct BatchStats {
   json::Value to_json() const;
 };
 
-/// Runs `items` (complete job documents) through `runner` on the worker
-/// pool. The returned array preserves item order; item failures (qre::Error
+/// Runs `items` (complete job documents) through `runner` at the options'
+/// width. The returned array preserves item order; item failures (qre::Error
 /// or any std::exception from the runner) are isolated as structured
 /// {"error": {"code", "message"}} entries. `stats`, when non-null, receives
 /// the run's counters.

@@ -3,6 +3,7 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <random>
@@ -185,6 +186,22 @@ TEST(Json, NumberFormattingMatchesTheReferenceByteForByte) {
   while (cases.size() < 200000) {  // raw bit patterns
     const double d = from_bits(rng());
     if (std::isfinite(d)) cases.push_back(d);
+  }
+  // Ties between two 17-digit values, broken to the even digit.
+  for (double fraction : {0.25, 0.75}) {
+    const double d = std::ldexp(1.0, 50) + fraction;
+    cases.insert(cases.end(), {d, -d});
+  }
+  // Where "%.ng" switches layout: n = 1..17 significant digits at decimal
+  // exponents -5, -4, -1, 0, n - 1 and n, both signs.
+  for (int n = 1; n <= 17; ++n) {
+    for (const char* digits : {"12345678912345678", "99999999999999999"}) {
+      for (int exponent : {-5, -4, -1, 0, n - 1, n}) {
+        const std::string text = std::string(digits, n) + "e" + std::to_string(exponent - (n - 1));
+        const double d = std::strtod(text.c_str(), nullptr);
+        cases.insert(cases.end(), {d, -d});
+      }
+    }
   }
   std::size_t mismatches = 0;
   for (double d : cases) {

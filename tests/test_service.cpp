@@ -3,9 +3,15 @@
 // integration — including parallel-vs-serial equivalence on a Figure 4
 // style batch.
 #include <gtest/gtest.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -377,6 +383,104 @@ TEST(Engine, CacheDeduplicatesIdenticalItems) {
   EXPECT_EQ(stats.cache_misses, 3u);
   EXPECT_EQ(stats.cache_hits, 21u);
   for (int i = 0; i < 24; ++i) EXPECT_EQ(results[i].at("echo").as_int(), i % 3);
+}
+
+TEST(Engine, BatchesReuseOneWorkerPool) {
+  // Width 4 is the calling thread plus three pool helpers; fresh threads per
+  // batch would show up as new kernel thread ids.
+  std::mutex mutex;
+  std::set<long> tids;
+  EngineOptions options;
+  options.num_workers = 4;
+  options.use_cache = false;
+  for (int batch = 0; batch < 50; ++batch) {
+    service::run_batch_indexed(
+        64,
+        [&](std::size_t) {
+          const long tid = syscall(SYS_gettid);
+          std::lock_guard<std::mutex> lock(mutex);
+          tids.insert(tid);
+          return json::Value(json::Object{});
+        },
+        nullptr, options);
+  }
+  EXPECT_LE(tids.size(), 4u);
+}
+
+TEST(Engine, NestedBatchCompletesWhileEveryHelperIsBusy) {
+  // A background batch parks one item on every pool helper (and on its own
+  // thread) until released.
+  const std::size_t width = std::max<std::size_t>(8, std::thread::hardware_concurrency());
+  std::atomic<std::size_t> parked{0};
+  std::atomic<bool> released{false};
+  std::thread occupier([&] {
+    EngineOptions busy;
+    busy.num_workers = width;
+    busy.use_cache = false;
+    service::run_batch_indexed(
+        width,
+        [&](std::size_t) {
+          parked.fetch_add(1);
+          while (!released.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          return json::Value(json::Object{});
+        },
+        nullptr, busy);
+  });
+  while (parked.load() < width) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  // No helper is free: the nested batches must finish on their callers.
+  EngineOptions options;
+  options.num_workers = 4;
+  options.use_cache = false;
+  json::Array results = service::run_batch_indexed(
+      6,
+      [&](std::size_t i) {
+        return json::Value(service::run_batch_indexed(
+            5,
+            [i](std::size_t j) { return json::Value(static_cast<std::int64_t>(10 * i + j)); },
+            nullptr, options));
+      },
+      nullptr, options);
+  released = true;
+  occupier.join();
+  ASSERT_EQ(results.size(), 6u);
+  for (std::size_t i = 0; i < 6; ++i) {
+    const json::Array& inner = results[i].as_array();
+    ASSERT_EQ(inner.size(), 5u);
+    for (std::size_t j = 0; j < 5; ++j) {
+      EXPECT_EQ(inner[j].as_int(), static_cast<std::int64_t>(10 * i + j));
+    }
+  }
+}
+
+TEST(Engine, WideBatchKeepsItsWidthAndOrder) {
+  EngineOptions options;
+  options.num_workers = 8;
+  options.use_cache = false;
+  BatchStats stats;
+  json::Array results = service::run_batch_indexed(
+      100, [](std::size_t i) { return json::Value(static_cast<std::int64_t>(i)); }, nullptr,
+      options, &stats);
+  EXPECT_EQ(stats.num_workers, 8u);
+  EXPECT_EQ(stats.to_json().at("numWorkers").as_int(), 8);
+  ASSERT_EQ(results.size(), 100u);
+  for (std::size_t i = 0; i < 100; ++i) {
+    EXPECT_EQ(results[i].as_int(), static_cast<std::int64_t>(i));
+  }
+}
+
+TEST(Engine, SinkFailureReachesTheCallerAndLeavesThePoolUsable) {
+  std::vector<json::Value> items(40, json::Value(json::Object{}));
+  const auto runner = [](const json::Value&) { return json::Value(json::Object{}); };
+  EngineOptions options;
+  options.num_workers = 4;
+  options.use_cache = false;
+  options.on_result = [](std::size_t index, const json::Value&) {
+    if (index == 5) throw std::runtime_error("sink closed");
+  };
+  EXPECT_THROW(service::run_batch(items, runner, options), std::runtime_error);
+  options.on_result = nullptr;
+  EXPECT_EQ(service::run_batch(items, runner, options).size(), 40u);
 }
 
 // -------------------------------------------------- run_job integration ---

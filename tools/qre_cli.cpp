@@ -9,7 +9,7 @@
 //   qre_cli --validate <job.json> dry-run schema check (diagnostics to stderr)
 //   qre_cli --list-profiles      dump the profile registry as JSON
 //   qre_cli --profile-pack <p.json>  register a profile pack before running
-//   qre_cli --jobs N <job.json>  run batch/sweep items on N worker threads
+//   qre_cli --jobs N <job.json>  run batch/sweep items on at most N threads
 //   qre_cli --stream <job.json>  emit batch results as NDJSON, one item/line
 //   qre_cli --sweep <job.json>   expand the sweep grid without estimating
 //   qre_cli --frontier <job.json> explore the adaptive Pareto frontier
@@ -79,7 +79,8 @@ void print_usage(std::FILE* out) {
                "                              schemes, distillation units) as JSON\n"
                "  qre_cli --profile-pack <pack.json>  register a JSON profile pack\n"
                "                              before the job runs (repeatable)\n"
-               "  qre_cli --jobs N <job.json> run batch/sweep items on N worker threads\n"
+               "  qre_cli --jobs N <job.json> run batch/sweep items on at most N threads:\n"
+               "                              this one plus pool helpers\n"
                "  qre_cli --stream <job.json> emit batch results as NDJSON, one item per line\n"
                "  qre_cli --sweep <job.json>  expand the sweep grid and print the items\n"
                "                              without estimating (dry run)\n"

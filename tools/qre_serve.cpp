@@ -57,8 +57,9 @@ void print_usage(std::FILE* out) {
                "  --job-workers N     async job queue workers (default 2)\n"
                "  --backlog N         async job backlog bound; submits beyond it get\n"
                "                      429 (default 64)\n"
-               "  --jobs N            worker threads per batch/sweep request\n"
-               "                      (default: hardware concurrency)\n"
+               "  --jobs N            threads per batch/sweep request, at most: the\n"
+               "                      request thread plus helpers from one shared\n"
+               "                      pool (default: hardware concurrency)\n"
                "  --cache-capacity N  shared estimate-cache entry bound (LRU; 0 =\n"
                "                      unbounded; default %zu)\n"
                "  --cache-dir DIR     persistent estimate store: prewarm from\n"
