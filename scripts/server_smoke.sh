@@ -3,7 +3,8 @@
 # locally: starts the server on an ephemeral port, exercises the endpoint
 # surface with curl (health, version, profiles, validate, sync estimate of
 # the checked-in Figure 4 sweep, the same sweep from 4 concurrent clients,
-# async job lifecycle, NDJSON streaming, metrics), then checks that SIGTERM drains gracefully with exit code 0.
+# a sweep the plan composes no input for against the same grid as an items
+# batch, async job lifecycle, NDJSON streaming, metrics), then checks that SIGTERM drains gracefully with exit code 0.
 #
 # usage: scripts/server_smoke.sh [build-dir]   (default: build)
 #
@@ -20,6 +21,7 @@ set -euo pipefail
 BUILD_DIR=${1:-build}
 REPO_DIR=$(cd "$(dirname "$0")/.." && pwd)
 SERVE="$REPO_DIR/$BUILD_DIR/qre_serve"
+CLI="$REPO_DIR/$BUILD_DIR/qre_cli"
 JOB="$REPO_DIR/examples/fig4_sweep_job.json"
 FRONTIER_JOB="$REPO_DIR/examples/frontier_job.json"
 WORK_DIR=$(mktemp -d)
@@ -40,6 +42,7 @@ fail() {
 }
 
 [[ -x "$SERVE" ]] || fail "$SERVE not built"
+[[ -x "$CLI" ]] || fail "$CLI not built"
 
 CACHE_DIR="$WORK_DIR/cache"
 TRACE_FILE="$WORK_DIR/trace.json"
@@ -88,6 +91,32 @@ for c in 1 2 3 4; do
   jq -c '.result.results' "$WORK_DIR/concurrent$c.json" | cmp -s - "$WORK_DIR/results.json" \
     || fail "concurrent sweep $c differs from the single request"
 done
+
+# --- a sweep the plan composes no input for ------------------------------
+# A qecScheme axis is outside the sections the sweep plan composes, so every
+# item runs the per-item runner on its on-demand document. The results must
+# equal the same grid posted as an items batch (built with qre_cli --sweep)
+# and run by a fresh qre_cli process without a cache.
+cat > "$WORK_DIR/uncomposed.json" <<'EOF'
+{"logicalCounts": {"numQubits": 20, "tCount": 5000},
+ "sweep": {"qecScheme.maxCodeDistance": [25, 51], "errorBudget": [0.001, 0.01]}}
+EOF
+"$CLI" --sweep "$WORK_DIR/uncomposed.json" | jq -cs '{items: .}' \
+  > "$WORK_DIR/uncomposed_items.json" || fail "qre_cli --sweep"
+curl -fsS -X POST --data-binary "@$WORK_DIR/uncomposed.json" "$BASE/v2/estimate" \
+  > "$WORK_DIR/uncomposed_sweep.json" || fail "uncomposed sweep request"
+jq -e '.success == true and (.result.results | length == 4)
+       and (.result.batchStats | has("batchKernel") | not)' \
+  "$WORK_DIR/uncomposed_sweep.json" > /dev/null || fail "uncomposed sweep payload"
+curl -fsS -X POST --data-binary "@$WORK_DIR/uncomposed_items.json" "$BASE/v2/estimate" \
+  | jq -c '.result.results' > "$WORK_DIR/uncomposed_items_results.json" \
+  || fail "items batch request"
+jq -c '.result.results' "$WORK_DIR/uncomposed_sweep.json" \
+  | cmp -s - "$WORK_DIR/uncomposed_items_results.json" \
+  || fail "uncomposed sweep differs from the same grid as an items batch"
+"$CLI" --no-cache "$WORK_DIR/uncomposed_items.json" | jq -c '.results' \
+  | cmp -s - "$WORK_DIR/uncomposed_items_results.json" \
+  || fail "uncomposed sweep differs from qre_cli on the items batch"
 
 # --- frontier job kind (sync + NDJSON probe stream) -----------------------
 STATUS=$(curl -sS -o "$WORK_DIR/frontier.json" -w '%{http_code}' \

@@ -8,7 +8,6 @@
 #include "common/trace.hpp"
 #include "report/report.hpp"
 #include "service/batch_kernel.hpp"
-#include "service/sweep.hpp"
 
 namespace qre::api {
 
@@ -237,42 +236,39 @@ EstimateResponse run(const EstimateRequest& request, const service::EngineOption
         Diagnostics sink;  // tolerate unknown keys; validation warned above
         return run_single_document(item, registry, &sink);
       };
-      // Sweep grids are planned from their axis values and run through the
-      // plan when it covers them (see service/batch_kernel.hpp); only items
-      // batches and declined sweeps are expanded into documents and run the
-      // per-item path. Both funnel into run_batch_indexed, so the result
-      // array and batch counters are identical either way.
-      service::BatchKernelPlan plan;
-      if (sweep != nullptr) {
-        trace::PhaseTimer phase(timings, "service.plan");
-        plan = service::plan_batch_kernel(doc, registry);
-      }
       service::BatchStats stats;
       json::Array results;
-      if (plan.eligible()) {
+      if (sweep != nullptr) {
+        // Sweep grids are planned from their axis values and never expanded
+        // (see service/batch_kernel.hpp): covered items are composed from
+        // the plan's parsed values, the rest run the per-item runner on
+        // their on-demand documents, all in one run_batch_indexed call.
+        service::BatchKernelPlan plan;
+        {
+          trace::PhaseTimer phase(timings, "service.plan");
+          plan = service::plan_batch_kernel(doc, registry);
+        }
         trace::PhaseTimer phase(timings, "api.execute");
-        results = service::run_batch_kernel(plan, runner, run_options, &stats);
+        const service::IndexedRunner item_runner = [&](std::size_t index) -> json::Value {
+          if (!plan.covers(index)) return runner(plan.item_document(index));
+          return json::Value::raw(report_bytes(estimate(plan.item_input(index))));
+        };
+        const service::IndexedKeyFn key_fn = [&plan](std::size_t index) {
+          return plan.item_key(index);
+        };
+        results =
+            service::run_batch_indexed(plan.num_items(), item_runner, key_fn, run_options, &stats);
       } else {
         std::vector<json::Value> expanded;
         {
           trace::PhaseTimer phase(timings, "api.expand");
-          if (sweep != nullptr) {
-            expanded = service::expand_sweep(doc);
-          } else {
-            expanded.reserve(items->as_array().size());
-            for (const json::Value& item : items->as_array()) {
-              expanded.push_back(merge_job_item(doc, item));
-            }
+          expanded.reserve(items->as_array().size());
+          for (const json::Value& item : items->as_array()) {
+            expanded.push_back(merge_job_item(doc, item));
           }
         }
         trace::PhaseTimer phase(timings, "api.execute");
         results = service::run_batch(expanded, runner, run_options, &stats);
-        if (sweep != nullptr) {
-          service::BatchKernelStats declined;
-          declined.reason = plan.reason();
-          declined.fallback_items = expanded.size();
-          stats.kernel = std::move(declined);
-        }
       }
       json::Object out;
       out.emplace_back("results", json::Value(std::move(results)));

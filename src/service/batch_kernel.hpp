@@ -1,44 +1,34 @@
-// The sweep plan: per-value parsing and spliced cache keys for sweep grids.
+// The sweep plan: the one evaluator of sweep grids.
 //
 // Dense sweep grids — the paper's Fig. 3/4 workloads — are cartesian
-// products of a handful of axis values over one base document, yet the
-// per-item path re-parses and re-validates the full JSON item and rebuilds
-// an EstimationInput for every grid point. The plan works from the job
-// document alone and never expands the grid:
+// products of a handful of axis values over one base document. The plan
+// works from the job document alone and never expands the grid:
+// plan_batch_kernel() resolves the axes, applies expand_sweep's item cap,
+// builds one probe document per axis VALUE (not one per grid item), and
+// precomputes the canonical cache-key skeleton, so per-item keys are
+// spliced rather than re-serialized. api::run then evaluates the grid with
+// one run_batch_indexed call:
 //
-//  * plan_batch_kernel() analyzes the sweep ONCE: it resolves the axes,
-//    checks the grid against expand_sweep's item cap, parses and validates
-//    each axis VALUE once (one probe document per value, not one document
-//    per grid item), keeps the parsed input of every value, and
-//    precomputes the canonical cache-key skeleton so per-item keys are
-//    spliced, not re-serialized;
-//  * run_batch_kernel() evaluates a grid item as estimate() on a copy of the
-//    plan's reference input with each axis's section copied in from the
-//    picked value;
-//  * items the plan cannot cover — an axis value whose probe document fails
-//    validation — run through the per-item fallback runner on the document
-//    item_document() builds for them, so mixed batches produce exactly the
-//    documents the per-item path would.
+//  * an item the plan covers runs estimate() on a copy of the plan's
+//    reference input with each axis's section copied in from the picked
+//    value's parsed probe;
+//  * every other item runs the per-item runner on the document
+//    item_document() builds for it, byte-identical to
+//    expand_sweep(job)[index].
 //
-// Eligibility is conservative; plan_batch_kernel() declines (with a reason
-// recorded in batchStats.batchKernel) whenever per-axis-value analysis could
-// diverge from per-item semantics, and whenever expand_sweep would throw:
+// The plan composes inputs only where per-value parsing cannot diverge
+// from per-item semantics. It composes none when the estimateType is not
+// "singlePoint", when an axis targets a section other than logicalCounts,
+// errorBudget, constraints, or qubitParams (dotted paths into them
+// included), when two axes target one section, or when a qubitParams axis
+// meets a base qecScheme (scheme resolution would depend on the combined
+// document). It composes no item picking a value whose probe fails
+// validation. When the key skeleton is ambiguous, item_key() falls back to
+// canonical_key() of the item document.
 //
-//  * the job must be a sweep (not items/frontier) with estimateType absent
-//    or "singlePoint";
-//  * the axes must resolve and the grid must fit kMaxSweepItems;
-//  * every axis must target one of the sections logicalCounts, errorBudget,
-//    constraints, or qubitParams (dotted paths into them included), with at
-//    most one axis per section;
-//  * a qubitParams axis is rejected when the base document pins a qecScheme
-//    (the scheme resolution would depend on the combined document);
-//  * the spliced key skeleton must round-trip canonical_key() exactly
-//    (checked structurally at plan time; degenerate documents decline).
-//
-// A declined sweep is expanded and runs the per-item path, which reports
-// any error the plan declined on. The plan is asserted bit-identical to
-// that path — same estimate() arithmetic, same report rendering, same cache
-// keys, same grid documents — by tests/test_batch_kernel.cpp.
+// The plan is asserted bit-identical to the per-item path — same
+// estimate() arithmetic, same report bytes, same cache keys, same grid
+// documents, same errors — by tests/test_batch_kernel.cpp.
 #pragma once
 
 #include <cstddef>
@@ -49,7 +39,6 @@
 #include "api/registry.hpp"
 #include "core/estimator.hpp"
 #include "json/json.hpp"
-#include "service/engine.hpp"
 
 namespace qre::service {
 
@@ -63,9 +52,9 @@ struct BatchKernelAxis {
   std::vector<json::Value> values;  // the resolved axis values, in order
   std::size_t stride = 1;           // row-major stride in the grid
 
-  /// Per-value: the parsed input of the value's materialized probe
-  /// document, or nullopt when that document failed validation or parsing
-  /// (items picking the value run the per-item fallback).
+  /// Per-value: the parsed input of the value's probe document, or nullopt
+  /// when that document failed validation or parsing, or when the plan
+  /// composes no inputs (items picking the value run the per-item runner).
   std::vector<std::optional<EstimationInput>> inputs;
 
   /// Per-value canonical dump of the raw axis value, spliced into cache keys.
@@ -78,29 +67,30 @@ struct BatchKernelAxis {
 /// The per-sweep analysis result.
 class BatchKernelPlan {
  public:
-  /// The plan can evaluate this sweep; when false, `reason()` says why and
-  /// the caller runs the per-item path.
+  /// Every plan plan_batch_kernel(job, registry) returns is eligible; only
+  /// the three-argument forwarder below declines, with a reason().
   bool eligible() const { return eligible_; }
   const std::string& reason() const { return reason_; }
 
   std::size_t num_items() const { return num_items_; }
 
-  /// Every value grid item `index` picks passed plan-time validation (else:
-  /// per-item fallback).
+  /// The plan composes the input of grid item `index`: every value it picks
+  /// passed plan-time validation, in a sweep the plan composes at all.
   bool covers(std::size_t index) const;
 
   /// The input of grid item `index`: the reference input with each axis's
   /// section copied from the picked value. Requires covers(index).
   EstimationInput item_input(std::size_t index) const;
 
-  /// The canonical cache key of grid item `index`, spliced from the key
-  /// skeleton and the picked values' dumps. Byte-identical to
-  /// canonical_key() of the expanded item document.
+  /// The canonical cache key of grid item `index`, byte-identical to
+  /// canonical_key(item_document(index)): spliced from the key skeleton
+  /// and the picked values' dumps, or, when the skeleton is ambiguous,
+  /// computed from the item document.
   std::string item_key(std::size_t index) const;
 
   /// The complete job document of grid item `index`, byte-identical to
-  /// expand_sweep(job)[index]. Built on demand: the plan's runner needs one
-  /// only for items it does not cover.
+  /// expand_sweep(job)[index]. Built on demand, for the items the plan
+  /// does not cover.
   json::Value item_document(std::size_t index) const;
 
  private:
@@ -120,31 +110,23 @@ class BatchKernelPlan {
   /// targets (all grid documents share those sections with the base).
   EstimationInput reference_input_;
   /// Key skeleton: literals_[0] + dump(axis key_order_[0]) + literals_[1] +
-  /// ... + literals_[num_axes].
+  /// ... + literals_[num_axes]; empty when the skeleton is ambiguous.
   std::vector<std::string> key_literals_;
   std::vector<std::size_t> key_order_;
 };
 
-/// Analyzes the sweep document `job` against `registry` without expanding
-/// the grid: it builds one probe document per axis value, not one per grid
-/// item. Never throws: any analysis
-/// failure (a malformed axis, a grid over kMaxSweepItems, a path
-/// expand_sweep would reject) yields an ineligible plan whose reason()
-/// explains it, and the caller's expand_sweep then reports the error.
+/// Plans the sweep document `job` against `registry` without expanding the
+/// grid: it builds one probe document per axis value, not one per grid
+/// item. Throws the qre::Error expand_sweep(job) would throw — a malformed
+/// axis, a grid over kMaxSweepItems, the first grid document (row-major)
+/// whose dotted path cannot be set — and nothing else.
 BatchKernelPlan plan_batch_kernel(const json::Value& job, const api::Registry& registry);
 
 /// plan_batch_kernel(job, registry), declined unless `items` (the job's
-/// expand_sweep output) has exactly num_items() entries.
+/// expand_sweep output) has exactly num_items() entries. Kept, with
+/// eligible() and reason(), for servebench/traced.cpp, which times the
+/// plan through it.
 BatchKernelPlan plan_batch_kernel(const json::Value& job, const std::vector<json::Value>& items,
                                   const api::Registry& registry);
-
-/// Evaluates the plan's grid on the engine's worker pool
-/// (run_batch_indexed), so ordering, error isolation, cancellation,
-/// streaming, and cache accounting are shared with the per-item path and
-/// every counter tallies exactly once. Items with invalid axis values run
-/// through `fallback` (the per-item runner) on their item_document().
-/// Requires plan.eligible(). Fills stats->kernel when stats is given.
-json::Array run_batch_kernel(const BatchKernelPlan& plan, const JobRunner& fallback,
-                             const EngineOptions& options = {}, BatchStats* stats = nullptr);
 
 }  // namespace qre::service

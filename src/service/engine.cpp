@@ -23,14 +23,6 @@ json::Value BatchStats::to_json() const {
   o.emplace_back("cacheHits", json::Value(cache_hits));
   o.emplace_back("cacheMisses", json::Value(cache_misses));
   o.emplace_back("cacheEvictions", json::Value(cache_evictions));
-  if (kernel.has_value()) {
-    json::Object k;
-    k.emplace_back("engaged", json::Value(kernel->engaged));
-    if (!kernel->reason.empty()) k.emplace_back("reason", kernel->reason);
-    k.emplace_back("kernelItems", json::Value(kernel->kernel_items));
-    k.emplace_back("fallbackItems", json::Value(kernel->fallback_items));
-    o.emplace_back("batchKernel", json::Value(std::move(k)));
-  }
   return json::Value(std::move(o));
 }
 

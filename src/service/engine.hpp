@@ -25,7 +25,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,21 +82,6 @@ struct EngineOptions {
   trace::Collector* timings = nullptr;
 };
 
-/// Sweep-plan engagement counters, nested as "batchKernel" in the
-/// "batchStats" document of every sweep. Items the plan could not cover
-/// (per-value validation failures, say) run through the per-item fallback
-/// and are counted here — their cache hits/misses still tally through the
-/// same engine counters as planned items, so mixed batches never
-/// double-count.
-struct BatchKernelStats {
-  /// The plan evaluated this batch (false = planning declined; see reason).
-  bool engaged = false;
-  /// Why planning declined the batch; empty when engaged.
-  std::string reason;
-  std::uint64_t kernel_items = 0;
-  std::uint64_t fallback_items = 0;
-};
-
 /// Aggregate counters for one batch run, echoed as "batchStats" by run_job.
 /// The estimate-cache counters count this batch's own lookups only, however
 /// many requests share the cache: every item that reaches the cache is one
@@ -109,9 +93,6 @@ struct BatchStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
-  /// Present iff the batch was a sweep; absent for items batches, keeping
-  /// their documents byte-identical to earlier releases.
-  std::optional<BatchKernelStats> kernel;
 
   json::Value to_json() const;
 };

@@ -1,10 +1,10 @@
 // Tests of the sweep plan (service/batch_kernel.hpp): bit-identity against
 // the per-item path on Fig. 3/4 style and randomized grids, spliced cache
 // keys, on-demand grid documents, exact cache accounting for mixed
-// planned/fallback batches, warm-vs-cold store identity, the grid cap, and
-// eligibility declines. The per-item
-// reference is the same grid submitted as an "items" batch of the expanded
-// documents, which never consults the plan.
+// planned/per-item batches, warm-vs-cold store identity, the grid cap,
+// expand_sweep's errors, and sweeps the plan does not compose. The
+// per-item reference is the same grid submitted as an "items" batch of the
+// expanded documents, which never consults the plan.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -52,8 +52,7 @@ json::Value run_items(const json::Value& sweep_job) {
 }
 
 // Asserts both runs produced byte-identical result arrays and the same
-// top-level batch counters (batchStats differs only by the batchKernel
-// block, which records which path ran).
+// top-level batch counters.
 void expect_bit_identical(const json::Value& planned, const json::Value& reference) {
   const json::Array& a = planned.at("results").as_array();
   const json::Array& b = reference.at("results").as_array();
@@ -67,8 +66,13 @@ void expect_bit_identical(const json::Value& planned, const json::Value& referen
   EXPECT_EQ(sa.at("numErrors").dump(), sb.at("numErrors").dump());
 }
 
-const json::Value& kernel_stats(const json::Value& result) {
-  return result.at("batchStats").at("batchKernel");
+/// How many of the sweep's grid items the plan composes from its parsed
+/// axis values; the rest run the per-item runner.
+std::size_t covered_items(const json::Value& job) {
+  const service::BatchKernelPlan plan = service::plan_batch_kernel(job, api::Registry::global());
+  std::size_t covered = 0;
+  for (std::size_t i = 0; i < plan.num_items(); ++i) covered += plan.covers(i) ? 1 : 0;
+  return covered;
 }
 
 // ----------------------------------------------------------- engagement ---
@@ -84,35 +88,24 @@ const char* kFig4StyleSweep = R"({
   }
 })";
 
-TEST(BatchKernel, EngagesOnFig4StyleSweep) {
-  json::Value result = run_sweep(json::parse(kFig4StyleSweep));
-  const json::Value& ks = kernel_stats(result);
-  EXPECT_TRUE(ks.at("engaged").as_bool());
-  EXPECT_EQ(ks.find("reason"), nullptr);
-  EXPECT_EQ(ks.at("kernelItems").as_uint(), 28u);  // 4 profiles x 7 budgets
-  EXPECT_EQ(ks.at("fallbackItems").as_uint(), 0u);
-  EXPECT_EQ(result.at("batchStats").at("numItems").as_uint(), 28u);
-}
-
-TEST(BatchKernel, ItemsBatchesOmitTheStatsBlock) {
-  // Hand-written "items" batches must keep their batchStats documents
-  // byte-identical to releases before the sweep plan.
-  json::Value items_job = json::parse(R"({
-    "logicalCounts": {"numQubits": 50, "tCount": 50000},
-    "items": [{"errorBudget": 0.001}, {"errorBudget": 0.01}]
-  })");
-  json::Value items_result = run_sweep(items_job);
-  EXPECT_EQ(items_result.at("batchStats").find("batchKernel"), nullptr);
+TEST(BatchKernel, SweepBatchStatsHaveTheItemsBatchFields) {
+  // A sweep's batchStats carries exactly the fields of the same grid run
+  // as an "items" batch: which items the plan composed is not reported.
+  const json::Value job = json::parse(kFig4StyleSweep);
+  auto fields = [](const json::Value& result) {
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : result.at("batchStats").as_object()) keys.push_back(key);
+    return keys;
+  };
+  EXPECT_EQ(fields(run_sweep(job)), fields(run_items(job)));
 }
 
 // ------------------------------------------------------- bit identity ---
 
 TEST(BatchKernel, BitIdenticalToPerItemPathOnFig4StyleGrid) {
   json::Value job = json::parse(kFig4StyleSweep);
-  json::Value kernel = run_sweep(job);
-  json::Value per_item = run_items(job);
-  ASSERT_TRUE(kernel_stats(kernel).at("engaged").as_bool());
-  expect_bit_identical(kernel, per_item);
+  EXPECT_EQ(covered_items(job), 28u);  // 4 profiles x 7 budgets
+  expect_bit_identical(run_sweep(job), run_items(job));
 }
 
 TEST(BatchKernel, BitIdenticalToPerItemPathOnFig3StyleGrid) {
@@ -129,10 +122,8 @@ TEST(BatchKernel, BitIdenticalToPerItemPathOnFig3StyleGrid) {
       "qubitParams": [{"name": "qubit_gate_ns_e3"}, {"name": "qubit_maj_ns_e6"}]
     }
   })");
-  json::Value kernel = run_sweep(job);
-  json::Value per_item = run_items(job);
-  ASSERT_TRUE(kernel_stats(kernel).at("engaged").as_bool());
-  expect_bit_identical(kernel, per_item);
+  EXPECT_EQ(covered_items(job), 6u);
+  expect_bit_identical(run_sweep(job), run_items(job));
 }
 
 TEST(BatchKernel, BitIdenticalOnDottedAxesIntoEverySection) {
@@ -146,12 +137,8 @@ TEST(BatchKernel, BitIdenticalOnDottedAxesIntoEverySection) {
       "constraints.maxTFactories": [2, 8]
     }
   })");
-  json::Value kernel = run_sweep(job);
-  json::Value per_item = run_items(job);
-  ASSERT_TRUE(kernel_stats(kernel).at("engaged").as_bool())
-      << kernel_stats(kernel).dump();
-  EXPECT_EQ(kernel_stats(kernel).at("kernelItems").as_uint(), 8u);
-  expect_bit_identical(kernel, per_item);
+  EXPECT_EQ(covered_items(job), 8u);
+  expect_bit_identical(run_sweep(job), run_items(job));
 }
 
 TEST(BatchKernel, ParallelPlanMatchesSerialPlanAndPerItemPath) {
@@ -159,7 +146,6 @@ TEST(BatchKernel, ParallelPlanMatchesSerialPlanAndPerItemPath) {
   json::Value serial = run_sweep(job, 1);
   json::Value parallel = run_sweep(job, 4);
   json::Value per_item = run_items(job);
-  ASSERT_TRUE(kernel_stats(parallel).at("engaged").as_bool());
   expect_bit_identical(parallel, serial);
   expect_bit_identical(parallel, per_item);
 }
@@ -222,21 +208,18 @@ TEST(BatchKernel, RandomizedGridsAreBitIdenticalToPerItemPath) {
   for (int iter = 0; iter < 6; ++iter) {
     const json::Value doc = random_sweep_job(rng);
     const int workers = std::uniform_int_distribution<int>(1, 4)(rng);
-    json::Value kernel = run_sweep(doc, workers);
-    json::Value per_item = run_items(doc);
-    ASSERT_TRUE(kernel_stats(kernel).at("engaged").as_bool())
-        << "iter " << iter << ": " << kernel_stats(kernel).dump();
     SCOPED_TRACE("iter " + std::to_string(iter) + " job " + doc.dump());
-    expect_bit_identical(kernel, per_item);
+    EXPECT_EQ(covered_items(doc), service::expand_sweep(doc).size());
+    expect_bit_identical(run_sweep(doc, workers), run_items(doc));
   }
 }
 
-// -------------------------------------------------- fallback + caching ---
+// ------------------------------------------ per-item items + caching ---
 
-TEST(BatchKernel, InvalidAxisValuesFallBackToIdenticalErrorDocuments) {
+TEST(BatchKernel, InvalidAxisValuesRunPerItemToIdenticalErrorDocuments) {
   // The third qubit value fails validation, so its grid row runs through
-  // the per-item fallback runner; documents must match the per-item path
-  // exactly, including the structured error entries.
+  // the per-item runner; documents must match the per-item path exactly,
+  // including the structured error entries.
   json::Value job = json::parse(R"({
     "logicalCounts": {"numQubits": 50, "tCount": 50000},
     "sweep": {
@@ -248,19 +231,15 @@ TEST(BatchKernel, InvalidAxisValuesFallBackToIdenticalErrorDocuments) {
       "errorBudget": [0.001, 0.01]
     }
   })");
-  json::Value kernel = run_sweep(job);
-  json::Value per_item = run_items(job);
-  const json::Value& ks = kernel_stats(kernel);
-  EXPECT_TRUE(ks.at("engaged").as_bool());
-  EXPECT_EQ(ks.at("kernelItems").as_uint(), 4u);
-  EXPECT_EQ(ks.at("fallbackItems").as_uint(), 2u);
-  EXPECT_EQ(kernel.at("batchStats").at("numErrors").as_uint(), 2u);
-  expect_bit_identical(kernel, per_item);
+  json::Value planned = run_sweep(job);
+  EXPECT_EQ(covered_items(job), 4u);
+  EXPECT_EQ(planned.at("batchStats").at("numErrors").as_uint(), 2u);
+  expect_bit_identical(planned, run_items(job));
 }
 
-TEST(BatchKernel, CacheAccountingIsExactAcrossPlannedAndFallbackItems) {
+TEST(BatchKernel, CacheAccountingIsExactAcrossPlannedAndPerItemItems) {
   // 2 qubit values (one invalid) x errorBudget [a, b, a]: six grid items,
-  // four distinct documents. Planned items and fallback items tally hits
+  // four distinct documents. Planned items and per-item items tally hits
   // and misses through the same engine counters — each duplicate is one
   // hit no matter which path computed its original.
   json::Value job = json::parse(R"({
@@ -272,15 +251,12 @@ TEST(BatchKernel, CacheAccountingIsExactAcrossPlannedAndFallbackItems) {
   })");
   json::Value result = run_sweep(job);
   const json::Value& stats = result.at("batchStats");
-  const json::Value& ks = kernel_stats(result);
-  EXPECT_TRUE(ks.at("engaged").as_bool());
-  EXPECT_EQ(ks.at("kernelItems").as_uint(), 3u);
-  EXPECT_EQ(ks.at("fallbackItems").as_uint(), 3u);
+  EXPECT_EQ(covered_items(job), 3u);
   EXPECT_EQ(stats.at("numItems").as_uint(), 6u);
   EXPECT_EQ(stats.at("cacheMisses").as_uint(), 4u);
   EXPECT_EQ(stats.at("cacheHits").as_uint(), 2u);
   // The duplicated budget re-serves both the planned result and the
-  // fallback error document.
+  // per-item error document.
   const json::Array& results = result.at("results").as_array();
   EXPECT_EQ(results[0].dump(), results[2].dump());
   EXPECT_EQ(results[3].dump(), results[5].dump());
@@ -347,46 +323,56 @@ TEST(BatchKernel, WarmStoreReplaysBitIdenticalResults) {
   expect_bit_identical(replay, per_item);
 }
 
-// -------------------------------------------------------- eligibility ---
+// ------------------------------------------------ uncomposable sweeps ---
 
-TEST(BatchKernel, DeclinesRecordReasonAndStillMatchPerItemPath) {
-  struct Case {
-    const char* name;
-    const char* job;
-  };
-  const Case cases[] = {
-      {"frontier estimate type", R"({
-        "logicalCounts": {"numQubits": 20, "tCount": 5000},
-        "estimateType": "frontier",
-        "sweep": {"errorBudget": [0.001, 0.01]}
-      })"},
-      {"two axes in one section", R"({
-        "logicalCounts": {"numQubits": 20, "tCount": 5000},
-        "sweep": {
-          "constraints.maxTFactories": [1, 4],
-          "constraints.logicalDepthFactor": [2, 4]
-        }
-      })"},
-      {"qubit axis with pinned qecScheme", R"({
-        "logicalCounts": {"numQubits": 20, "tCount": 5000},
-        "qecScheme": {"name": "surface_code"},
-        "sweep": {"qubitParams": [{"name": "qubit_gate_ns_e3"}, {"name": "qubit_gate_ns_e4"}]}
-      })"},
-      {"axis outside the planned sections", R"({
-        "logicalCounts": {"numQubits": 20, "tCount": 5000},
-        "sweep": {"qecScheme.name": ["surface_code"], "errorBudget": [0.001, 0.01]}
-      })"},
-  };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    json::Value job = json::parse(c.job);
-    json::Value kernel = run_sweep(job);
-    json::Value per_item = run_items(job);
-    const json::Value& ks = kernel_stats(kernel);
-    EXPECT_FALSE(ks.at("engaged").as_bool());
-    EXPECT_FALSE(ks.at("reason").as_string().empty());
-    EXPECT_EQ(ks.at("kernelItems").as_uint(), 0u);
-    expect_bit_identical(kernel, per_item);
+/// Sweeps the plan composes no input for: every item runs the per-item
+/// runner on its on-demand document.
+const char* const kUncomposableSweeps[] = {
+    // A frontier estimate type.
+    R"({
+      "logicalCounts": {"numQubits": 20, "tCount": 5000},
+      "estimateType": "frontier",
+      "sweep": {"errorBudget": [0.001, 0.01]}
+    })",
+    // Two axes in one section.
+    R"({
+      "logicalCounts": {"numQubits": 20, "tCount": 5000},
+      "sweep": {
+        "constraints.maxTFactories": [1, 4],
+        "constraints.logicalDepthFactor": [2, 4]
+      }
+    })",
+    // A qubit axis with a pinned qecScheme.
+    R"({
+      "logicalCounts": {"numQubits": 20, "tCount": 5000},
+      "qecScheme": {"name": "surface_code"},
+      "sweep": {"qubitParams": [{"name": "qubit_gate_ns_e3"}, {"name": "qubit_gate_ns_e4"}]}
+    })",
+    // An axis outside the planned sections.
+    R"({
+      "logicalCounts": {"numQubits": 20, "tCount": 5000},
+      "sweep": {"qecScheme.name": ["surface_code"], "errorBudget": [0.001, 0.01]}
+    })",
+    // An axis descending through another axis's leaf: the key skeleton is
+    // ambiguous, so keys come from the item documents.
+    R"({
+      "logicalCounts": {"numQubits": 20, "tCount": 5000},
+      "sweep": {
+        "qecScheme": [{"name": "surface_code"},
+                      {"name": "surface_code", "errorCorrectionThreshold": 0.02}],
+        "qecScheme.maxCodeDistance": [25, 51]
+      }
+    })",
+};
+
+TEST(BatchKernel, UncomposableSweepsRunEveryItemPerItem) {
+  for (const char* text : kUncomposableSweeps) {
+    const json::Value job = json::parse(text);
+    SCOPED_TRACE(job.dump());
+    const service::BatchKernelPlan plan = service::plan_batch_kernel(job, api::Registry::global());
+    ASSERT_GT(plan.num_items(), 0u);
+    for (std::size_t i = 0; i < plan.num_items(); ++i) EXPECT_FALSE(plan.covers(i)) << i;
+    expect_bit_identical(run_sweep(job), run_items(job));
   }
 }
 
@@ -395,7 +381,7 @@ TEST(BatchKernel, DeclinesRecordReasonAndStillMatchPerItemPath) {
 TEST(BatchKernel, SplicedKeysMatchCanonicalKeysOfExpandedItems) {
   // Cache correctness hinges on spliced keys being byte-identical to
   // canonical_key() of the expanded documents the per-item path keys on.
-  json::Value job = json::parse(R"({
+  std::vector<json::Value> jobs = {json::parse(R"({
     "logicalCounts": {"numQubits": 60, "tCount": 80000},
     "constraints": {"logicalDepthFactor": 2},
     "sweep": {
@@ -403,14 +389,18 @@ TEST(BatchKernel, SplicedKeysMatchCanonicalKeysOfExpandedItems) {
       "errorBudget": {"start": 1e-4, "stop": 1e-2, "steps": 5, "scale": "log"},
       "constraints.maxTFactories": [1, 2, 16]
     }
-  })");
-  std::vector<json::Value> items = service::expand_sweep(job);
-  service::BatchKernelPlan plan =
-      service::plan_batch_kernel(job, items, api::Registry::global());
-  ASSERT_TRUE(plan.eligible()) << plan.reason();
-  ASSERT_EQ(plan.num_items(), items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    EXPECT_EQ(plan.item_key(i), service::canonical_key(items[i])) << "item " << i;
+  })")};
+  for (const char* text : kUncomposableSweeps) jobs.push_back(json::parse(text));
+  for (const json::Value& job : jobs) {
+    SCOPED_TRACE(job.dump());
+    std::vector<json::Value> items = service::expand_sweep(job);
+    service::BatchKernelPlan plan =
+        service::plan_batch_kernel(job, items, api::Registry::global());
+    ASSERT_TRUE(plan.eligible()) << plan.reason();
+    ASSERT_EQ(plan.num_items(), items.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      EXPECT_EQ(plan.item_key(i), service::canonical_key(items[i])) << "item " << i;
+    }
   }
 }
 
@@ -420,7 +410,6 @@ TEST(BatchKernel, SplicedKeysMatchCanonicalKeysOfExpandedItems) {
 /// the plan builds is byte-identical to expand_sweep's.
 void expect_item_documents_match_expansion(const json::Value& job) {
   const service::BatchKernelPlan plan = service::plan_batch_kernel(job, api::Registry::global());
-  ASSERT_TRUE(plan.eligible()) << plan.reason();
   const std::vector<json::Value> items = service::expand_sweep(job);
   ASSERT_EQ(plan.num_items(), items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
@@ -461,7 +450,7 @@ TEST(BatchKernel, ItemDocumentsMatchExpandedSweepOnDottedRangeAndExplicitAxes) {
         }
       })",
       kFig4StyleSweep,
-      // An invalid value: its items fall back, but the documents still match.
+      // An invalid value: its items run per item; the documents still match.
       R"({
         "logicalCounts": {"numQubits": 50, "tCount": 50000},
         "sweep": {
@@ -477,9 +466,7 @@ TEST(BatchKernel, ItemDocumentsMatchExpandedSweepOnDottedRangeAndExplicitAxes) {
   }
 }
 
-TEST(BatchKernel, FallbackItemsAreRunOnTheirOnDemandDocuments) {
-  // The fallback runner sees exactly the expanded document of each item it
-  // is handed, and is handed exactly the items with an invalid value.
+TEST(BatchKernel, ExactlyTheItemsWithAnInvalidValueRunPerItem) {
   const json::Value job = json::parse(R"({
     "logicalCounts": {"numQubits": 50, "tCount": 50000},
     "sweep": {
@@ -489,21 +476,10 @@ TEST(BatchKernel, FallbackItemsAreRunOnTheirOnDemandDocuments) {
     }
   })");
   const service::BatchKernelPlan plan = service::plan_batch_kernel(job, api::Registry::global());
-  ASSERT_TRUE(plan.eligible()) << plan.reason();
-  const std::vector<json::Value> items = service::expand_sweep(job);
-  std::vector<std::string> seen;
-  const service::JobRunner fallback = [&seen](const json::Value& item) {
-    seen.push_back(item.dump());
-    return json::Value(json::Object{});
-  };
-  EngineOptions serial;
-  serial.num_workers = 1;  // items run in order, on this thread
-  service::BatchStats stats;
-  service::run_batch_kernel(plan, fallback, serial, &stats);
-  const std::vector<std::string> expected = {items[1].dump(), items[4].dump()};
-  EXPECT_EQ(seen, expected);
-  EXPECT_EQ(stats.kernel->kernel_items, 4u);
-  EXPECT_EQ(stats.kernel->fallback_items, 2u);
+  ASSERT_EQ(plan.num_items(), 6u);
+  for (std::size_t i = 0; i < plan.num_items(); ++i) {
+    EXPECT_EQ(plan.covers(i), i % 3 != 1) << "item " << i;
+  }
 }
 
 // ------------------------------------------------------------ grid cap ---
@@ -533,9 +509,8 @@ TEST(BatchKernel, GridOverTheCapAnswersWithTheExpansionError) {
   EXPECT_EQ(response.diagnostics.entries()[0].message,
             "sweep grid exceeds the maximum item count");
 
-  const service::BatchKernelPlan plan =
-      service::plan_batch_kernel(square_sweep(1001, 1000), api::Registry::global());
-  EXPECT_FALSE(plan.eligible());
+  EXPECT_THROW(service::plan_batch_kernel(square_sweep(1001, 1000), api::Registry::global()),
+               Error);
 }
 
 TEST(BatchKernel, GridAtTheCapPlansWithoutExpanding) {
@@ -546,10 +521,42 @@ TEST(BatchKernel, GridAtTheCapPlansWithoutExpanding) {
   const service::BatchKernelPlan plan = service::plan_batch_kernel(job, api::Registry::global());
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  ASSERT_TRUE(plan.eligible()) << plan.reason();
   EXPECT_EQ(plan.num_items(), 1'000'000u);
   EXPECT_TRUE(plan.covers(999'999));
   EXPECT_LT(seconds, 1.0);
+}
+
+// ------------------------------------------------------- path conflicts ---
+
+TEST(BatchKernel, PathConflictsAnswerWithTheFirstExpansionErrorInRowMajorOrder) {
+  // Two values a dotted axis cannot descend through: constraints = 1 on the
+  // slowest axis (first met in axis order, at grid item 2) and
+  // qecScheme = 2 on the next (grid item 1, first in row-major order).
+  // The request fails with exactly the error expand_sweep throws.
+  const json::Value job = json::parse(R"({
+    "logicalCounts": {"numQubits": 20, "tCount": 5000},
+    "sweep": {
+      "constraints": [{"maxTFactories": 2}, 1],
+      "qecScheme": [{"name": "surface_code"}, 2],
+      "constraints.logicalDepthFactor": [2],
+      "qecScheme.maxCodeDistance": [25]
+    }
+  })");
+  std::string expected;
+  try {
+    service::expand_sweep(job);
+  } catch (const Error& e) {
+    expected = e.what();
+  }
+  ASSERT_NE(expected.find("'qecScheme'"), std::string::npos) << expected;
+
+  const api::EstimateRequest request = api::EstimateRequest::parse(job);
+  ASSERT_TRUE(request.ok()) << request.diagnostics.summary();
+  const api::EstimateResponse response = api::run(request);
+  EXPECT_FALSE(response.success);
+  ASSERT_EQ(response.diagnostics.entries().size(), 1u);
+  EXPECT_EQ(response.diagnostics.entries()[0].code, "estimation-failed");
+  EXPECT_EQ(response.diagnostics.entries()[0].message, expected);
 }
 
 }  // namespace

@@ -321,8 +321,8 @@ TEST(ApiTimings, CollectTimingsAppendsBlockWithConsistentPhases) {
 }
 
 TEST(ApiTimings, PlannedSweepsAreNeverExpanded) {
-  // A sweep the plan covers is planned and run; only items batches and
-  // declined sweeps pay for expansion into documents.
+  // Every sweep is planned and run, including those the plan composes no
+  // input for; only items batches pay for expansion into documents.
   const struct {
     const char* job;
     std::vector<std::string> phases;
@@ -332,7 +332,14 @@ TEST(ApiTimings, PlannedSweepsAreNeverExpanded) {
        {"service.plan", "api.execute"}},
       {R"({"logicalCounts": {"numQubits": 10, "tCount": 100},
            "sweep": {"qecScheme.maxCodeDistance": [25, 51]}, "collectTimings": true})",
-       {"service.plan", "api.expand", "api.execute"}},
+       {"service.plan", "api.execute"}},
+      {R"({"logicalCounts": {"numQubits": 10, "tCount": 100},
+           "sweep": {"constraints.maxTFactories": [1, 2],
+                     "constraints.logicalDepthFactor": [1, 2]}, "collectTimings": true})",
+       {"service.plan", "api.execute"}},
+      {R"({"logicalCounts": {"numQubits": 10, "tCount": 100}, "estimateType": "frontier",
+           "sweep": {"errorBudget": [0.001, 0.01]}, "collectTimings": true})",
+       {"service.plan", "api.execute"}},
       {R"({"logicalCounts": {"numQubits": 10, "tCount": 100},
            "items": [{"errorBudget": 0.01}, {}], "collectTimings": true})",
        {"api.expand", "api.execute"}},

@@ -21,7 +21,9 @@
 //   qre_cli --demo               run a built-in demonstration job
 //   qre_cli --version            print the build and schema version
 //   qre_cli -                    read the job document from stdin
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -158,6 +160,24 @@ struct Options {
   std::string path;
 };
 
+/// Parses a decimal integer >= min_value. Text strtoll cannot represent is
+/// an error, not a value silently clamped to LLONG_MAX.
+bool parse_integer(const char* text, long long min_value, long long& out) {
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtoll(text, &end, 10);
+  return end != text && *end == '\0' && errno != ERANGE && out >= min_value;
+}
+
+/// Parses a duration in seconds: finite, > 0, and at most INT_MAX (the
+/// bound of qre_serve's integer timeouts), so the clock deadline computed
+/// from it cannot overflow.
+bool parse_seconds(const char* text, double& out) {
+  char* end = nullptr;
+  out = std::strtod(text, &end);
+  return end != text && *end == '\0' && out > 0 && out <= INT_MAX;
+}
+
 /// Parses argv strictly: unknown flags and extra positional paths are
 /// usage errors (exit code 2), not silently treated as file names.
 int parse_args(int argc, char** argv, Options& opts) {
@@ -183,9 +203,8 @@ int parse_args(int argc, char** argv, Options& opts) {
         std::fprintf(stderr, "error: --cache-capacity requires an entry count\n");
         return 2;
       }
-      char* end = nullptr;
-      const long n = std::strtol(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0' || n < 0) {
+      long long n = 0;
+      if (!parse_integer(argv[++i], 0, n)) {
         std::fprintf(stderr,
                      "error: --cache-capacity expects a non-negative integer, got '%s'\n",
                      argv[i]);
@@ -215,9 +234,8 @@ int parse_args(int argc, char** argv, Options& opts) {
         std::fprintf(stderr, "error: --jobs requires a worker count\n");
         return 2;
       }
-      char* end = nullptr;
-      const long n = std::strtol(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0' || n < 1) {
+      long long n = 0;
+      if (!parse_integer(argv[++i], 1, n)) {
         std::fprintf(stderr, "error: --jobs expects a positive integer, got '%s'\n",
                      argv[i]);
         return 2;
@@ -228,14 +246,11 @@ int parse_args(int argc, char** argv, Options& opts) {
         std::fprintf(stderr, "error: --deadline requires a duration in seconds\n");
         return 2;
       }
-      char* end = nullptr;
-      const double seconds = std::strtod(argv[++i], &end);
-      if (end == nullptr || *end != '\0' || !(seconds > 0)) {
-        std::fprintf(stderr, "error: --deadline expects seconds > 0, got '%s'\n",
-                     argv[i]);
+      if (!parse_seconds(argv[++i], opts.deadline_s)) {
+        std::fprintf(stderr, "error: --deadline expects seconds in (0, %d], got '%s'\n",
+                     INT_MAX, argv[i]);
         return 2;
       }
-      opts.deadline_s = seconds;
     } else if (arg == "--failpoints") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "error: --failpoints requires a spec string\n");
@@ -406,9 +421,7 @@ int run_store_command(int argc, char** argv) {
         std::fprintf(stderr, "error: --max-bytes requires a byte count\n");
         return 2;
       }
-      char* end = nullptr;
-      max_bytes = std::strtoll(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0' || max_bytes < 0) {
+      if (!parse_integer(argv[++i], 0, max_bytes)) {
         std::fprintf(stderr, "error: --max-bytes expects a non-negative integer\n");
         return 2;
       }

@@ -122,6 +122,20 @@ bool parse_size(const char* text, long min_value, long& out, long max_value = LO
   return true;
 }
 
+/// Parses a duration in seconds: finite, > 0, and at most INT_MAX (the
+/// bound of the integer timeouts), so the clock deadlines and waits
+/// computed from it cannot overflow.
+bool parse_seconds(const char* flag, const char* text, double& out) {
+  char* end = nullptr;
+  out = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !(out > 0 && out <= INT_MAX)) {
+    std::fprintf(stderr, "error: %s expects seconds in (0, %d], got '%s'\n", flag, INT_MAX,
+                 text);
+    return false;
+  }
+  return true;
+}
+
 int parse_args(int argc, char** argv, Options& opts) {
   opts.server.port = 8080;
   opts.service.jobs.num_workers = 2;
@@ -173,28 +187,20 @@ int parse_args(int argc, char** argv, Options& opts) {
       opts.service.cache_dir = v;
     } else if (arg == "--persist-interval") {
       const char* v = next("--persist-interval");
-      if (v == nullptr) return 2;
-      char* end = nullptr;
-      const double seconds = std::strtod(v, &end);
-      if (end == nullptr || *end != '\0' || !(seconds > 0)) {
-        std::fprintf(stderr, "error: --persist-interval expects seconds > 0\n");
+      if (v == nullptr ||
+          !parse_seconds("--persist-interval", v, opts.service.persist_interval_s)) {
         return 2;
       }
-      opts.service.persist_interval_s = seconds;
     } else if (arg == "--profile-pack") {
       const char* v = next("--profile-pack");
       if (v == nullptr) return 2;
       opts.profile_packs.emplace_back(v);
     } else if (arg == "--request-deadline") {
       const char* v = next("--request-deadline");
-      if (v == nullptr) return 2;
-      char* end = nullptr;
-      const double seconds = std::strtod(v, &end);
-      if (end == nullptr || *end != '\0' || !(seconds > 0)) {
-        std::fprintf(stderr, "error: --request-deadline expects seconds > 0\n");
+      if (v == nullptr ||
+          !parse_seconds("--request-deadline", v, opts.service.request_deadline_s)) {
         return 2;
       }
-      opts.service.request_deadline_s = seconds;
     } else if (arg == "--recv-timeout") {
       const char* v = next("--recv-timeout");
       if (v == nullptr || !parse_size(v, 0, n, INT_MAX)) return 2;
