@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Asserts qre_cli --help documents every flag the argument parser accepts.
+# Asserts a tool's --help documents every flag its flag tables accept.
 #
-# Usage: check_cli_help.sh <path-to-qre_cli> <path-to-tools/qre_cli.cpp>
+# Usage: check_cli_help.sh <path-to-tool> <path-to-tools/tool.cpp>
 #
-# The accepted-flag list is extracted from the parser source (the
-# `arg == "--..."` comparisons in parse_args), so adding a flag without
-# help text fails the cli_help_documents_flags ctest instead of silently
-# shipping an undocumented option.
+# The accepted-flag list is extracted from the tool source: the names of
+# its qre::flags::Flag rows (`{"--x", ...`). The generated help prints every
+# row of the tool's main table; the text written around it must still name
+# the flags of any other table (qre_cli's store subcommand).
 set -euo pipefail
 
 cli=$1
@@ -14,10 +14,10 @@ src=$2
 
 help_text=$("$cli" --help)
 
-flags=$(grep -oE 'arg == "--?[A-Za-z][A-Za-z-]*"' "$src" \
+flags=$(grep -oE '\{"--?[A-Za-z][A-Za-z-]*",' "$src" \
           | grep -oE -- '--?[A-Za-z][A-Za-z-]*' | sort -u)
 if [ -z "$flags" ]; then
-  echo "error: extracted no flags from $src; did parse_args change shape?" >&2
+  echo "error: extracted no flags from $src; did the flag table change shape?" >&2
   exit 1
 fi
 

@@ -2,26 +2,7 @@
 // JSON job documents the cloud service accepts (paper Section IV-A), built
 // on the v2 API façade (src/api/).
 //
-// Usage:
-//   qre_cli <job.json>           run the job, print the JSON result
-//   qre_cli --text <job.json>    single estimates as a human-readable report
-//   qre_cli --response <job.json> print the full v2 response envelope
-//   qre_cli --validate <job.json> dry-run schema check (diagnostics to stderr)
-//   qre_cli --list-profiles      dump the profile registry as JSON
-//   qre_cli --profile-pack <p.json>  register a profile pack before running
-//   qre_cli --jobs N <job.json>  run batch/sweep items on at most N threads
-//   qre_cli --stream <job.json>  emit batch results as NDJSON, one item/line
-//   qre_cli --sweep <job.json>   expand the sweep grid without estimating
-//   qre_cli --frontier <job.json> explore the adaptive Pareto frontier
-//   qre_cli --no-cache / --cache-capacity N / --cache-stats   cache control
-//   qre_cli --cache-dir DIR      persistent estimate store (read/write-through)
-//   qre_cli --timings <job.json> per-phase timing summary to stderr
-//   qre_cli --trace-file PATH    write a Chrome-trace JSON of the run
-//   qre_cli store <dump|info|merge|gc> ...   offline store tooling
-//   qre_cli --demo               run a built-in demonstration job
-//   qre_cli --version            print the build and schema version
-//   qre_cli -                    read the job document from stdin
-#include <cerrno>
+// Usage: qre_cli --help (the flag table in parse_args generates it).
 #include <chrono>
 #include <climits>
 #include <cstdio>
@@ -36,6 +17,7 @@
 #include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
+#include "common/flags.hpp"
 #include "common/trace.hpp"
 #include "common/version.hpp"
 #include "core/job.hpp"
@@ -66,78 +48,6 @@ const char* kDemoJob = R"({
   ]
 })";
 
-void print_usage(std::FILE* out) {
-  std::fprintf(out,
-               "qre_cli — fault-tolerant quantum resource estimation from JSON jobs\n"
-               "\n"
-               "usage:\n"
-               "  qre_cli <job.json>          run the job, print the JSON result\n"
-               "  qre_cli --text <job.json>   print single estimates as a text report\n"
-               "  qre_cli --response <job.json>  print the full v2 response envelope\n"
-               "                              {schemaVersion, success, diagnostics, result}\n"
-               "  qre_cli --validate <job.json>  dry-run schema check: structured\n"
-               "                              diagnostics to stderr, exit 0 (valid) / 1\n"
-               "  qre_cli --list-profiles     dump the registry (qubit profiles, QEC\n"
-               "                              schemes, distillation units) as JSON\n"
-               "  qre_cli --profile-pack <pack.json>  register a JSON profile pack\n"
-               "                              before the job runs (repeatable)\n"
-               "  qre_cli --jobs N <job.json> run batch/sweep items on at most N threads:\n"
-               "                              this one plus pool helpers\n"
-               "  qre_cli --stream <job.json> emit batch results as NDJSON, one item per line\n"
-               "  qre_cli --sweep <job.json>  expand the sweep grid and print the items\n"
-               "                              without estimating (dry run)\n"
-               "  qre_cli --frontier <job.json>  run the job as an adaptive Pareto\n"
-               "                              frontier exploration (adds a default\n"
-               "                              \"frontier\" section when absent); combine\n"
-               "                              with --stream for one NDJSON line per probe\n"
-               "  qre_cli --no-cache <job.json>  disable result memoization\n"
-               "  qre_cli --cache-capacity N  bound the result cache to N entries\n"
-               "                              (LRU eviction; 0 = unbounded)\n"
-               "  qre_cli --cache-dir DIR     persistent estimate store: prewarm from\n"
-               "                              DIR/estimates.qrestore, write new results\n"
-               "                              through, persist atomically after the run\n"
-               "                              (created if missing; docs/store.md)\n"
-               "  qre_cli --cache-stats <job.json>  print one JSON document with the\n"
-               "                              estimate-cache, factory-cache and (with\n"
-               "                              --cache-dir) store counters to stderr\n"
-               "  qre_cli --deadline S <job.json>  bound the run to S seconds: batch\n"
-               "                              items past the deadline become per-item\n"
-               "                              \"cancelled\" entries, single/frontier runs\n"
-               "                              fail with a deadline-exceeded diagnostic\n"
-               "                              (docs/robustness.md)\n"
-               "  qre_cli --failpoints SPEC   arm fault-injection sites, e.g.\n"
-               "                              'store.persist.before_rename=error' (also\n"
-               "                              via QRE_FAILPOINTS; docs/robustness.md)\n"
-               "  qre_cli --timings <job.json>  print a one-line JSON timing summary to\n"
-               "                              stderr after the run: wall time, items/s,\n"
-               "                              cache hit rate, p50/p99 item latency\n"
-               "                              (docs/observability.md)\n"
-               "  qre_cli --trace-file PATH   record spans during the run and write them\n"
-               "                              as Chrome-trace JSON to PATH (loads in\n"
-               "                              Perfetto / chrome://tracing)\n"
-               "  qre_cli store dump <store>  print store records as NDJSON, one\n"
-               "                              {\"key\", \"result\"} object per line\n"
-               "  qre_cli store info <store>  print header/record statistics as JSON\n"
-               "  qre_cli store merge <a> <b> [...] -o <out>  merge stores\n"
-               "                              (last input wins on duplicate keys)\n"
-               "  qre_cli store gc --max-bytes N <store> [-o <out>]  bound a store,\n"
-               "                              dropping oldest records first (in place\n"
-               "                              unless -o names an output)\n"
-               "  qre_cli --demo              run a built-in demonstration job\n"
-               "  qre_cli --version           print the build and schema version\n"
-               "  qre_cli --help, -h          print this help\n"
-               "  qre_cli -                   read the job document from stdin\n"
-               "\n"
-               "Job documents follow schema v2 (docs/schema_v2.md): logicalCounts plus\n"
-               "optional schemaVersion, qubitParams, qecScheme, errorBudget, constraints,\n"
-               "distillationUnitSpecifications, estimateType (singlePoint | frontier),\n"
-               "and items[] or a \"sweep\" parameter grid for batches, or a \"frontier\"\n"
-               "section for adaptive Pareto exploration (docs/frontier.md). Documents\n"
-               "without schemaVersion are treated as v1 and upgraded in place. Validation\n"
-               "problems are reported as {severity, code, path, message} diagnostics\n"
-               "with JSON-pointer paths.\n");
-}
-
 struct Options {
   bool text_mode = false;
   bool demo = false;
@@ -160,138 +70,137 @@ struct Options {
   std::string path;
 };
 
-/// Parses a decimal integer >= min_value. Text strtoll cannot represent is
-/// an error, not a value silently clamped to LLONG_MAX.
-bool parse_integer(const char* text, long long min_value, long long& out) {
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtoll(text, &end, 10);
-  return end != text && *end == '\0' && errno != ERANGE && out >= min_value;
-}
-
-/// Parses a duration in seconds: finite, > 0, and at most INT_MAX (the
-/// bound of qre_serve's integer timeouts), so the clock deadline computed
-/// from it cannot overflow.
-bool parse_seconds(const char* text, double& out) {
-  char* end = nullptr;
-  out = std::strtod(text, &end);
-  return end != text && *end == '\0' && out > 0 && out <= INT_MAX;
+[[noreturn]] void usage_exit(std::FILE* out, const std::vector<qre::flags::Flag>& table,
+                             int status) {
+  std::fprintf(out,
+               "qre_cli — fault-tolerant quantum resource estimation from JSON jobs\n"
+               "\n"
+               "usage:\n"
+               "  qre_cli [options] <job.json>  run the job, print the JSON result\n"
+               "  qre_cli [options] -           read the job document from stdin\n"
+               "  qre_cli store dump <store>    print store records as NDJSON, one\n"
+               "                                {\"key\", \"result\"} object per line\n"
+               "  qre_cli store info <store>    print header/record statistics as JSON\n"
+               "  qre_cli store merge <a> <b> [...] -o <out>  merge stores\n"
+               "                                (last input wins on duplicate keys)\n"
+               "  qre_cli store gc --max-bytes N <store> [-o <out>]  bound a store,\n"
+               "                                dropping oldest records first (in place\n"
+               "                                unless -o names an output)\n"
+               "\n"
+               "options:\n");
+  qre::flags::print_help(out, table);
+  std::fprintf(out,
+               "\n"
+               "Job documents follow schema v2 (docs/schema_v2.md): logicalCounts plus\n"
+               "optional schemaVersion, qubitParams, qecScheme, errorBudget, constraints,\n"
+               "distillationUnitSpecifications, estimateType (singlePoint | frontier),\n"
+               "and items[] or a \"sweep\" parameter grid for batches, or a \"frontier\"\n"
+               "section for adaptive Pareto exploration (docs/frontier.md). Documents\n"
+               "without schemaVersion are treated as v1 and upgraded in place. Validation\n"
+               "problems are reported as {severity, code, path, message} diagnostics\n"
+               "with JSON-pointer paths.\n");
+  std::exit(status);
 }
 
 /// Parses argv strictly: unknown flags and extra positional paths are
 /// usage errors (exit code 2), not silently treated as file names.
 int parse_args(int argc, char** argv, Options& opts) {
+  using namespace qre::flags;
+  const std::vector<Flag> table = {
+      {"--text", nullptr, "print single estimates as a text report",
+       [&](const char*) { opts.text_mode = true; }},
+      {"--response", nullptr,
+       "print the full v2 response envelope\n"
+       "{schemaVersion, success, diagnostics, result}",
+       [&](const char*) { opts.response_envelope = true; }},
+      {"--validate", nullptr,
+       "dry-run schema check: structured diagnostics to stderr,\n"
+       "exit 0 (valid) / 1",
+       [&](const char*) { opts.validate_only = true; }},
+      {"--list-profiles", nullptr,
+       "dump the registry (qubit profiles, QEC schemes,\n"
+       "distillation units) as JSON",
+       [&](const char*) { opts.list_profiles = true; }},
+      {"--profile-pack", "<pack.json>",
+       "register a JSON profile pack before the job runs\n"
+       "(repeatable)",
+       [&](const char* v) { opts.profile_packs.emplace_back(v); }},
+      {"--jobs", "N",
+       "run batch/sweep items on at most N threads: this one\n"
+       "plus pool helpers (at most 1024)",
+       [&](const char* v) { opts.num_workers = integer("--jobs", v, 1, kMaxWorkers); }},
+      {"--stream", nullptr, "emit batch results as NDJSON, one item per line",
+       [&](const char*) { opts.stream = true; }},
+      {"--sweep", nullptr,
+       "expand the sweep grid and print the items without\n"
+       "estimating (dry run)",
+       [&](const char*) { opts.expand_only = true; }},
+      {"--frontier", nullptr,
+       "run the job as an adaptive Pareto frontier exploration\n"
+       "(adds a default \"frontier\" section when absent); combine\n"
+       "with --stream for one NDJSON line per probe",
+       [&](const char*) { opts.frontier = true; }},
+      {"--no-cache", nullptr, "disable result memoization",
+       [&](const char*) { opts.use_cache = false; }},
+      {"--cache-capacity", "N",
+       "bound the result cache to N entries (LRU eviction; 0 =\n"
+       "unbounded)",
+       [&](const char* v) { opts.cache_capacity = integer("--cache-capacity", v, 0, LLONG_MAX); }},
+      {"--cache-dir", "DIR",
+       "persistent estimate store: prewarm from\n"
+       "DIR/estimates.qrestore, write new results through,\n"
+       "persist atomically after the run (created if missing;\n"
+       "docs/store.md)",
+       [&](const char* v) { opts.cache_dir = nonempty("--cache-dir", v); }},
+      {"--cache-stats", nullptr,
+       "print one JSON document with the estimate-cache,\n"
+       "factory-cache and (with --cache-dir) store counters to\n"
+       "stderr",
+       [&](const char*) { opts.cache_stats = true; }},
+      {"--deadline", "S",
+       "bound the run to S seconds: batch items past the\n"
+       "deadline become per-item \"cancelled\" entries,\n"
+       "single/frontier runs fail with a deadline-exceeded\n"
+       "diagnostic (docs/robustness.md)",
+       [&](const char* v) { opts.deadline_s = seconds("--deadline", v); }},
+      {"--failpoints", "SPEC",
+       "arm fault-injection sites, e.g.\n"
+       "'store.persist.before_rename=error' (also via\n"
+       "QRE_FAILPOINTS; docs/robustness.md)",
+       [&](const char* v) { opts.failpoints = v; }},
+      {"--timings", nullptr,
+       "print a one-line JSON timing summary to stderr after the\n"
+       "run: wall time, items/s, cache hit rate, p50/p99 item\n"
+       "latency (docs/observability.md)",
+       [&](const char*) { opts.timings = true; }},
+      {"--trace-file", "PATH",
+       "record spans during the run and write them as\n"
+       "Chrome-trace JSON to PATH (loads in Perfetto /\n"
+       "chrome://tracing)",
+       [&](const char* v) { opts.trace_file = nonempty("--trace-file", v); }},
+      {"--demo", nullptr, "run a built-in demonstration job",
+       [&](const char*) { opts.demo = true; }},
+      {"--version", nullptr, "print the build and schema version",
+       [](const char*) {
+         std::printf("qre_cli %s (schema v%d)\n", qre::version_string(),
+                     qre::api::kSchemaVersion);
+         std::exit(0);
+       }},
+      {"--help", nullptr, "print this help",
+       [&table](const char*) { usage_exit(stdout, table, 0); }},
+      {"-h", nullptr, "same as --help", [&table](const char*) { usage_exit(stdout, table, 0); }},
+  };
   bool have_path = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--text") {
-      opts.text_mode = true;
-    } else if (arg == "--demo") {
-      opts.demo = true;
-    } else if (arg == "--stream") {
-      opts.stream = true;
-    } else if (arg == "--sweep") {
-      opts.expand_only = true;
-    } else if (arg == "--frontier") {
-      opts.frontier = true;
-    } else if (arg == "--no-cache") {
-      opts.use_cache = false;
-    } else if (arg == "--cache-stats") {
-      opts.cache_stats = true;
-    } else if (arg == "--cache-capacity") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --cache-capacity requires an entry count\n");
-        return 2;
-      }
-      long long n = 0;
-      if (!parse_integer(argv[++i], 0, n)) {
-        std::fprintf(stderr,
-                     "error: --cache-capacity expects a non-negative integer, got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      opts.cache_capacity = static_cast<std::size_t>(n);
-    } else if (arg == "--cache-dir") {
-      if (i + 1 >= argc || argv[i + 1][0] == '\0') {
-        std::fprintf(stderr, "error: --cache-dir requires a directory path\n");
-        return 2;
-      }
-      opts.cache_dir = argv[++i];
-    } else if (arg == "--validate") {
-      opts.validate_only = true;
-    } else if (arg == "--list-profiles") {
-      opts.list_profiles = true;
-    } else if (arg == "--response") {
-      opts.response_envelope = true;
-    } else if (arg == "--profile-pack") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --profile-pack requires a file path\n");
-        return 2;
-      }
-      opts.profile_packs.emplace_back(argv[++i]);
-    } else if (arg == "--jobs") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --jobs requires a worker count\n");
-        return 2;
-      }
-      long long n = 0;
-      if (!parse_integer(argv[++i], 1, n)) {
-        std::fprintf(stderr, "error: --jobs expects a positive integer, got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      opts.num_workers = static_cast<std::size_t>(n);
-    } else if (arg == "--deadline") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --deadline requires a duration in seconds\n");
-        return 2;
-      }
-      if (!parse_seconds(argv[++i], opts.deadline_s)) {
-        std::fprintf(stderr, "error: --deadline expects seconds in (0, %d], got '%s'\n",
-                     INT_MAX, argv[i]);
-        return 2;
-      }
-    } else if (arg == "--failpoints") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --failpoints requires a spec string\n");
-        return 2;
-      }
-      opts.failpoints = argv[++i];
-    } else if (arg == "--timings") {
-      opts.timings = true;
-    } else if (arg == "--trace-file") {
-      if (i + 1 >= argc || argv[i + 1][0] == '\0') {
-        std::fprintf(stderr, "error: --trace-file requires a file path\n");
-        return 2;
-      }
-      opts.trace_file = argv[++i];
-    } else if (arg == "--version") {
-      std::printf("qre_cli %s (schema v%d)\n", qre::version_string(),
-                  qre::api::kSchemaVersion);
-      std::exit(0);
-    } else if (arg == "--help" || arg == "-h") {
-      print_usage(stdout);
-      std::exit(0);
-    } else if (arg.size() > 1 && arg[0] == '-') {
-      std::fprintf(stderr, "error: unknown option '%s'\n\n", arg.c_str());
-      print_usage(stderr);
-      return 2;
-    } else {
-      if (have_path) {
-        std::fprintf(stderr,
-                     "error: multiple job paths given ('%s' and '%s'); "
-                     "qre_cli runs one job document per invocation\n",
-                     opts.path.c_str(), arg.c_str());
-        return 2;
-      }
-      opts.path = arg;
-      have_path = true;
+  const int status = parse(argc, argv, table, [&](const char* arg) {
+    if (have_path) {
+      throw UsageError("multiple job paths given ('" + opts.path + "' and '" + arg +
+                       "'); qre_cli runs one job document per invocation");
     }
-  }
-  if (!opts.demo && !have_path && !opts.list_profiles) {
-    print_usage(stderr);
-    return 2;
-  }
+    opts.path = arg;
+    have_path = true;
+  });
+  if (status != 0) return status;
+  if (!opts.demo && !have_path && !opts.list_profiles) usage_exit(stderr, table, 2);
   if (opts.demo && have_path) {
     std::fprintf(stderr, "error: --demo does not take a job path\n");
     return 2;
@@ -387,58 +296,40 @@ void print_timings_summary(const qre::trace::Collector& timings,
 
 // ------------------------------------------------------- store tooling ---
 
-void print_store_usage(std::FILE* out) {
-  std::fprintf(out,
+[[noreturn]] void store_usage_exit(const std::vector<qre::flags::Flag>& table) {
+  std::fprintf(stderr,
                "usage:\n"
                "  qre_cli store dump <store>                    NDJSON record dump\n"
                "  qre_cli store info <store>                    header/record stats\n"
                "  qre_cli store merge <a> <b> [...] -o <out>    last-wins merge\n"
-               "  qre_cli store gc --max-bytes N <store> [-o <out>]  bound a store\n");
+               "  qre_cli store gc --max-bytes N <store> [-o <out>]  bound a store\n"
+               "\n"
+               "options:\n");
+  qre::flags::print_help(stderr, table);
+  std::exit(2);
 }
 
 /// Dispatches `qre_cli store <subcommand> ...`; argv[0] is "store".
 int run_store_command(int argc, char** argv) {
-  if (argc < 2) {
-    print_store_usage(stderr);
-    return 2;
-  }
-  const std::string sub = argv[1];
-
-  // Shared flag scan: positional paths, -o output, --max-bytes bound.
+  using namespace qre::flags;
   std::vector<std::string> paths;
   std::string output;
   long long max_bytes = -1;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "-o") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: -o requires an output path\n");
-        return 2;
-      }
-      output = argv[++i];
-    } else if (arg == "--max-bytes") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --max-bytes requires a byte count\n");
-        return 2;
-      }
-      if (!parse_integer(argv[++i], 0, max_bytes)) {
-        std::fprintf(stderr, "error: --max-bytes expects a non-negative integer\n");
-        return 2;
-      }
-    } else if (arg.size() > 1 && arg[0] == '-') {
-      std::fprintf(stderr, "error: unknown store option '%s'\n\n", arg.c_str());
-      print_store_usage(stderr);
-      return 2;
-    } else {
-      paths.push_back(arg);
-    }
-  }
+  const std::vector<Flag> table = {
+      {"-o", "<out>", "output store (merge; gc writes in place without it)",
+       [&](const char* v) { output = v; }},
+      {"--max-bytes", "N", "gc size bound in bytes",
+       [&](const char* v) { max_bytes = integer("--max-bytes", v, 0, LLONG_MAX); }},
+  };
+  if (argc < 2) store_usage_exit(table);
+  const std::string sub = argv[1];
+  // argv + 1 makes the subcommand the skipped argv[0].
+  const int status =
+      parse(argc - 1, argv + 1, table, [&](const char* arg) { paths.emplace_back(arg); });
+  if (status != 0) return status;
 
   if (sub == "dump") {
-    if (paths.size() != 1 || !output.empty() || max_bytes >= 0) {
-      print_store_usage(stderr);
-      return 2;
-    }
+    if (paths.size() != 1 || !output.empty() || max_bytes >= 0) store_usage_exit(table);
     qre::store::StoreReader reader(paths[0]);
     const std::size_t skipped =
         reader.for_each([](std::string_view key, std::string_view value) {
@@ -454,10 +345,7 @@ int run_store_command(int argc, char** argv) {
   }
 
   if (sub == "info") {
-    if (paths.size() != 1 || !output.empty() || max_bytes >= 0) {
-      print_store_usage(stderr);
-      return 2;
-    }
+    if (paths.size() != 1 || !output.empty() || max_bytes >= 0) store_usage_exit(table);
     qre::store::StoreReader reader(paths[0]);
     // Full scan so corrupt records are counted, not just declared totals.
     std::size_t intact = 0;
@@ -501,8 +389,7 @@ int run_store_command(int argc, char** argv) {
   }
 
   std::fprintf(stderr, "error: unknown store subcommand '%s'\n\n", sub.c_str());
-  print_store_usage(stderr);
-  return 2;
+  store_usage_exit(table);
 }
 
 }  // namespace

@@ -16,12 +16,10 @@
 //
 // SIGINT/SIGTERM drain gracefully: in-flight requests finish, queued async
 // jobs flip to cancelled, then the process exits 0.
-#include <cerrno>
 #include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -29,6 +27,7 @@
 #include "api/schema.hpp"
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
+#include "common/flags.hpp"
 #include "common/trace.hpp"
 #include "common/version.hpp"
 #include "server/router.hpp"
@@ -44,59 +43,6 @@ extern "C" void handle_stop_signal(int) {
   if (g_server != nullptr) g_server->request_stop();
 }
 
-void print_usage(std::FILE* out) {
-  std::fprintf(out,
-               "qre_serve — HTTP estimation daemon for JSON job documents\n"
-               "\n"
-               "usage: qre_serve [options]\n"
-               "  --port N            TCP port (default 8080; 0 picks an ephemeral port)\n"
-               "  --bind ADDR         IPv4 bind address (default 127.0.0.1)\n"
-               "  --port-file PATH    write the bound port to PATH (for scripts and\n"
-               "                      ephemeral ports)\n"
-               "  --threads N         connection worker threads (default 4)\n"
-               "  --job-workers N     async job queue workers (default 2)\n"
-               "  --backlog N         async job backlog bound; submits beyond it get\n"
-               "                      429 (default 64)\n"
-               "  --jobs N            threads per batch/sweep request, at most: the\n"
-               "                      request thread plus helpers from one shared\n"
-               "                      pool (default: hardware concurrency)\n"
-               "  --cache-capacity N  shared estimate-cache entry bound (LRU; 0 =\n"
-               "                      unbounded; default %zu)\n"
-               "  --cache-dir DIR     persistent estimate store: prewarm from\n"
-               "                      DIR/estimates.qrestore on startup, write results\n"
-               "                      through, persist atomically on drain (the\n"
-               "                      directory is created if missing; docs/store.md)\n"
-               "  --persist-interval S  with --cache-dir, also persist the store\n"
-               "                      every S seconds (default: only on drain)\n"
-               "  --profile-pack P    register a JSON profile pack before serving\n"
-               "                      (repeatable; packs load BEFORE the first request)\n"
-               "  --request-deadline S  bound every POST /v2/estimate run to S seconds:\n"
-               "                      sweeps degrade to per-item \"cancelled\" entries,\n"
-               "                      single/frontier runs answer 408 deadline-exceeded\n"
-               "                      (default: unbounded; docs/robustness.md)\n"
-               "  --recv-timeout S    receive timeout on open connections in seconds\n"
-               "                      (0 disables; default 30)\n"
-               "  --send-timeout S    send timeout in seconds — a reader that stalls\n"
-               "                      longer loses its connection instead of wedging a\n"
-               "                      worker (0 disables; default 30)\n"
-               "  --failpoints SPEC   arm fault-injection sites, e.g.\n"
-               "                      'store.persist.before_rename=crash;engine.evaluate\n"
-               "                      .before=5%%error' (also via the QRE_FAILPOINTS env\n"
-               "                      var; catalog in docs/robustness.md)\n"
-               "  --trace             record spans into the in-memory trace ring;\n"
-               "                      export live via GET /v2/trace\n"
-               "                      (docs/observability.md)\n"
-               "  --trace-file PATH   implies --trace; additionally write the ring as\n"
-               "                      Chrome-trace JSON to PATH on shutdown (loads in\n"
-               "                      Perfetto / chrome://tracing)\n"
-               "  --access-log PATH   append one JSON line per request to PATH\n"
-               "                      ('-' = stderr): request id, route, status,\n"
-               "                      latency, bytes, deadline/cancel flags\n"
-               "  --version           print the version and exit\n"
-               "  --help              this text\n",
-               qre::service::EstimateCache::kDefaultCapacity);
-}
-
 struct Options {
   qre::server::ServerOptions server;
   qre::server::ServiceOptions service;
@@ -107,137 +53,127 @@ struct Options {
   std::vector<std::string> profile_packs;
 };
 
-/// Parses a decimal integer in [min_value, max_value]. Out-of-range text,
-/// including values strtol cannot represent, is an error rather than a
-/// silently clamped or truncated setting.
-bool parse_size(const char* text, long min_value, long& out, long max_value = LONG_MAX) {
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtol(text, &end, 10);
-  if (end == nullptr || *end != '\0' || errno == ERANGE || out < min_value || out > max_value) {
-    std::fprintf(stderr, "error: expected an integer in [%ld, %ld], got '%s'\n", min_value,
-                 max_value, text);
-    return false;
-  }
-  return true;
-}
-
-/// Parses a duration in seconds: finite, > 0, and at most INT_MAX (the
-/// bound of the integer timeouts), so the clock deadlines and waits
-/// computed from it cannot overflow.
-bool parse_seconds(const char* flag, const char* text, double& out) {
-  char* end = nullptr;
-  out = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !(out > 0 && out <= INT_MAX)) {
-    std::fprintf(stderr, "error: %s expects seconds in (0, %d], got '%s'\n", flag, INT_MAX,
-                 text);
-    return false;
-  }
-  return true;
+[[noreturn]] void usage_exit(const std::vector<qre::flags::Flag>& table) {
+  std::printf(
+      "qre_serve — HTTP estimation daemon for JSON job documents\n"
+      "\n"
+      "usage: qre_serve [options]\n");
+  qre::flags::print_help(stdout, table);
+  std::exit(0);
 }
 
 int parse_args(int argc, char** argv, Options& opts) {
+  using namespace qre::flags;
   opts.server.port = 8080;
   opts.service.jobs.num_workers = 2;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s requires a value\n", what);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    long n = 0;
-    if (arg == "--port") {
-      const char* v = next("--port");
-      if (v == nullptr || !parse_size(v, 0, n, 65535)) return 2;
-      opts.server.port = static_cast<std::uint16_t>(n);
-    } else if (arg == "--bind") {
-      const char* v = next("--bind");
-      if (v == nullptr) return 2;
-      opts.server.bind_address = v;
-    } else if (arg == "--port-file") {
-      const char* v = next("--port-file");
-      if (v == nullptr) return 2;
-      opts.port_file = v;
-    } else if (arg == "--threads") {
-      const char* v = next("--threads");
-      if (v == nullptr || !parse_size(v, 1, n)) return 2;
-      opts.server.num_workers = static_cast<std::size_t>(n);
-    } else if (arg == "--job-workers") {
-      const char* v = next("--job-workers");
-      if (v == nullptr || !parse_size(v, 1, n)) return 2;
-      opts.service.jobs.num_workers = static_cast<std::size_t>(n);
-    } else if (arg == "--backlog") {
-      const char* v = next("--backlog");
-      if (v == nullptr || !parse_size(v, 1, n)) return 2;
-      opts.service.jobs.max_backlog = static_cast<std::size_t>(n);
-    } else if (arg == "--jobs") {
-      const char* v = next("--jobs");
-      if (v == nullptr || !parse_size(v, 1, n)) return 2;
-      opts.service.engine.num_workers = static_cast<std::size_t>(n);
-    } else if (arg == "--cache-capacity") {
-      const char* v = next("--cache-capacity");
-      if (v == nullptr || !parse_size(v, 0, n)) return 2;
-      opts.service.engine.cache_capacity = static_cast<std::size_t>(n);
-    } else if (arg == "--cache-dir") {
-      const char* v = next("--cache-dir");
-      if (v == nullptr || *v == '\0') return 2;
-      opts.service.cache_dir = v;
-    } else if (arg == "--persist-interval") {
-      const char* v = next("--persist-interval");
-      if (v == nullptr ||
-          !parse_seconds("--persist-interval", v, opts.service.persist_interval_s)) {
-        return 2;
-      }
-    } else if (arg == "--profile-pack") {
-      const char* v = next("--profile-pack");
-      if (v == nullptr) return 2;
-      opts.profile_packs.emplace_back(v);
-    } else if (arg == "--request-deadline") {
-      const char* v = next("--request-deadline");
-      if (v == nullptr ||
-          !parse_seconds("--request-deadline", v, opts.service.request_deadline_s)) {
-        return 2;
-      }
-    } else if (arg == "--recv-timeout") {
-      const char* v = next("--recv-timeout");
-      if (v == nullptr || !parse_size(v, 0, n, INT_MAX)) return 2;
-      opts.server.receive_timeout_seconds = static_cast<int>(n);
-    } else if (arg == "--send-timeout") {
-      const char* v = next("--send-timeout");
-      if (v == nullptr || !parse_size(v, 0, n, INT_MAX)) return 2;
-      opts.server.send_timeout_seconds = static_cast<int>(n);
-    } else if (arg == "--failpoints") {
-      const char* v = next("--failpoints");
-      if (v == nullptr) return 2;
-      opts.failpoints = v;
-    } else if (arg == "--trace") {
-      opts.trace = true;
-    } else if (arg == "--trace-file") {
-      const char* v = next("--trace-file");
-      if (v == nullptr || *v == '\0') return 2;
-      opts.trace_file = v;
-      opts.trace = true;
-    } else if (arg == "--access-log") {
-      const char* v = next("--access-log");
-      if (v == nullptr || *v == '\0') return 2;
-      opts.service.access_log_path = v;
-    } else if (arg == "--version") {
-      std::printf("qre_serve %s (schema v%d)\n", qre::version_string(),
-                  qre::api::kSchemaVersion);
-      std::exit(0);
-    } else if (arg == "--help" || arg == "-h") {
-      print_usage(stdout);
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "error: unknown option '%s'\n\n", arg.c_str());
-      print_usage(stderr);
-      return 2;
-    }
-  }
-  return 0;
+  const std::vector<Flag> table = {
+      {"--port", "N", "TCP port (default 8080; 0 picks an ephemeral port)",
+       [&](const char* v) {
+         opts.server.port = static_cast<std::uint16_t>(integer("--port", v, 0, 65535));
+       }},
+      {"--bind", "ADDR", "IPv4 bind address (default 127.0.0.1)",
+       [&](const char* v) { opts.server.bind_address = v; }},
+      {"--port-file", "PATH",
+       "write the bound port to PATH (for scripts and\n"
+       "ephemeral ports)",
+       [&](const char* v) { opts.port_file = v; }},
+      {"--threads", "N", "connection worker threads (default 4; at most 1024)",
+       [&](const char* v) { opts.server.num_workers = integer("--threads", v, 1, kMaxWorkers); }},
+      {"--job-workers", "N", "async job queue workers (default 2; at most 1024)",
+       [&](const char* v) {
+         opts.service.jobs.num_workers =
+             integer("--job-workers", v, 1, kMaxWorkers);
+       }},
+      {"--backlog", "N",
+       "async job backlog bound; submits beyond it get\n"
+       "429 (default 64)",
+       [&](const char* v) {
+         opts.service.jobs.max_backlog = integer("--backlog", v, 1, LLONG_MAX);
+       }},
+      {"--jobs", "N",
+       "threads per batch/sweep request, at most: the\n"
+       "request thread plus helpers from one shared\n"
+       "pool (default: hardware concurrency; at most 1024)",
+       [&](const char* v) {
+         opts.service.engine.num_workers = integer("--jobs", v, 1, kMaxWorkers);
+       }},
+      {"--cache-capacity", "N",
+       "shared estimate-cache entry bound (LRU; 0 =\n"
+       "unbounded; default " +
+           std::to_string(qre::service::EstimateCache::kDefaultCapacity) + ")",
+       [&](const char* v) {
+         opts.service.engine.cache_capacity =
+             integer("--cache-capacity", v, 0, LLONG_MAX);
+       }},
+      {"--cache-dir", "DIR",
+       "persistent estimate store: prewarm from\n"
+       "DIR/estimates.qrestore on startup, write results\n"
+       "through, persist atomically on drain (the\n"
+       "directory is created if missing; docs/store.md)",
+       [&](const char* v) { opts.service.cache_dir = nonempty("--cache-dir", v); }},
+      {"--persist-interval", "S",
+       "with --cache-dir, also persist the store\n"
+       "every S seconds (default: only on drain)",
+       [&](const char* v) { opts.service.persist_interval_s = seconds("--persist-interval", v); }},
+      {"--profile-pack", "P",
+       "register a JSON profile pack before serving\n"
+       "(repeatable; packs load BEFORE the first request)",
+       [&](const char* v) { opts.profile_packs.emplace_back(v); }},
+      {"--request-deadline", "S",
+       "bound every POST /v2/estimate run to S seconds:\n"
+       "sweeps degrade to per-item \"cancelled\" entries,\n"
+       "single/frontier runs answer 408 deadline-exceeded\n"
+       "(default: unbounded; docs/robustness.md)",
+       [&](const char* v) { opts.service.request_deadline_s = seconds("--request-deadline", v); }},
+      {"--recv-timeout", "S",
+       "receive timeout on open connections in seconds\n"
+       "(0 disables; default 30)",
+       [&](const char* v) {
+         opts.server.receive_timeout_seconds =
+             static_cast<int>(integer("--recv-timeout", v, 0, INT_MAX));
+       }},
+      {"--send-timeout", "S",
+       "send timeout in seconds — a reader that stalls\n"
+       "longer loses its connection instead of wedging a\n"
+       "worker (0 disables; default 30)",
+       [&](const char* v) {
+         opts.server.send_timeout_seconds =
+             static_cast<int>(integer("--send-timeout", v, 0, INT_MAX));
+       }},
+      {"--failpoints", "SPEC",
+       "arm fault-injection sites, e.g.\n"
+       "'store.persist.before_rename=crash;engine.evaluate\n"
+       ".before=5%error' (also via the QRE_FAILPOINTS env\n"
+       "var; catalog in docs/robustness.md)",
+       [&](const char* v) { opts.failpoints = v; }},
+      {"--trace", nullptr,
+       "record spans into the in-memory trace ring;\n"
+       "export live via GET /v2/trace\n"
+       "(docs/observability.md)",
+       [&](const char*) { opts.trace = true; }},
+      {"--trace-file", "PATH",
+       "implies --trace; additionally write the ring as\n"
+       "Chrome-trace JSON to PATH on shutdown (loads in\n"
+       "Perfetto / chrome://tracing)",
+       [&](const char* v) {
+         opts.trace_file = nonempty("--trace-file", v);
+         opts.trace = true;
+       }},
+      {"--access-log", "PATH",
+       "append one JSON line per request to PATH\n"
+       "('-' = stderr): request id, route, status,\n"
+       "latency, bytes, deadline/cancel flags",
+       [&](const char* v) { opts.service.access_log_path = nonempty("--access-log", v); }},
+      {"--version", nullptr, "print the version and exit",
+       [](const char*) {
+         std::printf("qre_serve %s (schema v%d)\n", qre::version_string(),
+                     qre::api::kSchemaVersion);
+         std::exit(0);
+       }},
+      {"--help", nullptr, "this text", [&table](const char*) { usage_exit(table); }},
+      {"-h", nullptr, "same as --help", [&table](const char*) { usage_exit(table); }},
+  };
+  return parse(argc, argv, table, nullptr);
 }
 
 }  // namespace
