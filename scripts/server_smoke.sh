@@ -158,6 +158,10 @@ curl -fsS "$BASE/metrics" | jq -e '
   .server.requestsTotal >= 8 and
   .estimateCache.misses > 0 and
   .jobs.succeeded >= 1' > /dev/null || fail "metrics"
+# The section layout servebench and the restart leg below read.
+SECTIONS=$(curl -fsS "$BASE/metrics" | jq -c 'keys_unsorted')
+EXPECTED='["server","estimateCache","factoryCache","store","jobs","client","failpoints","trace"]'
+[ "$SECTIONS" = "$EXPECTED" ] || fail "metrics sections: $SECTIONS"
 
 # --- prometheus exposition ------------------------------------------------
 curl -fsS -D "$WORK_DIR/prom_headers" "$BASE/metrics?format=prometheus" \

@@ -184,23 +184,15 @@ std::uint64_t hits(const std::string& name) {
   return it == g_sites.end() ? 0 : it->second.hits;
 }
 
-json::Value stats_to_json() {
-  json::Object triggered;
-  int active = 0;
+std::vector<std::pair<std::string, std::uint64_t>> triggered() {
+  std::vector<std::pair<std::string, std::uint64_t>> out;
   {
     MutexLock lock(g_mutex);
-    active = static_cast<int>(g_sites.size());
-    std::vector<std::pair<std::string, std::uint64_t>> rows;
-    rows.reserve(g_sites.size());
-    for (const auto& [name, site] : g_sites) rows.emplace_back(name, site.hits);
-    std::sort(rows.begin(), rows.end());
-    for (auto& [name, count] : rows) triggered.emplace_back(name, json::Value(count));
+    out.reserve(g_sites.size());
+    for (const auto& [name, site] : g_sites) out.emplace_back(name, site.hits);
   }
-  json::Object body;
-  body.emplace_back("compiledIn", json::Value(compiled_in()));
-  body.emplace_back("active", json::Value(active));
-  body.emplace_back("triggered", json::Value(std::move(triggered)));
-  return json::Value(std::move(body));
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 }  // namespace qre::failpoint

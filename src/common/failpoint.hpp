@@ -30,8 +30,8 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-
-#include "json/json.hpp"
+#include <utility>
+#include <vector>
 
 namespace qre::failpoint {
 
@@ -78,9 +78,10 @@ inline int active_count() {
   return detail::g_active_count.load(std::memory_order_relaxed);
 }
 
-/// Observability snapshot for /metrics: {"compiledIn": bool,
-/// "active": N, "triggered": {site: count, ...}}.
-json::Value stats_to_json();
+/// Every armed site with its trigger count, sorted by name and read under
+/// one lock — the /metrics "failpoints" section (its size is the "active"
+/// gauge).
+std::vector<std::pair<std::string, std::uint64_t>> triggered();
 
 }  // namespace qre::failpoint
 

@@ -122,16 +122,10 @@ void clear() {
   r.dropped = 0;
 }
 
-std::uint64_t dropped() {
+RingStats ring_stats() {
   Ring& r = ring();
   MutexLock lock(r.mutex);
-  return r.dropped;
-}
-
-std::size_t capacity() {
-  Ring& r = ring();
-  MutexLock lock(r.mutex);
-  return r.cap;
+  return {enabled(), r.size, r.dropped, r.cap};
 }
 
 std::vector<Event> snapshot() {
@@ -142,25 +136,6 @@ std::vector<Event> snapshot() {
   out.reserve(r.size);
   for (std::size_t i = 0; i < r.size; ++i) out.push_back(r.events[(r.head + i) % r.cap]);
   return out;
-}
-
-json::Value stats_to_json() {
-  Ring& r = ring();
-  std::size_t events = 0;
-  std::size_t cap = 0;
-  std::uint64_t drops = 0;
-  {
-    MutexLock lock(r.mutex);
-    events = r.size;
-    cap = r.cap;
-    drops = r.dropped;
-  }
-  json::Object out;
-  out.emplace_back("enabled", json::Value(enabled()));
-  out.emplace_back("events", json::Value(static_cast<std::uint64_t>(events)));
-  out.emplace_back("dropped", json::Value(drops));
-  out.emplace_back("capacity", json::Value(static_cast<std::uint64_t>(cap)));
-  return json::Value(std::move(out));
 }
 
 std::string to_chrome_json() {

@@ -71,17 +71,17 @@ void disable();
 /// unchanged).
 void clear();
 
-/// Events overwritten because the ring was full since the last enable/clear.
-std::uint64_t dropped();
-
-/// Ring capacity in events (0 until the first enable()).
-std::size_t capacity();
+/// The ring's state, read under one lock — the /metrics "trace" section.
+struct RingStats {
+  bool enabled = false;
+  std::uint64_t events = 0;    // events held in the ring
+  std::uint64_t dropped = 0;   // overwritten by a full ring since enable/clear
+  std::uint64_t capacity = 0;  // 0 until the first enable()
+};
+RingStats ring_stats();
 
 /// Flushes the calling thread's buffer and copies the ring, oldest first.
 std::vector<Event> snapshot();
-
-/// {"enabled", "events", "dropped", "capacity"} — the /metrics "trace" block.
-json::Value stats_to_json();
 
 /// The ring as a Chrome Trace Event JSON array (one event per line): load
 /// the bytes directly in chrome://tracing or Perfetto. Valid JSON.

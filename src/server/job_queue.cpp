@@ -90,17 +90,10 @@ JobQueue::CancelResult JobQueue::cancel(std::uint64_t id) {
   return CancelResult::kNotCancellable;
 }
 
-json::Value JobQueue::stats_to_json() const {
+JobQueue::Stats JobQueue::stats() const {
   MutexLock lock(mutex_);
-  json::Object out;
-  out.emplace_back("queued", json::Value(static_cast<std::uint64_t>(pending_.size())));
-  out.emplace_back("running", json::Value(static_cast<std::uint64_t>(num_running_)));
-  out.emplace_back("succeeded", json::Value(num_succeeded_));
-  out.emplace_back("failed", json::Value(num_failed_));
-  out.emplace_back("cancelled", json::Value(num_cancelled_));
-  out.emplace_back("backlogLimit", json::Value(static_cast<std::uint64_t>(options_.max_backlog)));
-  out.emplace_back("workers", json::Value(static_cast<std::uint64_t>(workers_.size())));
-  return json::Value(std::move(out));
+  return {pending_.size(), num_running_, num_succeeded_, num_failed_, num_cancelled_,
+          options_.max_backlog, workers_.size()};
 }
 
 void JobQueue::drain() {

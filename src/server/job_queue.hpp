@@ -98,11 +98,19 @@ class JobQueue {
   /// kNotCancellable.
   CancelResult cancel(std::uint64_t id);
 
-  /// {"queued": ..., "running": ..., "succeeded": ..., "failed": ...,
-  ///  "cancelled": ..., "backlogLimit": ...} — lifetime counters for
-  /// terminal states, instantaneous gauges for queued/running (the running
-  /// gauge includes jobs in the cancelling state).
-  json::Value stats_to_json() const;
+  /// Lifetime counters for terminal states and instantaneous gauges for
+  /// queued/running (running includes jobs in the cancelling state), read
+  /// under one lock — the /metrics "jobs" section.
+  struct Stats {
+    std::uint64_t queued = 0;
+    std::uint64_t running = 0;
+    std::uint64_t succeeded = 0;
+    std::uint64_t failed = 0;
+    std::uint64_t cancelled = 0;
+    std::uint64_t backlog_limit = 0;
+    std::uint64_t workers = 0;
+  };
+  Stats stats() const;
 
   /// Graceful shutdown: stop accepting, request cancellation of running
   /// jobs (they terminate as cancelled at the next item boundary), mark the

@@ -1,5 +1,7 @@
 #include "server/metrics.hpp"
 
+#include "server/metrics_registry.hpp"
+
 namespace qre::server {
 
 const std::vector<double>& Metrics::latency_buckets_ms() {
@@ -11,22 +13,21 @@ const std::vector<double>& Metrics::latency_buckets_ms() {
 void Metrics::record(std::string_view route, int status, double latency_ms) {
   const std::vector<double>& buckets = latency_buckets_ms();
   MutexLock lock(mutex_);
-  if (bucket_counts_.empty()) bucket_counts_.assign(buckets.size() + 1, 0);
-  ++total_;
-  latency_total_ms_ += latency_ms;
+  ++counts_.requests_total;
+  counts_.latency_total_ms += latency_ms;
 
   bool found = false;
-  for (auto& [name, count] : by_route_) {
+  for (auto& [name, count] : counts_.by_route) {
     if (name == route) {
       ++count;
       found = true;
       break;
     }
   }
-  if (!found) by_route_.emplace_back(std::string(route), 1);
+  if (!found) counts_.by_route.emplace_back(std::string(route), 1);
 
   const int status_class = status / 100;
-  if (status_class >= 1 && status_class <= 5) ++by_status_class_[status_class - 1];
+  if (status_class >= 1 && status_class <= 5) ++counts_.by_status_class[status_class - 1];
 
   std::size_t bucket = buckets.size();  // overflow bucket
   for (std::size_t i = 0; i < buckets.size(); ++i) {
@@ -35,55 +36,30 @@ void Metrics::record(std::string_view route, int status, double latency_ms) {
       break;
     }
   }
-  ++bucket_counts_[bucket];
+  ++counts_.bucket_counts[bucket];
 }
 
 std::uint64_t Metrics::requests_total() const {
   MutexLock lock(mutex_);
-  return total_;
+  return counts_.requests_total;
+}
+
+Metrics::Snapshot Metrics::snapshot() const {
+  Snapshot out;
+  {
+    MutexLock lock(mutex_);
+    out = counts_;
+  }
+  out.uptime_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
+  out.connections_in_flight = connections_in_flight_.load(std::memory_order_relaxed);
+  out.deadline_exceeded_total = deadline_exceeded_total_.load(std::memory_order_relaxed);
+  out.cancel_requests_total = cancel_requests_total_.load(std::memory_order_relaxed);
+  return out;
 }
 
 json::Value Metrics::to_json() const {
-  const std::vector<double>& buckets = latency_buckets_ms();
-  MutexLock lock(mutex_);
-
-  json::Object out;
-  out.emplace_back("requestsTotal", json::Value(total_));
-  out.emplace_back("uptimeSeconds",
-                   json::Value(std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() - start_)
-                                   .count()));
-  out.emplace_back("connectionsInFlight", json::Value(connections_in_flight()));
-  out.emplace_back("deadlineExceededTotal", json::Value(deadline_exceeded_total()));
-  out.emplace_back("cancelRequestsTotal", json::Value(cancel_requests_total()));
-
-  json::Object by_route;
-  for (const auto& [name, count] : by_route_) by_route.emplace_back(name, json::Value(count));
-  out.emplace_back("requestsByRoute", json::Value(std::move(by_route)));
-
-  json::Object by_status;
-  static const char* kClasses[] = {"1xx", "2xx", "3xx", "4xx", "5xx"};
-  for (std::size_t i = 0; i < by_status_class_.size(); ++i) {
-    by_status.emplace_back(kClasses[i], json::Value(by_status_class_[i]));
-  }
-  out.emplace_back("responsesByStatus", json::Value(std::move(by_status)));
-
-  json::Object latency;
-  json::Array bounds;
-  for (double b : buckets) bounds.push_back(json::Value(b));
-  latency.emplace_back("bucketUpperBoundsMs", json::Value(std::move(bounds)));
-  json::Array counts;
-  if (bucket_counts_.empty()) {
-    for (std::size_t i = 0; i < buckets.size() + 1; ++i) counts.push_back(json::Value(std::uint64_t{0}));
-  } else {
-    for (std::uint64_t c : bucket_counts_) counts.push_back(json::Value(c));
-  }
-  latency.emplace_back("counts", json::Value(std::move(counts)));
-  latency.emplace_back("totalMs", json::Value(latency_total_ms_));
-  latency.emplace_back("count", json::Value(total_));
-  out.emplace_back("latencyMs", json::Value(std::move(latency)));
-
-  return json::Value(std::move(out));
+  return metrics_json({.metrics = this}, {"server"}).at("server");
 }
 
 }  // namespace qre::server

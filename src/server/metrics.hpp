@@ -7,9 +7,10 @@
 // target, so the cardinality is bounded by the route table.
 //
 // Cache counters (estimate cache, T-factory cache) and job-queue state are
-// deliberately NOT stored here — they live with their owners and are merged
-// into the /metrics document by the router, so this module stays a plain
-// request-accounting sink with no dependency on the estimation stack.
+// deliberately NOT stored here — they live with their owners, and the
+// metrics registry (server/metrics_registry.hpp) reads them next to this
+// sink's snapshot(), so this module stays a plain request-accounting sink
+// with no dependency on the estimation stack.
 #pragma once
 
 #include <array>
@@ -29,7 +30,9 @@ namespace qre::server {
 
 class Metrics {
  public:
-  Metrics() : start_(std::chrono::steady_clock::now()) {}
+  Metrics() : start_(std::chrono::steady_clock::now()) {
+    counts_.bucket_counts.assign(latency_buckets_ms().size() + 1, 0);
+  }
 
   /// Upper bucket bounds of the latency histogram, in milliseconds; the
   /// implicit final bucket is +inf.
@@ -42,9 +45,6 @@ class Metrics {
   /// (Server wires its ServerOptions::metrics to the service's instance).
   void connection_opened() { connections_in_flight_.fetch_add(1, std::memory_order_relaxed); }
   void connection_closed() { connections_in_flight_.fetch_sub(1, std::memory_order_relaxed); }
-  std::int64_t connections_in_flight() const {
-    return connections_in_flight_.load(std::memory_order_relaxed);
-  }
 
   /// Resilience counters: estimate runs abandoned at the request deadline,
   /// and accepted DELETE /v2/jobs/{id} cancellations (queued or running).
@@ -54,21 +54,29 @@ class Metrics {
   void record_cancel_request() {
     cancel_requests_total_.fetch_add(1, std::memory_order_relaxed);
   }
-  std::uint64_t deadline_exceeded_total() const {
-    return deadline_exceeded_total_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t cancel_requests_total() const {
-    return cancel_requests_total_.load(std::memory_order_relaxed);
-  }
 
   std::uint64_t requests_total() const;
 
-  /// {"requestsTotal": ..., "requestsByRoute": {...},
-  ///  "responsesByStatus": {"2xx": ..., ...},
-  ///  "uptimeSeconds": ..., "connectionsInFlight": ...,
-  ///  "deadlineExceededTotal": ..., "cancelRequestsTotal": ...,
-  ///  "latencyMs": {"bucketUpperBounds": [...], "counts": [...],
-  ///                "totalMs": ..., "count": ...}}
+  /// Every value of the sink; the counters record() keeps are read under
+  /// one lock, so requests_total equals the sum of bucket_counts.
+  struct Snapshot {
+    std::uint64_t requests_total = 0;
+    double uptime_seconds = 0;
+    std::int64_t connections_in_flight = 0;
+    std::uint64_t deadline_exceeded_total = 0;
+    std::uint64_t cancel_requests_total = 0;
+    std::vector<std::pair<std::string, std::uint64_t>> by_route;  // insertion order
+    std::array<std::uint64_t, 5> by_status_class = {};             // 1xx..5xx
+    std::vector<std::uint64_t> bucket_counts;  // one per bound, then overflow
+    double latency_total_ms = 0;
+  };
+  Snapshot snapshot() const;
+
+  /// The "server" section of GET /metrics, rendered by the metrics
+  /// registry: {"requestsTotal", "uptimeSeconds", "connectionsInFlight",
+  /// "deadlineExceededTotal", "cancelRequestsTotal", "requestsByRoute",
+  /// "responsesByStatus", "latencyMs": {"bucketUpperBoundsMs", "counts",
+  /// "totalMs", "count"}}.
   json::Value to_json() const;
 
  private:
@@ -77,13 +85,8 @@ class Metrics {
   std::atomic<std::uint64_t> deadline_exceeded_total_{0};
   std::atomic<std::uint64_t> cancel_requests_total_{0};
   mutable Mutex mutex_;
-  std::uint64_t total_ QRE_GUARDED_BY(mutex_) = 0;
-  double latency_total_ms_ QRE_GUARDED_BY(mutex_) = 0.0;
-  // insertion order
-  std::vector<std::pair<std::string, std::uint64_t>> by_route_ QRE_GUARDED_BY(mutex_);
-  std::array<std::uint64_t, 5> by_status_class_ QRE_GUARDED_BY(mutex_) = {};  // 1xx..5xx
-  // buckets + overflow
-  std::vector<std::uint64_t> bucket_counts_ QRE_GUARDED_BY(mutex_);
+  // record()'s fields; snapshot() adds the uptime and the atomics
+  Snapshot counts_ QRE_GUARDED_BY(mutex_);
 };
 
 }  // namespace qre::server

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <string_view>
 
 #include "api/api.hpp"
 #include "api/schema.hpp"
@@ -10,9 +11,7 @@
 #include "common/failpoint.hpp"
 #include "common/trace.hpp"
 #include "common/version.hpp"
-#include "server/client.hpp"
-#include "server/prometheus.hpp"
-#include "tfactory/factory_cache.hpp"
+#include "server/metrics_registry.hpp"
 
 namespace qre::server {
 
@@ -57,12 +56,15 @@ bool parse_job_id(const std::string& path, std::uint64_t& id) {
   return true;
 }
 
-json::Value factory_cache_stats() {
-  const FactoryCache& cache = FactoryCache::global();
-  json::Value stats = service::cache_counters_to_json(
-      cache.hits(), cache.misses(), cache.evictions(), cache.size(), cache.capacity());
-  stats.as_object().emplace_back("enabled", json::Value(cache.enabled()));
-  return stats;
+/// Whether one `&`-separated query parameter is exactly
+/// `format=prometheus`; every other query keeps the JSON document.
+bool wants_prometheus(std::string_view query) {
+  for (;;) {
+    const std::size_t amp = query.find('&');
+    if (query.substr(0, amp) == "format=prometheus") return true;
+    if (amp == std::string_view::npos) return false;
+    query.remove_prefix(amp + 1);
+  }
 }
 
 /// Metrics route labels must have bounded cardinality: the method part is
@@ -241,42 +243,16 @@ bool Router::dispatch(const Request& request, const ByteSink& sink, RequestConte
   if (path == "/metrics") {
     ctx.route_label = method_label(request.method) + " /metrics";
     if (request.method != "GET") return method_not_allowed("GET");
-    const bool prometheus =
-        request.query().find("format=prometheus") != std::string::npos;
-    json::Object body;
-    body.emplace_back("server", service_.metrics().to_json());
-    // Engine stats arrive as {"estimateCache": {...}}; splice its entries
-    // so the document reads flat: estimateCache / factoryCache / jobs.
-    json::Value engine_stats = service_.engine().stats_to_json();
-    for (auto& [key, value] : engine_stats.as_object()) {
-      body.emplace_back(key, std::move(value));
-    }
-    body.emplace_back("factoryCache", factory_cache_stats());
-    if (service_.store() != nullptr) {
-      body.emplace_back("store", service_.store()->stats_to_json());
-    } else {
-      json::Object disabled;
-      disabled.emplace_back("enabled", json::Value(false));
-      body.emplace_back("store", json::Value(std::move(disabled)));
-    }
-    body.emplace_back("jobs", service_.jobs().stats_to_json());
-    // Resilience observability: retries performed by in-process clients
-    // (loopback health checks, tests) and the fault-injection registry.
-    json::Object client_stats;
-    client_stats.emplace_back("retriesTotal", json::Value(Client::process_retries()));
-    body.emplace_back("client", json::Value(std::move(client_stats)));
-    body.emplace_back("failpoints", failpoint::stats_to_json());
-    body.emplace_back("trace", trace::stats_to_json());
-    if (prometheus) {
-      // Same document, text exposition: see src/server/prometheus.cpp for
-      // the field → family mapping.
+    const MetricSources sources{&service_.metrics(), &service_.engine().cache(),
+                                service_.store(), &service_.jobs()};
+    if (wants_prometheus(request.query())) {
       Response r;
       r.status = 200;
       r.content_type = kPrometheusContentType;
-      r.body = to_prometheus_text(json::Value(std::move(body)));
+      r.body = metrics_prometheus(sources);
       return send(std::move(r));
     }
-    return send(json_response(200, json::Value(std::move(body))));
+    return send(json_response(200, metrics_json(sources)));
   }
   if (path == "/v2/trace") {
     ctx.route_label = method_label(request.method) + " /v2/trace";

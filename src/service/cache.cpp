@@ -34,18 +34,6 @@ json::Value sorted_copy(const json::Value& v) {
 
 std::string canonical_key(const json::Value& job) { return sorted_copy(job).dump(); }
 
-json::Value cache_counters_to_json(std::uint64_t hits, std::uint64_t misses,
-                                   std::uint64_t evictions, std::size_t size,
-                                   std::size_t capacity) {
-  json::Object out;
-  out.emplace_back("hits", json::Value(hits));
-  out.emplace_back("misses", json::Value(misses));
-  out.emplace_back("evictions", json::Value(evictions));
-  out.emplace_back("size", json::Value(static_cast<std::uint64_t>(size)));
-  out.emplace_back("capacity", json::Value(static_cast<std::uint64_t>(capacity)));
-  return json::Value(std::move(out));
-}
-
 json::Value EstimateCache::get_or_compute(const std::string& key, const Compute& compute,
                                           LookupCounts* counts) {
   std::shared_future<json::Value> future;

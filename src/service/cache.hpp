@@ -37,12 +37,6 @@ namespace qre::service {
 /// affect identity.
 std::string canonical_key(const json::Value& job);
 
-/// The common counter document every cache exports (GET /metrics):
-/// {"hits": ..., "misses": ..., "evictions": ..., "size": ..., "capacity": ...}.
-json::Value cache_counters_to_json(std::uint64_t hits, std::uint64_t misses,
-                                   std::uint64_t evictions, std::size_t size,
-                                   std::size_t capacity);
-
 /// Second-level backing behind an EstimateCache — the seam the persistent
 /// estimate store (store/estimate_store.hpp) plugs into. On an in-memory
 /// miss the cache consults fetch() before computing (read-through) and

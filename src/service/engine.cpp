@@ -26,14 +26,6 @@ json::Value BatchStats::to_json() const {
   return json::Value(std::move(o));
 }
 
-json::Value Engine::stats_to_json() const {
-  json::Object out;
-  out.emplace_back("estimateCache",
-                   cache_counters_to_json(cache_.hits(), cache_.misses(), cache_.evictions(),
-                                          cache_.size(), cache_.capacity()));
-  return json::Value(std::move(out));
-}
-
 namespace {
 
 json::Value error_value(const char* code, const std::string& message) {

@@ -161,10 +161,6 @@ class Engine {
   /// last run.
   void set_store(StoreBacking* store) { cache_.set_backing(store); }
 
-  /// Cumulative (process-lifetime) cache counters, the shape GET /metrics
-  /// embeds: {"estimateCache": {hits, misses, evictions, size, capacity}}.
-  json::Value stats_to_json() const;
-
  private:
   EngineOptions defaults_;
   mutable EstimateCache cache_;

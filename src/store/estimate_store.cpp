@@ -112,35 +112,15 @@ bool EstimateStore::persist(bool force) {
   return true;
 }
 
-json::Value EstimateStore::stats_to_json() const {
+EstimateStore::Stats EstimateStore::stats() const {
   MutexLock lock(mutex_);
-  json::Object out;
-  out.emplace_back("enabled", json::Value(true));
-  out.emplace_back("hits", json::Value(hits_));
-  out.emplace_back("misses", json::Value(misses_));
-  out.emplace_back("records", json::Value(static_cast<std::uint64_t>(records_.size())));
-  out.emplace_back("payloadBytes", json::Value(payload_bytes_));
-  out.emplace_back("loaded", json::Value(static_cast<std::uint64_t>(last_load_.records_loaded)));
-  out.emplace_back("loadSkipped",
-                   json::Value(static_cast<std::uint64_t>(last_load_.records_skipped)));
-  out.emplace_back("persists", json::Value(persists_));
-  out.emplace_back("path", json::Value(path_));
-  return json::Value(std::move(out));
+  return {hits_, misses_, records_.size(), payload_bytes_, last_load_.records_loaded,
+          last_load_.records_skipped, persists_, path_};
 }
 
 std::uint64_t EstimateStore::hits() const {
   MutexLock lock(mutex_);
   return hits_;
-}
-
-std::uint64_t EstimateStore::misses() const {
-  MutexLock lock(mutex_);
-  return misses_;
-}
-
-std::size_t EstimateStore::records() const {
-  MutexLock lock(mutex_);
-  return records_.size();
 }
 
 }  // namespace qre::store

@@ -74,14 +74,21 @@ class EstimateStore : public service::StoreBacking {
   /// persistence problem must not take down serving.
   bool persist(bool force = false);
 
-  /// Store counters for /metrics and --cache-stats:
-  /// {"enabled": true, "hits", "misses", "records", "payloadBytes",
-  ///  "loaded", "loadSkipped", "persists", "path"}.
-  json::Value stats_to_json() const;
+  /// Store counters, read under one lock — the /metrics and --cache-stats
+  /// "store" section.
+  struct Stats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t records = 0;
+    std::uint64_t payload_bytes = 0;
+    std::uint64_t loaded = 0;        // records loaded by the last load()
+    std::uint64_t load_skipped = 0;  // corrupt records the last load() skipped
+    std::uint64_t persists = 0;
+    std::string path;
+  };
+  Stats stats() const;
 
   std::uint64_t hits() const;
-  std::uint64_t misses() const;
-  std::size_t records() const;
 
  private:
   /// A record whose value bytes are shared with the raw leaves handed out.

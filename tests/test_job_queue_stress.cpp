@@ -156,12 +156,12 @@ TEST(JobQueueStress, RacingSubmitPollCancelKeepsInvariants) {
   // from above instead of matching exactly.
   EXPECT_GE(executed.load(), succeeded + failed);
 
-  const json::Value stats = queue.stats_to_json();
-  EXPECT_EQ(stats.at("succeeded").as_uint(), succeeded);
-  EXPECT_EQ(stats.at("failed").as_uint(), failed);
-  EXPECT_EQ(stats.at("cancelled").as_uint(), cancelled_terminal);
-  EXPECT_EQ(stats.at("queued").as_uint(), 0u);
-  EXPECT_EQ(stats.at("running").as_uint(), 0u);
+  const JobQueue::Stats stats = queue.stats();
+  EXPECT_EQ(stats.succeeded, succeeded);
+  EXPECT_EQ(stats.failed, failed);
+  EXPECT_EQ(stats.cancelled, cancelled_terminal);
+  EXPECT_EQ(stats.queued, 0u);
+  EXPECT_EQ(stats.running, 0u);
 }
 
 TEST(JobQueueStress, BoundedBacklogShedsLoadUnderBurst) {
@@ -192,7 +192,7 @@ TEST(JobQueueStress, BoundedBacklogShedsLoadUnderBurst) {
   // ...and every refusal was load shedding, not loss.
   EXPECT_EQ(accepted.load() + rejected.load(), 8u * 64u);
   queue.drain();
-  EXPECT_EQ(queue.stats_to_json().at("cancelled").as_uint(), 8u);
+  EXPECT_EQ(queue.stats().cancelled, 8u);
 }
 
 TEST(JobQueueStress, CancelInterruptsRunningJob) {
@@ -293,9 +293,9 @@ TEST(JobQueueStress, RetentionEvictionRacesDeleteAndPolls) {
   for (std::thread& t : clients) t.join();
   queue.drain();
 
-  const json::Value stats = queue.stats_to_json();
-  EXPECT_EQ(stats.at("queued").as_uint(), 0u);
-  EXPECT_EQ(stats.at("running").as_uint(), 0u);
+  const JobQueue::Stats stats = queue.stats();
+  EXPECT_EQ(stats.queued, 0u);
+  EXPECT_EQ(stats.running, 0u);
 }
 
 TEST(JobQueueStress, ConcurrentDrainsAreIdempotent) {
@@ -308,7 +308,7 @@ TEST(JobQueueStress, ConcurrentDrainsAreIdempotent) {
   std::vector<std::thread> drains;
   for (std::size_t t = 0; t < 4; ++t) drains.emplace_back([&] { queue.drain(); });
   for (std::thread& t : drains) t.join();
-  EXPECT_EQ(queue.stats_to_json().at("queued").as_uint(), 0u);
+  EXPECT_EQ(queue.stats().queued, 0u);
   EXPECT_FALSE(queue.submit(tiny_document(0)).has_value());  // drained = closed
 }
 

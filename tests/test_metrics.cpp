@@ -1,20 +1,25 @@
-// Tests of the serving-metrics sink (src/server/metrics.*) and its
-// Prometheus text exposition (src/server/prometheus.*): latency bucket
-// boundaries, status-class accounting, per-route insertion order, and the
-// JSON-document → exposition-format rendering (cumulative buckets, labeled
-// families, escaping).
+// Tests of the serving-metrics sink (src/server/metrics.*) and the metrics
+// registry that renders it (src/server/metrics_registry.*): latency bucket
+// boundaries, status-class accounting, per-route insertion order, section
+// consistency under concurrent writers, and the Prometheus text exposition
+// (cumulative buckets, labeled families, escaping, detached sources).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "json/json.hpp"
 #include "server/metrics.hpp"
-#include "server/prometheus.hpp"
+#include "server/metrics_registry.hpp"
+#include "service/cache.hpp"
 
 namespace qre {
 namespace {
 
+using server::MetricSources;
 using server::Metrics;
 
 // ------------------------------------------------------ Metrics JSON ---
@@ -93,33 +98,83 @@ TEST(Metrics, FreshInstanceRendersZeroedDocument) {
   for (const json::Value& c : counts) EXPECT_EQ(c.as_uint(), 0u);
 }
 
+TEST(Metrics, ServerSectionStaysConsistentUnderConcurrentRecords) {
+  // Every value of the section comes from one snapshot, so a render never
+  // sees a request counted in the total but not yet in its bucket.
+  Metrics m;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 4; ++t) {
+    writers.emplace_back([&m, &stop, t] {
+      for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        m.record("GET /metrics", 200, static_cast<double>((i + t) % 40));
+      }
+    });
+  }
+  int inconsistent = 0;
+  for (int render = 0; render < 1000; ++render) {
+    const json::Value doc = server::metrics_json(MetricSources{.metrics = &m}, {"server"});
+    const json::Value& section = doc.at("server");
+    const json::Value& latency = section.at("latencyMs");
+    std::uint64_t bucketed = 0;
+    for (const json::Value& c : latency.at("counts").as_array()) bucketed += c.as_uint();
+    const std::uint64_t total = section.at("requestsTotal").as_uint();
+    if (latency.at("count").as_uint() != total || bucketed != total) ++inconsistent;
+  }
+  stop.store(true);
+  for (std::thread& w : writers) w.join();
+  EXPECT_EQ(inconsistent, 0) << "renders whose requestsTotal, latencyMs.count and the "
+                                "sum of latencyMs.counts disagree";
+}
+
+TEST(MetricsRegistry, SectionsSelectTheCacheStatsRows) {
+  // qre_cli --cache-stats: three sections, a detached store reads
+  // {"enabled": false}, and the detached server/jobs sources are not read.
+  service::EstimateCache cache(64);
+  const json::Value doc = server::metrics_json(MetricSources{.estimate_cache = &cache},
+                                               {"estimateCache", "factoryCache", "store"});
+  const json::Object& sections = doc.as_object();
+  ASSERT_EQ(sections.size(), 3u);
+  EXPECT_EQ(sections[0].first, "estimateCache");
+  EXPECT_EQ(sections[1].first, "factoryCache");
+  EXPECT_EQ(sections[2].first, "store");
+  EXPECT_EQ(doc.at("estimateCache").at("capacity").as_uint(), 64u);
+  EXPECT_EQ(doc.at("store").dump(), R"({"enabled":false})");
+}
+
 // ------------------------------------------------- Prometheus text ------
 
 TEST(Prometheus, RendersCountersGaugesAndLabeledMaps) {
-  const json::Value doc = json::parse(R"({
-    "server": {
-      "requestsTotal": 12,
-      "uptimeSeconds": 3.5,
-      "connectionsInFlight": 2,
-      "requestsByRoute": {"POST /v2/estimate": 7, "GET /metrics": 5},
-      "responsesByStatus": {"2xx": 10, "4xx": 1, "5xx": 1}
-    },
-    "estimateCache": {"hits": 4, "misses": 8},
-    "trace": {"enabled": true, "events": 100, "dropped": 0, "capacity": 65536}
-  })");
-  const std::string text = server::to_prometheus_text(doc);
+  Metrics m;
+  for (int i = 0; i < 7; ++i) m.record("POST /v2/estimate", 200, 1.0);
+  for (int i = 0; i < 5; ++i) m.record("GET /metrics", i == 0 ? 404 : 200, 1.0);
+  service::EstimateCache cache(16);
+  for (int i = 0; i < 3; ++i) {
+    cache.get_or_compute("k", [] { return json::Value(json::Object{}); });
+  }
+  const std::string text =
+      server::metrics_prometheus(MetricSources{.metrics = &m, .estimate_cache = &cache});
 
   EXPECT_NE(text.find("# TYPE qre_requests_total counter"), std::string::npos);
-  EXPECT_NE(text.find("qre_requests_total 12"), std::string::npos);
+  EXPECT_NE(text.find("qre_requests_total 12\n"), std::string::npos);
   EXPECT_NE(text.find("# TYPE qre_uptime_seconds gauge"), std::string::npos);
-  EXPECT_NE(text.find("qre_uptime_seconds 3.5"), std::string::npos);
-  EXPECT_NE(text.find("qre_connections_in_flight 2"), std::string::npos);
+  EXPECT_NE(text.find("qre_connections_in_flight 0\n"), std::string::npos);
   EXPECT_NE(text.find(R"(qre_requests_by_route_total{route="POST /v2/estimate"} 7)"),
             std::string::npos);
-  EXPECT_NE(text.find(R"(qre_responses_total{class="2xx"} 10)"), std::string::npos);
-  EXPECT_NE(text.find(R"(qre_cache_hits_total{cache="estimate"} 4)"), std::string::npos);
+  EXPECT_NE(text.find(R"(qre_responses_total{class="2xx"} 11)"), std::string::npos);
+  EXPECT_NE(text.find(R"(qre_responses_total{class="4xx"} 1)"), std::string::npos);
+  EXPECT_NE(text.find(R"(qre_cache_hits_total{cache="estimate"} 2)"), std::string::npos);
+  EXPECT_NE(text.find(R"(qre_cache_misses_total{cache="estimate"} 1)"), std::string::npos);
+  EXPECT_NE(text.find(R"(qre_cache_capacity{cache="estimate"} 16)"), std::string::npos);
   // Booleans render as 0/1 gauges.
-  EXPECT_NE(text.find("qre_trace_enabled 1"), std::string::npos);
+  EXPECT_NE(text.find(R"(qre_cache_enabled{cache="factory"} 1)"), std::string::npos);
+  EXPECT_NE(text.find("qre_store_enabled 0\n"), std::string::npos);
+  // HELP/TYPE once per family, even when two rows share it.
+  const std::string type_line = "# TYPE qre_cache_hits_total counter";
+  const std::size_t first = text.find(type_line);
+  ASSERT_NE(first, std::string::npos);
+  EXPECT_EQ(text.find(type_line, first + 1), std::string::npos);
+  EXPECT_NE(text.find(R"(qre_cache_hits_total{cache="factory"})"), std::string::npos);
   // Every line is a sample or a # comment, and the text ends in a newline.
   ASSERT_FALSE(text.empty());
   EXPECT_EQ(text.back(), '\n');
@@ -135,80 +190,75 @@ TEST(Prometheus, RendersCountersGaugesAndLabeledMaps) {
 }
 
 TEST(Prometheus, HistogramIsCumulativeWithInfAndSum) {
-  const json::Value doc = json::parse(R"({
-    "server": {
-      "latencyMs": {
-        "bucketUpperBoundsMs": [1, 5, 25],
-        "counts": [3, 2, 1, 4],
-        "totalMs": 123.5,
-        "count": 10
-      }
-    }
-  })");
-  const std::string text = server::to_prometheus_text(doc);
+  Metrics m;
+  m.record("GET /a", 200, 0.25);     // le 0.5
+  m.record("GET /a", 200, 0.75);     // le 1
+  m.record("GET /a", 200, 2.0);      // le 2.5
+  m.record("GET /a", 200, 20000.5);  // overflow
+  const std::string text = server::metrics_prometheus(MetricSources{.metrics = &m});
 
   EXPECT_NE(text.find("# TYPE qre_request_latency_ms histogram"), std::string::npos);
   // Per-bucket JSON counts become cumulative exposition counts.
-  EXPECT_NE(text.find(R"(qre_request_latency_ms_bucket{le="1"} 3)"), std::string::npos);
-  EXPECT_NE(text.find(R"(qre_request_latency_ms_bucket{le="5"} 5)"), std::string::npos);
-  EXPECT_NE(text.find(R"(qre_request_latency_ms_bucket{le="25"} 6)"), std::string::npos);
-  EXPECT_NE(text.find(R"(qre_request_latency_ms_bucket{le="+Inf"} 10)"), std::string::npos);
-  EXPECT_NE(text.find("qre_request_latency_ms_sum 123.5"), std::string::npos);
-  EXPECT_NE(text.find("qre_request_latency_ms_count 10"), std::string::npos);
+  EXPECT_NE(text.find(R"(qre_request_latency_ms_bucket{le="0.5"} 1)"), std::string::npos);
+  EXPECT_NE(text.find(R"(qre_request_latency_ms_bucket{le="1"} 2)"), std::string::npos);
+  EXPECT_NE(text.find(R"(qre_request_latency_ms_bucket{le="2.5"} 3)"), std::string::npos);
+  EXPECT_NE(text.find(R"(qre_request_latency_ms_bucket{le="10000"} 3)"), std::string::npos);
+  EXPECT_NE(text.find(R"(qre_request_latency_ms_bucket{le="+Inf"} 4)"), std::string::npos);
+  EXPECT_NE(text.find("qre_request_latency_ms_sum 20003.5\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("qre_request_latency_ms_count 4\n"), std::string::npos);
 }
 
 TEST(Prometheus, NonIntegralSamplesKeepFullPrecision) {
-  const json::Value doc = json::parse(R"({
-    "server": {
-      "uptimeSeconds": 86400.125,
-      "latencyMs": {
-        "bucketUpperBoundsMs": [0.5, 2.5],
-        "counts": [1, 0, 0],
-        "totalMs": 1234567.25,
-        "count": 1
-      }
-    }
-  })");
-  const std::string text = server::to_prometheus_text(doc);
+  Metrics m;
+  m.record("GET /a", 200, 1234567.25);
+  const std::string text = server::metrics_prometheus(MetricSources{.metrics = &m});
   EXPECT_NE(text.find("qre_request_latency_ms_sum 1234567.25\n"), std::string::npos) << text;
-  EXPECT_NE(text.find("qre_uptime_seconds 86400.125\n"), std::string::npos);
-  EXPECT_NE(text.find(R"(qre_request_latency_ms_bucket{le="2.5"} 1)"), std::string::npos);
-  EXPECT_EQ(text.find("e+06"), std::string::npos);
+  EXPECT_NE(text.find(R"(qre_request_latency_ms_bucket{le="2.5"} 0)"), std::string::npos);
+  EXPECT_NE(text.find(R"(qre_request_latency_ms_bucket{le="10"} 0)"), std::string::npos);
+  EXPECT_EQ(text.find("e+0"), std::string::npos);
 }
 
 TEST(Prometheus, EscapesLabelValues) {
-  const json::Value doc = json::parse(R"({
-    "server": {"requestsByRoute": {"GET /weird\"route\\path": 1}}
-  })");
-  const std::string text = server::to_prometheus_text(doc);
-  EXPECT_NE(text.find(R"(route="GET /weird\"route\\path")"), std::string::npos);
+  Metrics m;
+  m.record("GET /weird\"route\\path\nnext", 200, 1.0);
+  const std::string text = server::metrics_prometheus(MetricSources{.metrics = &m});
+  EXPECT_NE(text.find(R"(route="GET /weird\"route\\path\nnext")"), std::string::npos) << text;
 }
 
-TEST(Prometheus, OmitsAbsentFamiliesAndEmptyMaps) {
-  // A minimal document (store disabled, no failpoints): absent JSON paths
-  // must produce no output rather than zero-valued samples.
-  const json::Value doc = json::parse(R"({"server": {"requestsTotal": 1}})");
-  const std::string text = server::to_prometheus_text(doc);
-  EXPECT_NE(text.find("qre_requests_total 1"), std::string::npos);
-  EXPECT_EQ(text.find("qre_store_"), std::string::npos);
-  EXPECT_EQ(text.find("qre_cache_"), std::string::npos);
-  EXPECT_EQ(text.find("qre_failpoint"), std::string::npos);
-  EXPECT_EQ(text.find("qre_requests_by_route_total"), std::string::npos);
+TEST(Prometheus, OmitsDetachedSourcesAndEmptyMaps) {
+  // Only the sink attached, nothing recorded: the detached estimate cache,
+  // store and job queue produce no samples (the store reports itself
+  // disabled), and empty maps produce no labeled samples.
+  Metrics m;
+  const std::string text = server::metrics_prometheus(MetricSources{.metrics = &m});
+  EXPECT_NE(text.find("qre_requests_total 0\n"), std::string::npos);
+  EXPECT_EQ(text.find(R"(cache="estimate")"), std::string::npos);
+  EXPECT_NE(text.find(R"(cache="factory")"), std::string::npos);  // process-wide
+  EXPECT_NE(text.find("qre_store_enabled 0\n"), std::string::npos);
+  EXPECT_EQ(text.find("qre_store_hits"), std::string::npos);
+  EXPECT_EQ(text.find("qre_store_records"), std::string::npos);
+  EXPECT_EQ(text.find("qre_jobs_"), std::string::npos);
+  EXPECT_EQ(text.find("qre_requests_by_route_total{"), std::string::npos);
+  EXPECT_EQ(text.find("qre_failpoint_triggered_total{"), std::string::npos);
+
+  // Without the sink, the server rows go too.
+  const std::string bare = server::metrics_prometheus(MetricSources{});
+  EXPECT_EQ(bare.find("qre_requests_total"), std::string::npos);
+  EXPECT_EQ(bare.find("qre_request_latency_ms"), std::string::npos);
+  EXPECT_NE(bare.find("qre_store_enabled 0\n"), std::string::npos);
 }
 
 TEST(Prometheus, LiveMetricsDocumentRoundTrips) {
-  // End-to-end on a real Metrics instance wrapped the way the router wraps
-  // it: the exposition must carry the recorded totals.
+  // The exposition carries the same totals as the JSON document.
   Metrics m;
   m.record("GET /metrics", 200, 0.4);
   m.record("POST /v2/estimate", 500, 80.0);
-  json::Object root;
-  root.emplace_back("server", m.to_json());
-  const std::string text = server::to_prometheus_text(json::Value(std::move(root)));
+  const std::string text = server::metrics_prometheus(MetricSources{.metrics = &m});
   EXPECT_NE(text.find("qre_requests_total 2"), std::string::npos);
   EXPECT_NE(text.find(R"(qre_responses_total{class="5xx"} 1)"), std::string::npos);
   EXPECT_NE(text.find(R"(qre_request_latency_ms_bucket{le="0.5"} 1)"), std::string::npos);
   EXPECT_NE(text.find("qre_request_latency_ms_count 2"), std::string::npos);
+  EXPECT_EQ(m.to_json().at("requestsTotal").as_uint(), 2u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // through the in-process server::Client.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -27,7 +28,7 @@
 #include "server/client.hpp"
 #include "server/http.hpp"
 #include "server/job_queue.hpp"
-#include "server/prometheus.hpp"
+#include "server/metrics_registry.hpp"
 #include "server/router.hpp"
 #include "server/server.hpp"
 #include "tfactory/factory_cache.hpp"
@@ -650,6 +651,76 @@ TEST(Server, PrometheusFormatRendersTheLiveDocument) {
   // The default format is unchanged: plain /metrics still returns JSON.
   Client::Result plain = fx.client().get("/metrics");
   EXPECT_TRUE(json::parse(plain.body).at("server").is_object());
+
+  // Only a query parameter that is exactly format=prometheus selects the
+  // text format; near misses keep the JSON document.
+  for (const char* target : {"/metrics?xformat=prometheus", "/metrics?format=prometheusX",
+                             "/metrics?a=format=prometheus", "/metrics?format=json"}) {
+    Client::Result other = fx.client().get(target);
+    ASSERT_TRUE(other.ok) << other.error;
+    ASSERT_NE(other.header("Content-Type"), nullptr);
+    EXPECT_EQ(*other.header("Content-Type"), "application/json") << target;
+    EXPECT_TRUE(json::parse(other.body).at("server").is_object()) << target;
+  }
+  Client::Result among = fx.client().get("/metrics?a=1&format=prometheus&b=2");
+  ASSERT_NE(among.header("Content-Type"), nullptr);
+  EXPECT_EQ(*among.header("Content-Type"), server::kPrometheusContentType);
+}
+
+/// The "section.field" keys of a /metrics document, in document order.
+std::vector<std::string> metric_paths(const json::Value& document) {
+  std::vector<std::string> paths;
+  for (const auto& [section, fields] : document.as_object()) {
+    for (const auto& field : fields.as_object()) paths.push_back(section + "." + field.first);
+  }
+  return paths;
+}
+
+TEST(Server, MetricsDocumentKeepsItsShape) {
+  // servebench, the smoke script and dashboards read these paths: the
+  // layout changes only on purpose.
+  std::vector<std::string> expected = {
+      "server.requestsTotal",         "server.uptimeSeconds",
+      "server.connectionsInFlight",   "server.deadlineExceededTotal",
+      "server.cancelRequestsTotal",   "server.requestsByRoute",
+      "server.responsesByStatus",     "server.latencyMs",
+      "estimateCache.hits",           "estimateCache.misses",
+      "estimateCache.evictions",      "estimateCache.size",
+      "estimateCache.capacity",       "factoryCache.hits",
+      "factoryCache.misses",          "factoryCache.evictions",
+      "factoryCache.size",            "factoryCache.capacity",
+      "factoryCache.enabled",         "store.enabled",
+      "jobs.queued",                  "jobs.running",
+      "jobs.succeeded",               "jobs.failed",
+      "jobs.cancelled",               "jobs.backlogLimit",
+      "jobs.workers",                 "client.retriesTotal",
+      "failpoints.compiledIn",        "failpoints.active",
+      "failpoints.triggered",         "trace.enabled",
+      "trace.events",                 "trace.dropped",
+      "trace.capacity",
+  };
+  ASSERT_EQ(expected.size(), 35u);
+  {
+    ServerFixture fx;
+    EXPECT_EQ(metric_paths(json::parse(fx.client().get("/metrics").body)), expected);
+  }
+
+  const std::vector<std::string> store_fields = {
+      "store.hits",   "store.misses",      "store.records",  "store.payloadBytes",
+      "store.loaded", "store.loadSkipped", "store.persists", "store.path"};
+  const auto after_enabled = std::find(expected.begin(), expected.end(), "store.enabled") + 1;
+  expected.insert(after_enabled, store_fields.begin(), store_fields.end());
+  ASSERT_EQ(expected.size(), 43u);
+  char dir_pattern[] = "/tmp/qre_server_shape.XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_pattern), nullptr);
+  server::ServiceOptions options;
+  options.cache_dir = dir_pattern;
+  {
+    ServerFixture fx(options);
+    EXPECT_EQ(metric_paths(json::parse(fx.client().get("/metrics").body)), expected);
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir_pattern, ec);
 }
 
 TEST(Server, TraceEndpointGatesOnTracingAndExportsSpans) {

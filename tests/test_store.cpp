@@ -310,7 +310,7 @@ TEST(EstimateStoreTest, DamagedFileDegradesToColdStart) {
   EXPECT_TRUE(loaded.file_found);
   EXPECT_FALSE(loaded.usable);
   EXPECT_FALSE(loaded.message.empty());
-  EXPECT_EQ(s.records(), 0u);
+  EXPECT_EQ(s.stats().records, 0u);
   // The store still works — and the next persist repairs the file.
   s.record("{\"k\":1}", json::parse("{\"v\":1}"));
   EXPECT_TRUE(s.persist());
@@ -323,7 +323,7 @@ TEST(EstimateStoreTest, ErrorDocumentsAreNotPersisted) {
   EstimateStore s(dir.path);
   s.record("{\"bad\":1}", json::parse("{\"error\":{\"code\":\"x\",\"message\":\"y\"}}"));
   s.record("{\"good\":1}", json::parse("{\"v\":1}"));
-  EXPECT_EQ(s.records(), 1u);
+  EXPECT_EQ(s.stats().records, 1u);
   EXPECT_FALSE(s.fetch("{\"bad\":1}").has_value());
 }
 

@@ -52,7 +52,7 @@ TEST(Trace, DisabledIsInert) {
     EXPECT_EQ(trace::current_span(), 0u);
   }
   EXPECT_TRUE(trace::snapshot().empty());
-  EXPECT_EQ(trace::dropped(), 0u);
+  EXPECT_EQ(trace::ring_stats().dropped, 0u);
   EXPECT_FALSE(trace::enabled());
 }
 
@@ -95,13 +95,13 @@ TEST(Trace, SpanNestingRecordsParentLinks) {
 TEST(Trace, RingIsBoundedAndCountsDrops) {
   TracerGuard guard;
   trace::enable(4);
-  EXPECT_EQ(trace::capacity(), 4u);
+  EXPECT_EQ(trace::ring_stats().capacity, 4u);
   for (int i = 0; i < 10; ++i) {
     trace::Span span("test.fill");
   }
   const std::vector<trace::Event> events = trace::snapshot();
   EXPECT_EQ(events.size(), 4u);
-  EXPECT_EQ(trace::dropped(), 6u);
+  EXPECT_EQ(trace::ring_stats().dropped, 6u);
   // Overwrite-oldest: the survivors are the four most recent span ids.
   std::uint64_t max_id = 0;
   for (const trace::Event& e : events) max_id = std::max(max_id, e.id);
@@ -109,7 +109,7 @@ TEST(Trace, RingIsBoundedAndCountsDrops) {
 
   trace::clear();
   EXPECT_TRUE(trace::snapshot().empty());
-  EXPECT_EQ(trace::dropped(), 0u);
+  EXPECT_EQ(trace::ring_stats().dropped, 0u);
   EXPECT_TRUE(trace::enabled());  // clear() does not stop recording
 }
 
@@ -171,11 +171,11 @@ TEST(Trace, StatsReportRingState) {
     trace::Span span("test.stats");
   }
   trace::snapshot();  // flush
-  const json::Value stats = trace::stats_to_json();
-  EXPECT_TRUE(stats.at("enabled").as_bool());
-  EXPECT_EQ(stats.at("events").as_uint(), 1u);
-  EXPECT_EQ(stats.at("dropped").as_uint(), 0u);
-  EXPECT_EQ(stats.at("capacity").as_uint(), 8u);
+  const trace::RingStats stats = trace::ring_stats();
+  EXPECT_TRUE(stats.enabled);
+  EXPECT_EQ(stats.events, 1u);
+  EXPECT_EQ(stats.dropped, 0u);
+  EXPECT_EQ(stats.capacity, 8u);
 }
 
 // ---------------------------------------------------------- collector ---

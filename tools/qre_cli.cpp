@@ -22,10 +22,10 @@
 #include "common/version.hpp"
 #include "core/job.hpp"
 #include "report/report.hpp"
+#include "server/metrics_registry.hpp"
 #include "service/engine.hpp"
 #include "service/sweep.hpp"
 #include "store/estimate_store.hpp"
-#include "tfactory/factory_cache.hpp"
 
 namespace {
 
@@ -236,30 +236,13 @@ void print_diagnostics(const qre::Diagnostics& diags) {
 /// Prints the run's cache counters to stderr as ONE JSON document covering
 /// every caching tier: the engine's estimate cache, the process-level
 /// T-factory design cache, and (when --cache-dir wired one) the persistent
-/// store.
+/// store — the same rows GET /metrics reports for those sections.
 void print_cache_stats(const qre::service::Engine& engine,
                        const qre::store::EstimateStore* store) {
-  const qre::service::EstimateCache& estimates = engine.cache();
-  const qre::FactoryCache& factories = qre::FactoryCache::global();
-
-  qre::json::Object out;
-  out.emplace_back("estimateCache", qre::service::cache_counters_to_json(
-                                        estimates.hits(), estimates.misses(),
-                                        estimates.evictions(), estimates.size(),
-                                        estimates.capacity()));
-  qre::json::Value factory_stats = qre::service::cache_counters_to_json(
-      factories.hits(), factories.misses(), factories.evictions(), factories.size(),
-      factories.capacity());
-  factory_stats.as_object().emplace_back("enabled", qre::json::Value(factories.enabled()));
-  out.emplace_back("factoryCache", std::move(factory_stats));
-  if (store != nullptr) {
-    out.emplace_back("store", store->stats_to_json());
-  } else {
-    qre::json::Object disabled;
-    disabled.emplace_back("enabled", qre::json::Value(false));
-    out.emplace_back("store", qre::json::Value(std::move(disabled)));
-  }
-  std::fprintf(stderr, "%s\n", qre::json::Value(std::move(out)).dump().c_str());
+  const qre::server::MetricSources sources{.estimate_cache = &engine.cache(), .store = store};
+  const qre::json::Value stats =
+      qre::server::metrics_json(sources, {"estimateCache", "factoryCache", "store"});
+  std::fprintf(stderr, "%s\n", stats.dump().c_str());
 }
 
 /// One JSON line (stderr) summarizing the run for qre_cli --timings:

@@ -28,8 +28,8 @@
 //      exist in the code.
 //   6. Observability names. The trace span/instant names instrumented in
 //      src/ (QRE_TRACE_SPAN, QRE_TRACE_INSTANT, record_span, PhaseTimer)
-//      and the /metrics → Prometheus rows of kMetricsCatalog
-//      (src/server/prometheus.cpp) must each appear in the matching table
+//      and the /metrics → Prometheus rows of the metrics registry
+//      (src/server/metrics_registry.cpp) must each appear in the matching table
 //      of docs/observability.md, and every name the doc tables carry must
 //      still exist in the code — both directions, so the doc is the
 //      registry and can never silently rot.
@@ -308,8 +308,8 @@ void check_observability(const fs::path& root) {
     finding("src/", "no trace span names found (instrumentation idiom moved?)");
   }
 
-  // -- kMetricsCatalog rows: {"json.path", "qre_family", ...} -------------
-  const fs::path catalog_path = root / "src/server/prometheus.cpp";
+  // -- metrics registry rows: {"json.path", "qre_family", ...} ------------
+  const fs::path catalog_path = root / "src/server/metrics_registry.cpp";
   const std::string catalog_cpp = read_file(catalog_path);
   const std::regex row_re(R"#(\{\s*"([A-Za-z0-9_.]+)",\s*"(qre_[a-z_]+)")#");
   std::set<std::string> catalog_paths;
@@ -322,7 +322,7 @@ void check_observability(const fs::path& root) {
     catalog_pairs.insert((*it)[1].str() + " -> " + (*it)[2].str());
   }
   if (catalog_pairs.empty()) {
-    finding(catalog_path.string(), "cannot parse any kMetricsCatalog row");
+    finding(catalog_path.string(), "cannot parse any metrics registry row");
   }
 
   // -- the doc's tables ----------------------------------------------------
@@ -349,21 +349,21 @@ void check_observability(const fs::path& root) {
   for (const std::string& pair : catalog_pairs) {
     if (doc_pairs.count(pair) == 0) {
       finding(doc_path.string(),
-              "metrics mapping '" + pair + "' is in kMetricsCatalog but not in the "
+              "metrics mapping '" + pair + "' is in the metrics registry but not in the "
               "Prometheus table");
     }
   }
   for (const std::string& pair : doc_pairs) {
     if (catalog_pairs.count(pair) == 0) {
       finding(doc_path.string(),
-              "documented metrics mapping '" + pair + "' matches no kMetricsCatalog row");
+              "documented metrics mapping '" + pair + "' matches no metrics registry row");
     }
   }
   for (const std::string& name : doc_dotted) {
     if (spans.count(name) == 0 && catalog_paths.count(name) == 0) {
       finding(doc_path.string(),
               "documented name '" + name + "' is neither an instrumented span nor a "
-              "kMetricsCatalog JSON path");
+              "metrics registry JSON path");
     }
   }
 }

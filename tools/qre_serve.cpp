@@ -249,7 +249,7 @@ int main(int argc, char** argv) {
       if (qre::trace::write_chrome_json(opts.trace_file)) {
         std::fprintf(stderr, "qre_serve: wrote trace to %s (%llu dropped)\n",
                      opts.trace_file.c_str(),
-                     static_cast<unsigned long long>(qre::trace::dropped()));
+                     static_cast<unsigned long long>(qre::trace::ring_stats().dropped));
       } else {
         std::fprintf(stderr, "qre_serve: cannot write trace file '%s'\n",
                      opts.trace_file.c_str());
