@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <string>
+#include <vector>
 
 #include "api/api.hpp"
 #include "common/error.hpp"
@@ -287,6 +289,363 @@ TEST(SchemaV2, ShimEquivalenceOnFig4Sweep) {
   EstimateResponse response = api::run(request);
   ASSERT_TRUE(response.success);
   EXPECT_EQ(response.result.dump(), via_shim.dump());
+}
+
+/// One invalid document per validation rule, with the full ordered
+/// (severity, code, path, message) list EstimateRequest::parse returns.
+/// The table pins every message byte for byte, and the order they come in.
+struct PinCase {
+  const char* document;
+  std::vector<std::array<std::string, 4>> expected;
+};
+
+std::string render_diagnostics(const Diagnostics& diags) {
+  std::string out;
+  for (const Diagnostic& d : diags.entries()) {
+    out += "{\"" + std::string(to_string(d.severity)) + "\", \"" + d.code + "\", \"" + d.path +
+           "\", \"" + d.message + "\"},\n";
+  }
+  return out;
+}
+
+const std::vector<PinCase>& pin_cases() {
+  static const std::vector<PinCase> kCases = {
+      {R"({"logicalCounts": 5})",
+       {{"error", "type-mismatch", "/logicalCounts",
+         "logicalCounts must be an object"}}},
+      {R"({"logicalCounts": {"tCount": 5}})",
+       {{"error", "required-missing", "/logicalCounts/numQubits",
+         "required field 'numQubits' is missing"}}},
+      {R"({"logicalCounts": {"numQubits": "ten"}})",
+       {{"error", "type-mismatch", "/logicalCounts/numQubits",
+         "'numQubits' must be a non-negative integer"}}},
+      {R"({"logicalCounts": {"numQubits": 0}})",
+       {{"error", "value-range", "/logicalCounts/numQubits",
+         "'numQubits' must be positive"}}},
+      {R"({"logicalCounts": {"numQubits": 1, "tCount": -1}})",
+       {{"error", "type-mismatch", "/logicalCounts/tCount",
+         "'tCount' must be a non-negative integer"}}},
+      {R"({"logicalCounts": {"numQubits": 1, "rotationCount": 2, "rotationDepth": 3}})",
+       {{"error", "value-range", "/logicalCounts/rotationDepth",
+         "'rotationDepth' cannot exceed 'rotationCount'"}}},
+      {R"({"logicalCounts": {"numQubits": 1, "rotationCount": 2}})",
+       {{"error", "value-range", "/logicalCounts/rotationDepth",
+         "'rotationDepth' must be positive when rotations are present"}}},
+      {R"({"logicalCounts": {"numQubits": 1.5, "tCont": 1, "cczCount": "x",
+                             "rotationCount": 1, "rotationDepth": 0.5}})",
+       {{"warning", "unknown-key", "/logicalCounts/tCont",
+         "unknown key 'tCont'"},
+        {"error", "type-mismatch", "/logicalCounts/numQubits",
+         "'numQubits' must be a non-negative integer"},
+        {"error", "type-mismatch", "/logicalCounts/rotationDepth",
+         "'rotationDepth' must be a non-negative integer"},
+        {"error", "type-mismatch", "/logicalCounts/cczCount",
+         "'cczCount' must be a non-negative integer"},
+        {"error", "value-range", "/logicalCounts/rotationDepth",
+         "'rotationDepth' must be positive when rotations are present"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "qubitParams": []})",
+       {{"error", "type-mismatch", "/qubitParams",
+         "qubitParams must be an object"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "qubitParams": {"name": 5}})",
+       {{"error", "type-mismatch", "/qubitParams/name",
+         "'name' must be a string"},
+        {"error", "unknown-name", "/qubitParams/name",
+         "custom qubit model requires 'instructionSet'"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "qubitParams": {"name": "qubit_gate_ns_e3", "instructionSet": 7}})",
+       {{"error", "type-mismatch", "/qubitParams/instructionSet",
+         "'instructionSet' must be a string"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "qubitParams": {"name": "qubit_gate_ns_e3", "instructionSet": "Quantum"}})",
+       {{"error", "invalid-value", "/qubitParams/instructionSet",
+         "unknown instructionSet 'Quantum' (expected GateBased or Majorana)"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "qubitParams": {"name": "no_such_qubit"}})",
+       {{"error", "unknown-name", "/qubitParams/name",
+         "unknown qubit profile 'no_such_qubit' and no 'instructionSet' to build a custom model"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "qubitParams": {"instructionSet": "GateBased"}})",
+       {{"error", "required-missing", "/qubitParams/oneQubitMeasurementTime",
+         "required field 'oneQubitMeasurementTime' is missing"},
+        {"error", "required-missing", "/qubitParams/oneQubitGateTime",
+         "required field 'oneQubitGateTime' is missing"},
+        {"error", "required-missing", "/qubitParams/twoQubitGateTime",
+         "required field 'twoQubitGateTime' is missing"},
+        {"error", "required-missing", "/qubitParams/tGateTime",
+         "required field 'tGateTime' is missing"},
+        {"error", "required-missing", "/qubitParams/oneQubitMeasurementErrorRate",
+         "required field 'oneQubitMeasurementErrorRate' is missing"},
+        {"error", "required-missing", "/qubitParams/oneQubitGateErrorRate",
+         "required field 'oneQubitGateErrorRate' is missing"},
+        {"error", "required-missing", "/qubitParams/twoQubitGateErrorRate",
+         "required field 'twoQubitGateErrorRate' is missing"},
+        {"error", "required-missing", "/qubitParams/tGateErrorRate",
+         "required field 'tGateErrorRate' is missing"},
+        {"error", "required-missing", "/qubitParams/idleErrorRate",
+         "required field 'idleErrorRate' is missing"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "qubitParams": {"instructionSet": "Majorana", "oneQubitMeasurementTime": 100}})",
+       {{"error", "required-missing", "/qubitParams/twoQubitJointMeasurementTime",
+         "required field 'twoQubitJointMeasurementTime' is missing"},
+        {"error", "required-missing", "/qubitParams/tGateTime",
+         "required field 'tGateTime' is missing"},
+        {"error", "required-missing", "/qubitParams/oneQubitMeasurementErrorRate",
+         "required field 'oneQubitMeasurementErrorRate' is missing"},
+        {"error", "required-missing", "/qubitParams/twoQubitJointMeasurementErrorRate",
+         "required field 'twoQubitJointMeasurementErrorRate' is missing"},
+        {"error", "required-missing", "/qubitParams/tGateErrorRate",
+         "required field 'tGateErrorRate' is missing"},
+        {"error", "required-missing", "/qubitParams/idleErrorRate",
+         "required field 'idleErrorRate' is missing"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "qubitParams": {"name": "qubit_gate_ns_e3", "tGateTime": 0}})",
+       {{"error", "value-range", "/qubitParams/tGateTime",
+         "'tGateTime' must be positive"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "qubitParams": {"name": "qubit_gate_ns_e3", "tGateTime": "fast"}})",
+       {{"error", "type-mismatch", "/qubitParams/tGateTime",
+         "'tGateTime' must be a number"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "qubitParams": {"name": "qubit_gate_ns_e3", "tGateErrorRate": 1}})",
+       {{"error", "value-range", "/qubitParams/tGateErrorRate",
+         "'tGateErrorRate' must be in (0, 1)"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "qubitParams": {"name": "qubit_gate_ns_e3", "idleErrorRate": "low"}})",
+       {{"error", "type-mismatch", "/qubitParams/idleErrorRate",
+         "'idleErrorRate' must be a number"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "qubitParams": {"name": "nope", "tGateTim": 1, "oneQubitGateTime": -1, "idleErrorRate": 2}})",
+       {{"warning", "unknown-key", "/qubitParams/tGateTim",
+         "unknown key 'tGateTim'"},
+        {"error", "unknown-name", "/qubitParams/name",
+         "unknown qubit profile 'nope' and no 'instructionSet' to build a custom model"},
+        {"error", "value-range", "/qubitParams/oneQubitGateTime",
+         "'oneQubitGateTime' must be positive"},
+        {"error", "value-range", "/qubitParams/idleErrorRate",
+         "'idleErrorRate' must be in (0, 1)"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "qecScheme": "surface_code"})",
+       {{"error", "type-mismatch", "/qecScheme",
+         "qecScheme must be an object"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "qecScheme": {"name": 5}})",
+       {{"error", "type-mismatch", "/qecScheme/name",
+         "'name' must be a string"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "qecScheme": {"name": "floquet_code"}})",
+       {{"error", "unknown-name", "/qecScheme/name",
+         "unknown QEC scheme 'floquet_code' for GateBased hardware"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "qecScheme": {"errorCorrectionThreshold": 1.5}})",
+       {{"error", "value-range", "/qecScheme/errorCorrectionThreshold",
+         "'errorCorrectionThreshold' must be in (0, 1)"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "qecScheme": {"errorCorrectionThreshold": "x"}})",
+       {{"error", "type-mismatch", "/qecScheme/errorCorrectionThreshold",
+         "'errorCorrectionThreshold' must be a number"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "qecScheme": {"crossingPrefactor": 0}})",
+       {{"error", "value-range", "/qecScheme/crossingPrefactor",
+         "'crossingPrefactor' must be positive"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "qecScheme": {"logicalCycleTime": 5}})",
+       {{"error", "type-mismatch", "/qecScheme/logicalCycleTime",
+         "'logicalCycleTime' must be a string"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "qecScheme": {"physicalQubitsPerLogicalQubit": "2 * * codeDistance"}})",
+       {{"error", "invalid-formula", "/qecScheme/physicalQubitsPerLogicalQubit",
+         "formula parse error at offset 4 in \"2 * * codeDistance\": expected a number, identifier, or '('"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "qecScheme": {"maxCodeDistance": 2.5}})",
+       {{"error", "type-mismatch", "/qecScheme/maxCodeDistance",
+         "'maxCodeDistance' must be a non-negative integer"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "qecScheme": {"maxCodeDistance": 0}})",
+       {{"error", "value-range", "/qecScheme/maxCodeDistance",
+         "'maxCodeDistance' must be >= 1"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "qubitParams": {"name": "qubit_maj_ns_e4"}, "qecScheme": {"name": "nope", "typo": 1, "crossingPrefactor": -1, "maxCodeDistance": 0}})",
+       {{"warning", "unknown-key", "/qecScheme/typo",
+         "unknown key 'typo'"},
+        {"error", "unknown-name", "/qecScheme/name",
+         "unknown QEC scheme 'nope' for Majorana hardware"},
+        {"error", "value-range", "/qecScheme/crossingPrefactor",
+         "'crossingPrefactor' must be positive"},
+        {"error", "value-range", "/qecScheme/maxCodeDistance",
+         "'maxCodeDistance' must be >= 1"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "errorBudget": 1.5})",
+       {{"error", "value-range", "/errorBudget",
+         "error budget must be in (0, 1)"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "errorBudget": "small"})",
+       {{"error", "type-mismatch", "/errorBudget",
+         "errorBudget must be a number or an object"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "errorBudget": {"total": "x"}})",
+       {{"error", "type-mismatch", "/errorBudget/total",
+         "'total' must be a number"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "errorBudget": {"total": 0}})",
+       {{"error", "value-range", "/errorBudget/total",
+         "'total' must be in (0, 1)"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "errorBudget": {"logical": 0.001}})",
+       {{"error", "required-missing", "/errorBudget/tstates",
+         "required field 'tstates' is missing"},
+        {"error", "required-missing", "/errorBudget/rotations",
+         "required field 'rotations' is missing"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "errorBudget": {"logical": "a", "tstates": 0.1, "rotations": 0.1}})",
+       {{"error", "type-mismatch", "/errorBudget/logical",
+         "'logical' must be a number"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "errorBudget": {"logical": 0, "tstates": -0.1, "rotations": -0.2}})",
+       {{"error", "value-range", "/errorBudget/logical",
+         "'logical' budget part must be positive"},
+        {"error", "value-range", "/errorBudget/tstates",
+         "'tstates' budget part must be non-negative"},
+        {"error", "value-range", "/errorBudget/rotations",
+         "'rotations' budget part must be non-negative"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "errorBudget": {"logical": 0.5, "tstates": 0.3, "rotations": 0.3}})",
+       {{"error", "value-range", "/errorBudget",
+         "error budget parts must sum below 1"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "errorBudget": {"totl": 0.1}})",
+       {{"warning", "unknown-key", "/errorBudget/totl",
+         "unknown key 'totl'"},
+        {"error", "required-missing", "/errorBudget/logical",
+         "required field 'logical' is missing"},
+        {"error", "required-missing", "/errorBudget/tstates",
+         "required field 'tstates' is missing"},
+        {"error", "required-missing", "/errorBudget/rotations",
+         "required field 'rotations' is missing"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "constraints": []})",
+       {{"error", "type-mismatch", "/constraints",
+         "constraints must be an object"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "constraints": {"logicalDepthFactor": 0.5}})",
+       {{"error", "value-range", "/constraints/logicalDepthFactor",
+         "'logicalDepthFactor' must be >= 1"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "constraints": {"logicalDepthFactor": "x"}})",
+       {{"error", "type-mismatch", "/constraints/logicalDepthFactor",
+         "'logicalDepthFactor' must be a number"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "constraints": {"maxTFactories": 0, "maxPhysicalQubits": -3}})",
+       {{"error", "value-range", "/constraints/maxTFactories",
+         "'maxTFactories' must be >= 1"},
+        {"error", "type-mismatch", "/constraints/maxPhysicalQubits",
+         "'maxPhysicalQubits' must be a non-negative integer"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "constraints": {"numTsPerRotation": 1.5}})",
+       {{"error", "type-mismatch", "/constraints/numTsPerRotation",
+         "'numTsPerRotation' must be a non-negative integer"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "constraints": {"maxDuration": 0}})",
+       {{"error", "value-range", "/constraints/maxDuration",
+         "'maxDuration' must be positive"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "constraints": {"maxDuration": "long", "maxTFactoris": 1}})",
+       {{"warning", "unknown-key", "/constraints/maxTFactoris",
+         "unknown key 'maxTFactoris'"},
+        {"error", "type-mismatch", "/constraints/maxDuration",
+         "'maxDuration' must be a number"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "distillationUnitSpecifications": {}})",
+       {{"error", "type-mismatch", "/distillationUnitSpecifications",
+         "distillationUnitSpecifications must be an array"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "distillationUnitSpecifications": []})",
+       {{"error", "value-range", "/distillationUnitSpecifications",
+         "distillationUnitSpecifications must not be empty"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "distillationUnitSpecifications": [5]})",
+       {{"error", "type-mismatch", "/distillationUnitSpecifications/0",
+         "distillation unit specification must be an object"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "distillationUnitSpecifications": [{"name": 7}]})",
+       {{"error", "type-mismatch", "/distillationUnitSpecifications/0/name",
+         "'name' must be a string"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "distillationUnitSpecifications": [{"name": "nope"}]})",
+       {{"error", "unknown-name", "/distillationUnitSpecifications/0/name",
+         "unknown distillation unit template 'nope'"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "distillationUnitSpecifications": [{"name": "u", "numInputTs": 1}]})",
+       {{"error", "required-missing", "/distillationUnitSpecifications/0/numOutputTs",
+         "required field 'numOutputTs' is missing"},
+        {"error", "required-missing", "/distillationUnitSpecifications/0/failureProbabilityFormula",
+         "required field 'failureProbabilityFormula' is missing"},
+        {"error", "required-missing", "/distillationUnitSpecifications/0/outputErrorRateFormula",
+         "required field 'outputErrorRateFormula' is missing"},
+        {"error", "required-missing", "/distillationUnitSpecifications/0",
+         "distillation unit needs a physicalQubitSpecification or logicalQubitSpecification"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "distillationUnitSpecifications": [{"numInputTs": "x", "numOutputTs": 2, "failureProbabilityFormula": 5, "outputErrorRateFormula": "((", "physicalQubitSpecification": 3, "bogus": 1}]})",
+       {{"warning", "unknown-key", "/distillationUnitSpecifications/0/bogus",
+         "unknown key 'bogus'"},
+        {"error", "required-missing", "/distillationUnitSpecifications/0/name",
+         "required field 'name' is missing"},
+        {"error", "type-mismatch", "/distillationUnitSpecifications/0/numInputTs",
+         "'numInputTs' must be a non-negative integer"},
+        {"error", "type-mismatch", "/distillationUnitSpecifications/0/failureProbabilityFormula",
+         "'failureProbabilityFormula' must be a string"},
+        {"error", "invalid-formula", "/distillationUnitSpecifications/0/outputErrorRateFormula",
+         "formula parse error at offset 2 in \"((\": expected a number, identifier, or '('"},
+        {"error", "type-mismatch", "/distillationUnitSpecifications/0/physicalQubitSpecification",
+         "'physicalQubitSpecification' must be an object"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "distillationUnitSpecifications": [{"name": "u", "numInputTs": 2, "numOutputTs": 2, "failureProbabilityFormula": "0", "outputErrorRateFormula": "0", "physicalQubitSpecification": {"x": 1}, "logicalQubitSpecification": {"numUnitQubits": -1}}]})",
+       {{"error", "value-range", "/distillationUnitSpecifications/0/numOutputTs",
+         "a distillation unit must output fewer (but at least one) T states than it consumes"},
+        {"warning", "unknown-key", "/distillationUnitSpecifications/0/physicalQubitSpecification/x",
+         "unknown key 'x'"},
+        {"error", "required-missing", "/distillationUnitSpecifications/0/physicalQubitSpecification/numUnitQubits",
+         "required field 'numUnitQubits' is missing"},
+        {"error", "required-missing", "/distillationUnitSpecifications/0/physicalQubitSpecification/durationFormula",
+         "required field 'durationFormula' is missing"},
+        {"error", "type-mismatch", "/distillationUnitSpecifications/0/logicalQubitSpecification/numUnitQubits",
+         "'numUnitQubits' must be a non-negative integer"},
+        {"error", "required-missing", "/distillationUnitSpecifications/0/logicalQubitSpecification/durationInLogicalCycles",
+         "required field 'durationInLogicalCycles' is missing"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "distillationUnitSpecifications": [{"name": "u", "numInputTs": 2, "numOutputTs": 1, "failureProbabilityFormula": "0", "outputErrorRateFormula": "0", "physicalQubitSpecification": {"numUnitQubits": 5, "durationFormula": "1 +"}, "logicalQubitSpecification": "x"}]})",
+       {{"error", "type-mismatch", "/distillationUnitSpecifications/0/logicalQubitSpecification",
+         "'logicalQubitSpecification' must be an object"},
+        {"error", "invalid-formula", "/distillationUnitSpecifications/0/physicalQubitSpecification/durationFormula",
+         "formula parse error at offset 3 in \"1 +\": expected a number, identifier, or '('"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "estimateType": 5})",
+       {{"error", "type-mismatch", "/estimateType",
+         "estimateType must be a string"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "estimateType": "pareto"})",
+       {{"error", "invalid-value", "/estimateType",
+         "unknown estimateType 'pareto' (expected singlePoint or frontier)"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "frontier": []})",
+       {{"error", "type-mismatch", "/frontier",
+         "frontier must be an object"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "frontier": {"maxProbes": "x"}})",
+       {{"error", "type-mismatch", "/frontier/maxProbes",
+         "'maxProbes' must be a non-negative integer"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "frontier": {"maxProbes": 1}})",
+       {{"error", "value-range", "/frontier/maxProbes",
+         "'maxProbes' must be >= 2 (the frontier needs both bracket probes)"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "frontier": {"qubitTolerance": -1, "runtimeTolerance": "x"}})",
+       {{"error", "value-range", "/frontier/qubitTolerance",
+         "'qubitTolerance' must be >= 0"},
+        {"error", "type-mismatch", "/frontier/runtimeTolerance",
+         "'runtimeTolerance' must be a number"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "frontier": {"errorBudgets": {}}})",
+       {{"error", "type-mismatch", "/frontier/errorBudgets",
+         "'errorBudgets' must be an array"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "frontier": {"errorBudgets": []}})",
+       {{"error", "value-range", "/frontier/errorBudgets",
+         "'errorBudgets' must not be empty"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "frontier": {"errorBudgets": ["x", 2, 0.1]}})",
+       {{"error", "type-mismatch", "/frontier/errorBudgets/0",
+         "error budget must be a number"},
+        {"error", "value-range", "/frontier/errorBudgets/1",
+         "error budget must be in (0, 1)"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "frontier": {"maxProbes": 2, "errorBudgets": [0.1, 0.01, 0.001]}})",
+       {{"error", "value-range", "/frontier/errorBudgets",
+         "'errorBudgets' has more levels than 'maxProbes' allows probes"}}},
+      {R"({"logicalCounts": {"numQubits": 1}, "frontier": {"maxProbes": 1}, "items": [{}], "qubitParams": {"name": "x"}})",
+       {{"error", "mutually-exclusive", "/frontier",
+         "a frontier job cannot carry items or sweep"},
+        {"error", "value-range", "/frontier/maxProbes",
+         "'maxProbes' must be >= 2 (the frontier needs both bracket probes)"},
+        {"error", "unknown-name", "/qubitParams/name",
+         "unknown qubit profile 'x' and no 'instructionSet' to build a custom model"}}},
+      {R"({"logicalCounts": {"numQubits": 0}, "qubitParams": {"name": "qubit_gate_ns_e3", "tGateErrorRate": 2}, "qecScheme": {"maxCodeDistance": 0}, "errorBudget": 2, "constraints": {"maxDuration": -1}, "distillationUnitSpecifications": [], "estimateType": "x", "frobnicate": 1})",
+       {{"warning", "unknown-key", "/frobnicate",
+         "unknown key 'frobnicate'"},
+        {"error", "value-range", "/logicalCounts/numQubits",
+         "'numQubits' must be positive"},
+        {"error", "value-range", "/qubitParams/tGateErrorRate",
+         "'tGateErrorRate' must be in (0, 1)"},
+        {"error", "value-range", "/qecScheme/maxCodeDistance",
+         "'maxCodeDistance' must be >= 1"},
+        {"error", "value-range", "/errorBudget",
+         "error budget must be in (0, 1)"},
+        {"error", "value-range", "/constraints/maxDuration",
+         "'maxDuration' must be positive"},
+        {"error", "value-range", "/distillationUnitSpecifications",
+         "distillationUnitSpecifications must not be empty"},
+        {"error", "invalid-value", "/estimateType",
+         "unknown estimateType 'x' (expected singlePoint or frontier)"}}},
+      {R"({"errorBudget": 0.1})",
+       {{"error", "required-missing", "/logicalCounts",
+         "required field 'logicalCounts' is missing"}}},
+  };
+  return kCases;
+}
+
+TEST(SchemaV2, EveryRuleReportsItsPinnedDiagnostics) {
+  for (const PinCase& c : pin_cases()) {
+    SCOPED_TRACE(c.document);
+    const EstimateRequest request = EstimateRequest::parse(json::parse(c.document));
+    std::vector<std::array<std::string, 4>> actual;
+    for (const Diagnostic& d : request.diagnostics.entries()) {
+      actual.push_back({std::string(to_string(d.severity)), d.code, d.path, d.message});
+    }
+    EXPECT_EQ(actual, c.expected) << "actual:\n" << render_diagnostics(request.diagnostics);
+  }
 }
 
 // ----------------------------------------------------------- the façade ---
