@@ -13,64 +13,6 @@ namespace qre::api {
 
 namespace {
 
-std::string join_names(const std::vector<std::string>& names) {
-  std::string out;
-  for (const std::string& n : names) {
-    if (!out.empty()) out += ", ";
-    out += n;
-  }
-  return out;
-}
-
-/// Registry-aware counterpart of QubitParams::from_json: a "name" matching
-/// a registered profile (builtin or pack-loaded) becomes the override base;
-/// everything else — custom models, field overrides, key checking — is the
-/// module parser's single implementation.
-QubitParams parse_qubit(const json::Value& v, const Registry& registry, Diagnostics* diags) {
-  if (const json::Value* name = v.find("name")) {
-    if (const QubitParams* found = registry.find_qubit(name->as_string())) {
-      check_known_keys(v, QubitParams::json_keys(), "/qubitParams", diags);
-      QubitParams q = *found;
-      q.apply_json_overrides(v);
-      return q;
-    }
-    if (v.find("instructionSet") == nullptr) {
-      throw_error("unknown qubit profile '" + name->as_string() +
-                  "'; registered profiles: " + join_names(registry.qubit_names()));
-    }
-  }
-  return QubitParams::from_json(v, diags);  // custom model
-}
-
-/// Registry-aware counterpart of QecScheme::from_json.
-QecScheme parse_qec(const json::Value& v, InstructionSet set, const Registry& registry,
-                    Diagnostics* diags) {
-  if (const json::Value* name = v.find("name")) {
-    const QecScheme* found = registry.find_qec(name->as_string(), set);
-    if (found == nullptr) {
-      throw_error("unknown QEC scheme '" + name->as_string() + "' for " +
-                  std::string(to_string(set)) +
-                  " hardware; registered schemes: " + join_names(registry.qec_names()));
-    }
-    check_known_keys(v, QecScheme::json_keys(), "/qecScheme", diags);
-    return QecScheme::customize(*found, v);
-  }
-  return QecScheme::from_json(v, set, diags);  // default scheme + overrides
-}
-
-DistillationUnit parse_unit(const json::Value& v, const std::string& base_path,
-                            const Registry& registry, Diagnostics* diags) {
-  if (v.is_object() && v.as_object().size() == 1) {
-    if (const json::Value* name = v.find("name")) {
-      const DistillationUnit* found = registry.find_distillation(name->as_string());
-      QRE_REQUIRE(found != nullptr, "unknown distillation unit template '" +
-                                        name->as_string() + "'");
-      return *found;
-    }
-  }
-  return DistillationUnit::from_json(v, diags, base_path);
-}
-
 json::Value item_error(const char* code, const std::string& message,
                        const Diagnostics* diags) {
   json::Object error;
@@ -80,6 +22,28 @@ json::Value item_error(const char* code, const std::string& message,
   out.emplace_back("error", json::Value(std::move(error)));
   if (diags != nullptr && !diags->empty()) out.emplace_back("diagnostics", diags->to_json());
   return json::Value(std::move(out));
+}
+
+/// The result of one non-batch document from its parsed input.
+json::Value run_single_input(const json::Value& doc, const EstimationInput& input) {
+  std::string estimate_type = "singlePoint";
+  if (const json::Value* type = doc.find("estimateType")) {
+    estimate_type = type->as_string();
+  }
+  if (estimate_type == "singlePoint") {
+    return json::Value::raw(report_bytes(estimate(input)));
+  }
+  if (estimate_type == "frontier") {
+    std::string out = "{\"frontier\":[";
+    for (const ResourceEstimate& e : estimate_frontier(input)) {
+      if (out.back() != '[') out.push_back(',');
+      out += report_bytes(e);
+    }
+    out += "]}";
+    return json::Value::raw(std::move(out));
+  }
+  throw_error("unknown estimateType '" + estimate_type +
+              "' (expected singlePoint or frontier)");
 }
 
 }  // namespace
@@ -107,7 +71,7 @@ EstimateRequest EstimateRequest::parse(const json::Value& job, const Registry& r
   }
   request.document = upgrade_job(stripped, request.diagnostics, &request.source_version);
   if (!request.diagnostics.has_errors()) {
-    validate_job(request.document, registry, request.diagnostics);
+    request.input = validate_job(request.document, registry, request.diagnostics);
   }
   return request;
 }
@@ -123,64 +87,13 @@ json::Value EstimateResponse::to_json() const {
 
 EstimationInput input_from_document(const json::Value& doc, const Registry& registry,
                                     Diagnostics* diags) {
-  QRE_REQUIRE(doc.is_object(), "estimation job must be a JSON object");
-  check_known_keys(doc, job_keys(), "", diags);
-  EstimationInput input;
-  input.counts = LogicalCounts::from_json(doc.at("logicalCounts"), diags);
-  if (const json::Value* qubit = doc.find("qubitParams")) {
-    input.qubit = parse_qubit(*qubit, registry, diags);
-  }
-  // The registry's entry for the default scheme wins (a pack may re-tune
-  // it); QecScheme::default_for stays the single source of the name table.
-  input.qec = QecScheme::default_for(input.qubit.instruction_set);
-  if (const QecScheme* scheme =
-          registry.find_qec(input.qec.name(), input.qubit.instruction_set)) {
-    input.qec = *scheme;
-  }
-  if (const json::Value* qec = doc.find("qecScheme")) {
-    input.qec = parse_qec(*qec, input.qubit.instruction_set, registry, diags);
-  }
-  if (const json::Value* budget = doc.find("errorBudget")) {
-    input.budget = ErrorBudget::from_json(*budget, diags);
-  }
-  if (const json::Value* constraints = doc.find("constraints")) {
-    input.constraints = Constraints::from_json(*constraints, diags);
-  }
-  if (const json::Value* units = doc.find("distillationUnitSpecifications")) {
-    input.distillation_units.clear();
-    const json::Array& unit_array = units->as_array();
-    for (std::size_t i = 0; i < unit_array.size(); ++i) {
-      input.distillation_units.push_back(parse_unit(
-          unit_array[i], pointer_join("/distillationUnitSpecifications", i), registry,
-          diags));
-    }
-    QRE_REQUIRE(!input.distillation_units.empty(),
-                "distillationUnitSpecifications must not be empty");
-  }
-  return input;
+  return parse_or_throw(diags,
+                        [&](Diagnostics& found) { return validate_job(doc, registry, found); });
 }
 
 json::Value run_single_document(const json::Value& doc, const Registry& registry,
                                 Diagnostics* diags) {
-  EstimationInput input = input_from_document(doc, registry, diags);
-  std::string estimate_type = "singlePoint";
-  if (const json::Value* type = doc.find("estimateType")) {
-    estimate_type = type->as_string();
-  }
-  if (estimate_type == "singlePoint") {
-    return json::Value::raw(report_bytes(estimate(input)));
-  }
-  if (estimate_type == "frontier") {
-    std::string out = "{\"frontier\":[";
-    for (const ResourceEstimate& e : estimate_frontier(input)) {
-      if (out.back() != '[') out.push_back(',');
-      out += report_bytes(e);
-    }
-    out += "]}";
-    return json::Value::raw(std::move(out));
-  }
-  throw_error("unknown estimateType '" + estimate_type +
-              "' (expected singlePoint or frontier)");
+  return run_single_input(doc, input_from_document(doc, registry, diags));
 }
 
 EstimateResponse run(const EstimateRequest& request, const service::EngineOptions& options,
@@ -229,12 +142,9 @@ EstimateResponse run(const EstimateRequest& request, const service::EngineOption
         // paths relative to the item document) instead of aborting the
         // batch. Runtime failures are isolated by the engine.
         Diagnostics item_diags;
-        validate_job(item, registry, item_diags);
-        if (item_diags.has_errors()) {
-          return item_error("invalid-item", item_diags.summary(), &item_diags);
-        }
-        Diagnostics sink;  // tolerate unknown keys; validation warned above
-        return run_single_document(item, registry, &sink);
+        const std::optional<EstimationInput> input = validate_job(item, registry, item_diags);
+        if (!input) return item_error("invalid-item", item_diags.summary(), &item_diags);
+        return run_single_input(item, *input);
       };
       service::BatchStats stats;
       json::Array results;
@@ -282,7 +192,10 @@ EstimateResponse run(const EstimateRequest& request, const service::EngineOption
       // the cache replays the exact result document.
       trace::PhaseTimer phase(timings, "api.execute");
       Diagnostics sink;
-      auto compute = [&] { return run_single_document(doc, registry, &sink); };
+      auto compute = [&] {
+        return request.input ? run_single_input(doc, *request.input)
+                             : run_single_document(doc, registry, &sink);
+      };
       if (run_options.use_cache && run_options.cache != nullptr) {
         response.result =
             run_options.cache->get_or_compute(service::canonical_key(doc), compute);

@@ -19,6 +19,8 @@
 // opaque error strings.
 #pragma once
 
+#include <optional>
+
 #include "api/registry.hpp"
 #include "api/schema.hpp"
 #include "common/diagnostics.hpp"
@@ -33,6 +35,9 @@ struct EstimateRequest {
   json::Value document;      // normalized v2 document
   int source_version = kSchemaVersion;  // version the input declared
   Diagnostics diagnostics;   // everything the upgrade + validation passes found
+  /// The estimation input validation built from the document's own
+  /// sections (see validate_job); run() estimates a single job from it.
+  std::optional<EstimationInput> input;
   /// The document carried `"collectTimings": true`. The key is stripped
   /// from `document` during parse so cache keys, store records, and result
   /// documents stay byte-identical whether or not timing was requested;
@@ -58,9 +63,9 @@ struct EstimateResponse {
 };
 
 /// Builds the estimator input from a (single, non-batch) job document,
-/// resolving qubit/QEC/distillation names through `registry`. With a
-/// diagnostics sink, unknown keys are tolerated as warnings; without one
-/// they throw, as do all hard errors (qre::Error).
+/// resolving qubit/QEC/distillation names through `registry`: the input
+/// validate_job builds. With a diagnostics sink, unknown keys are tolerated
+/// as warnings; without one they throw, as does any error (ValidationError).
 EstimationInput input_from_document(const json::Value& doc, const Registry& registry,
                                     Diagnostics* diags = nullptr);
 
@@ -72,8 +77,10 @@ EstimationInput input_from_document(const json::Value& doc, const Registry& regi
 json::Value run_single_document(const json::Value& doc, const Registry& registry,
                                 Diagnostics* diags = nullptr);
 
-/// Executes a request. Invalid requests return success=false with the
-/// validation diagnostics; runtime failures of single estimates become
+/// Executes a request. A single estimate runs on `request.input`, which
+/// parse() built against its registry; batch items, sweeps and frontiers
+/// resolve names through `registry`. Invalid requests return success=false
+/// with the validation diagnostics; runtime failures of single estimates become
 /// "estimation-failed" diagnostics; batch/sweep items are isolated as
 /// structured {"error": {"code", "message"}, "diagnostics": [...]} entries
 /// in "results". Never throws. When `options.cache` points at an external

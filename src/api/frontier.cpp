@@ -19,12 +19,9 @@ FrontierRequest FrontierRequest::parse(const json::Value& job, const Registry& r
     return request;
   }
   if (!request.ok()) return request;
-  try {
-    Diagnostics sink;  // unknown keys already warned by validate_job
-    request.options = frontier::ExploreOptions::from_json(*section, &sink);
-  } catch (const Error& e) {
-    request.diagnostics.error("value-range", "/frontier", e.what());
-  }
+  Diagnostics sink;  // validate_job ran the same parser and reported its findings
+  request.options =
+      frontier::ExploreOptions::parse(*section, "/frontier", sink).value_or(request.options);
   return request;
 }
 

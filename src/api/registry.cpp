@@ -1,13 +1,13 @@
 #include "api/registry.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/error.hpp"
 
 namespace qre::api {
 
 namespace {
-
 
 std::vector<std::string_view> keys_plus(const std::vector<std::string_view>& base,
                                         std::initializer_list<std::string_view> extra) {
@@ -166,7 +166,7 @@ void Registry::load_profile_pack(const json::Value& pack, Diagnostics& diags) {
   // must use the _locked variants.
   WriterLock lock(mutex_);
   check_known_keys(pack, {"schemaVersion", "qubitParams", "qecSchemes", "distillationUnits"},
-                   "", &diags);
+                   "", diags);
   if (const json::Value* version = pack.find("schemaVersion")) {
     if (!version->is_number() || version->as_double() != 2.0) {
       diags.error("unsupported-version", "/schemaVersion",
@@ -175,6 +175,9 @@ void Registry::load_profile_pack(const json::Value& pack, Diagnostics& diags) {
     }
   }
 
+  // Each entry goes through the same section parser as a job's section, so
+  // a pack accepts exactly what a job accepts and reports every problem at
+  // the field's own path. The pack adds only the name and base lookups.
   if (const json::Value* profiles = pack.find("qubitParams")) {
     if (!profiles->is_array()) {
       diags.error("type-mismatch", "/qubitParams", "qubitParams must be an array");
@@ -188,35 +191,33 @@ void Registry::load_profile_pack(const json::Value& pack, Diagnostics& diags) {
           diags.error("type-mismatch", path, "qubit profile entry must be an object");
           continue;
         }
-        check_known_keys(entry, allowed, path, &diags);
         const json::Value* name = entry.find("name");
-        if (name == nullptr || !name->is_string()) {
+        if (name == nullptr || !name->is_string() || name->as_string().empty()) {
           diags.error("required-missing", pointer_join(path, "name"),
                       "qubit profile entry needs a string 'name'");
           continue;
         }
-        try {
-          QubitParams q;
-          if (const json::Value* base = entry.find("base")) {
-            const QubitParams* found = find_qubit_locked(base->as_string());
-            if (found == nullptr) {
-              diags.error("unknown-name", pointer_join(path, "base"),
-                          "unknown base qubit profile '" + base->as_string() + "'");
-              continue;
-            }
-            q = *found;
-          } else if (const QubitParams* existing = find_qubit_locked(name->as_string())) {
-            q = *existing;  // re-tuning an already-registered profile
-          } else if (entry.find("instructionSet") == nullptr) {
+        const QubitParams* base = nullptr;
+        if (entry.find("base") != nullptr) {
+          const json::Value* base_name = expect(entry, "base", FieldKind::kString, path, diags);
+          if (base_name == nullptr) continue;
+          base = find_qubit_locked(base_name->as_string());
+          if (base == nullptr) {
+            diags.error("unknown-name", pointer_join(path, "base"),
+                        "unknown base qubit profile '" + base_name->as_string() + "'");
+            continue;
+          }
+        } else {
+          base = find_qubit_locked(name->as_string());  // re-tuning a registered profile
+          if (base == nullptr && entry.find("instructionSet") == nullptr) {
             diags.error("required-missing", pointer_join(path, "instructionSet"),
                         "new qubit profile needs 'instructionSet' or 'base'");
             continue;
           }
-          q.name = name->as_string();
-          q.apply_json_overrides(entry);
-          register_qubit_locked(std::move(q));
-        } catch (const Error& e) {
-          diags.error("value-range", path, e.what());
+        }
+        if (std::optional<QubitParams> q = QubitParams::parse(entry, path, base, diags, allowed)) {
+          q->name = name->as_string();
+          register_qubit_locked(std::move(*q));
         }
       }
     }
@@ -235,9 +236,8 @@ void Registry::load_profile_pack(const json::Value& pack, Diagnostics& diags) {
           diags.error("type-mismatch", path, "QEC scheme entry must be an object");
           continue;
         }
-        check_known_keys(entry, allowed, path, &diags);
         const json::Value* name = entry.find("name");
-        if (name == nullptr || !name->is_string()) {
+        if (name == nullptr || !name->is_string() || name->as_string().empty()) {
           diags.error("required-missing", pointer_join(path, "name"),
                       "QEC scheme entry needs a string 'name'");
           continue;
@@ -250,23 +250,23 @@ void Registry::load_profile_pack(const json::Value& pack, Diagnostics& diags) {
                       "QEC scheme entry needs instructionSet GateBased or Majorana");
           continue;
         }
-        try {
-          QecScheme base = QecScheme::default_for(set);
-          if (const json::Value* base_field = entry.find("base")) {
-            const QecScheme* found = find_qec_locked(base_field->as_string(), set);
-            if (found == nullptr) {
-              diags.error("unknown-name", pointer_join(path, "base"),
-                          "unknown base QEC scheme '" + base_field->as_string() + "'");
-              continue;
-            }
-            base = *found;
-          } else if (const QecScheme* existing = find_qec_locked(name->as_string(), set)) {
-            base = *existing;
+        const QecScheme fallback = QecScheme::default_for(set);
+        const QecScheme* base = find_qec_locked(name->as_string(), set);
+        if (entry.find("base") != nullptr) {
+          const json::Value* base_name = expect(entry, "base", FieldKind::kString, path, diags);
+          if (base_name == nullptr) continue;
+          base = find_qec_locked(base_name->as_string(), set);
+          if (base == nullptr) {
+            diags.error("unknown-name", pointer_join(path, "base"),
+                        "unknown base QEC scheme '" + base_name->as_string() + "'");
+            continue;
           }
-          register_qec_locked(set, QecScheme::customize(std::move(base), entry)
-                                .with_name(name->as_string()));
-        } catch (const Error& e) {
-          diags.error("value-range", path, e.what());
+        } else if (base == nullptr) {
+          base = &fallback;
+        }
+        if (std::optional<QecScheme> scheme =
+                QecScheme::parse(entry, path, base, set, diags, allowed)) {
+          register_qec_locked(set, scheme->with_name(name->as_string()));
         }
       }
     }
@@ -278,12 +278,15 @@ void Registry::load_profile_pack(const json::Value& pack, Diagnostics& diags) {
     } else {
       for (std::size_t i = 0; i < units->as_array().size(); ++i) {
         const std::string path = pointer_join("/distillationUnits", i);
-        try {
-          register_distillation_locked(
-              DistillationUnit::from_json(units->as_array()[i], &diags, path));
-        } catch (const Error& e) {
-          diags.error("value-range", path, e.what());
+        std::optional<DistillationUnit> unit =
+            DistillationUnit::parse(units->as_array()[i], path, diags);
+        if (!unit) continue;
+        if (unit->name.empty()) {
+          diags.error("required-missing", pointer_join(path, "name"),
+                      "distillation unit entry needs a non-empty 'name'");
+          continue;
         }
+        register_distillation_locked(std::move(*unit));
       }
     }
   }

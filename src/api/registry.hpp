@@ -25,7 +25,7 @@
 //
 // Registration is by name with last-wins override semantics, so a pack can
 // also re-tune a built-in preset. All name lookups of the job-parsing layer
-// (api::input_from_document and the schema validator) resolve against a
+// (api::validate_job, which api::input_from_document runs) resolve against a
 // registry rather than against hard-coded preset tables, which is what makes
 // the service extensible without recompiling.
 //
@@ -106,9 +106,10 @@ class Registry {
   const DistillationUnit* find_distillation(std::string_view name) const;
   std::vector<std::string> distillation_names() const;
 
-  /// Loads a JSON profile pack (schema in the header comment). Problems are
-  /// collected on `diags`; entries that fail to build are skipped, valid
-  /// entries are still registered.
+  /// Loads a JSON profile pack (schema in the header comment). Entries go
+  /// through the job's section parsers; problems are collected on `diags`
+  /// at each field's path, entries with an error are skipped, valid entries
+  /// are still registered.
   void load_profile_pack(const json::Value& pack, Diagnostics& diags);
 
   /// Dumps the full contents — the qre_cli --list-profiles document:

@@ -27,8 +27,11 @@
 //    existing jobs keep producing identical results.
 #pragma once
 
+#include <optional>
+
 #include "api/registry.hpp"
 #include "common/diagnostics.hpp"
+#include "core/estimator.hpp"
 #include "json/json.hpp"
 
 namespace qre::api {
@@ -52,10 +55,16 @@ const std::vector<std::string_view>& job_kinds();
 /// the version the input declared in `source_version`.
 json::Value upgrade_job(const json::Value& job, Diagnostics& diags, int* source_version);
 
-/// Strict structural validation of a (normalized, v2) job document against
+/// Strict validation of a (normalized, v2) job document against
 /// `registry`. Collects ALL problems on `diags` — errors for structural and
-/// range violations, warnings for unknown keys — and never throws.
-void validate_job(const json::Value& job, const Registry& registry, Diagnostics& diags);
+/// range violations, warnings for unknown keys — and never throws. The
+/// document-level rules (version, job kinds, items/sweep structure, a
+/// missing logicalCounts) live here; every section goes through its
+/// module's one parser. Returns the estimation input the document's own
+/// sections build (api::input_from_document's value) when the document has
+/// no error and carries logicalCounts.
+std::optional<EstimationInput> validate_job(const json::Value& job, const Registry& registry,
+                                            Diagnostics& diags);
 
 /// Merges a batch item onto its enclosing job document (top-level keys;
 /// the batch-shaping keys "items"/"sweep" are never inherited).

@@ -24,15 +24,23 @@
 //   cancelled            the run was abandoned on a cancellation request
 //   deadline-exceeded    the run was abandoned because its deadline elapsed
 //
-// This lives in common/ (not api/) so the per-module from_json parsers can
-// feed the same channel without depending on the API layer.
+// This lives in common/ (not api/) so the per-module section parsers can
+// feed the same channel without depending on the API layer. Each section of
+// a job (logicalCounts, qubitParams, ...) has exactly one parser, a static
+// `parse(value, path, ..., Diagnostics&)` in its own module built from the
+// typed-field helpers below: it records every problem on the diagnostics
+// under the section's base path `path`, and returns the value only when the
+// section has no error.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
+#include "formula/formula.hpp"
 #include "json/json.hpp"
 
 namespace qre {
@@ -93,11 +101,53 @@ class ValidationError : public Error {
 std::string pointer_join(std::string_view base, std::string_view token);
 std::string pointer_join(std::string_view base, std::size_t index);
 
-/// Scans object `v` for keys outside `allowed`. Each unknown key becomes an
-/// "unknown-key" warning on `diags` when a sink is given; with diags ==
-/// nullptr a single qre::Error listing every unknown key is thrown instead.
-/// Non-objects pass through silently (their type is someone else's check).
+/// Scans object `v` for keys outside `allowed`; each becomes an
+/// "unknown-key" warning. Non-objects pass through silently (their type is
+/// someone else's check).
 void check_known_keys(const json::Value& v, const std::vector<std::string_view>& allowed,
-                      std::string_view base_path, Diagnostics* diags);
+                      std::string_view base_path, Diagnostics& diags);
+
+/// The JSON type a field must have.
+enum class FieldKind { kNumber, kUint, kString, kObject, kArray };
+
+/// Looks up `key` in `obj` and type-checks it. Present-but-wrong-type yields
+/// a "type-mismatch" diagnostic, absent-but-required a "required-missing"
+/// one; both return nullptr so parsers can keep checking other fields.
+const json::Value* expect(const json::Value& obj, std::string_view key, FieldKind kind,
+                          std::string_view base, Diagnostics& diags, bool required = false);
+
+/// expect(kUint) read as a count: a "value-range" diagnostic, and nullopt,
+/// when the integer does not fit a signed 64-bit count.
+std::optional<std::uint64_t> expect_count(const json::Value& obj, std::string_view key,
+                                          std::string_view base, Diagnostics& diags,
+                                          bool required = false);
+
+/// Range checks on a number field `v` (found under `key`); false, with a
+/// "value-range" diagnostic, when it is out of range.
+bool check_positive_number(const json::Value& v, std::string_view key, std::string_view base,
+                           Diagnostics& diags);
+bool check_probability(const json::Value& v, std::string_view key, std::string_view base,
+                       Diagnostics& diags);
+
+/// Parses a formula string field; nullopt, with an "invalid-formula"
+/// diagnostic, when it does not parse.
+std::optional<Formula> check_formula(const json::Value& v, std::string_view key,
+                                     std::string_view base, Diagnostics& diags);
+
+/// Ends a parse for a direct C++ caller (the from_json entry points and
+/// api::input_from_document): with a `sink`, warnings are appended to it;
+/// without one, every finding counts as an error (unknown keys are rejected).
+/// Throws ValidationError when an error remains.
+void settle(Diagnostics found, Diagnostics* sink);
+
+/// Runs `parse(Diagnostics&) -> std::optional<T>` and settles its findings.
+template <typename Parse>
+auto parse_or_throw(Diagnostics* sink, Parse&& parse) {
+  Diagnostics found;
+  auto value = parse(found);
+  settle(std::move(found), sink);
+  QRE_REQUIRE(value.has_value(), "the document has no value of its own to parse");
+  return std::move(*value);
+}
 
 }  // namespace qre

@@ -1,5 +1,7 @@
 #include "core/error_budget.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
 
 namespace qre {
@@ -28,12 +30,50 @@ const std::vector<std::string_view>& ErrorBudget::json_keys() {
   return kKeys;
 }
 
+std::optional<ErrorBudget> ErrorBudget::parse(const json::Value& v, std::string_view path,
+                                              Diagnostics& diags) {
+  if (v.is_number()) {
+    if (!(v.as_double() > 0.0 && v.as_double() < 1.0)) {
+      diags.error("value-range", std::string(path), "error budget must be in (0, 1)");
+      return std::nullopt;
+    }
+    return from_total(v.as_double());
+  }
+  if (!v.is_object()) {
+    diags.error("type-mismatch", std::string(path), "errorBudget must be a number or an object");
+    return std::nullopt;
+  }
+  check_known_keys(v, json_keys(), path, diags);
+  if (v.find("total") != nullptr) {
+    const json::Value* total = expect(v, "total", FieldKind::kNumber, path, diags);
+    if (total == nullptr || !check_probability(*total, "total", path, diags)) return std::nullopt;
+    return from_total(total->as_double());
+  }
+  const std::size_t errors = diags.num_errors();
+  const json::Value* logical = expect(v, "logical", FieldKind::kNumber, path, diags, true);
+  const json::Value* tstates = expect(v, "tstates", FieldKind::kNumber, path, diags, true);
+  const json::Value* rotations = expect(v, "rotations", FieldKind::kNumber, path, diags, true);
+  if (logical != nullptr && logical->as_double() <= 0.0) {
+    diags.error("value-range", pointer_join(path, "logical"),
+                "'logical' budget part must be positive");
+  }
+  for (const auto& [field, key] : {std::pair{tstates, std::string_view("tstates")},
+                                   std::pair{rotations, std::string_view("rotations")}}) {
+    if (field != nullptr && field->as_double() < 0.0) {
+      diags.error("value-range", pointer_join(path, key),
+                  "'" + std::string(key) + "' budget part must be non-negative");
+    }
+  }
+  if (logical != nullptr && tstates != nullptr && rotations != nullptr &&
+      logical->as_double() + tstates->as_double() + rotations->as_double() >= 1.0) {
+    diags.error("value-range", std::string(path), "error budget parts must sum below 1");
+  }
+  if (diags.num_errors() != errors) return std::nullopt;
+  return from_parts(logical->as_double(), tstates->as_double(), rotations->as_double());
+}
+
 ErrorBudget ErrorBudget::from_json(const json::Value& v, Diagnostics* diags) {
-  if (v.is_number()) return from_total(v.as_double());
-  check_known_keys(v, json_keys(), "/errorBudget", diags);
-  if (const json::Value* total = v.find("total")) return from_total(total->as_double());
-  return from_parts(v.at("logical").as_double(), v.at("tstates").as_double(),
-                    v.at("rotations").as_double());
+  return parse_or_throw(diags, [&](Diagnostics& found) { return parse(v, "/errorBudget", found); });
 }
 
 json::Value ErrorBudget::to_json() const {

@@ -42,13 +42,17 @@ class ErrorBudget {
   /// Fully explicit partition.
   static ErrorBudget from_parts(double logical, double tstates, double rotations);
 
-  /// Accepts a bare number, {"total": x}, or {"logical": a, "tstates": b,
-  /// "rotations": c}. Unknown object keys warn on `diags` when a sink is
-  /// given and are rejected otherwise.
+  /// The errorBudget section parser (contract in common/diagnostics.hpp):
+  /// a bare number, {"total": x}, or {"logical": a, "tstates": b,
+  /// "rotations": c}.
+  static std::optional<ErrorBudget> parse(const json::Value& v, std::string_view path,
+                                          Diagnostics& diags);
+
+  /// parse() for direct callers (see parse_or_throw).
   static ErrorBudget from_json(const json::Value& v, Diagnostics* diags = nullptr);
   json::Value to_json() const;
 
-  /// The object keys from_json understands; shared with the validator.
+  /// The object keys parse() understands.
   static const std::vector<std::string_view>& json_keys();
 
   double total() const;

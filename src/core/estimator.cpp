@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/math.hpp"
@@ -19,29 +20,42 @@ const std::vector<std::string_view>& Constraints::json_keys() {
   return kKeys;
 }
 
-Constraints Constraints::from_json(const json::Value& v, Diagnostics* diags) {
-  check_known_keys(v, json_keys(), "/constraints", diags);
+std::optional<Constraints> Constraints::parse(const json::Value& v, std::string_view path,
+                                              Diagnostics& diags) {
+  if (!v.is_object()) {
+    diags.error("type-mismatch", std::string(path), "constraints must be an object");
+    return std::nullopt;
+  }
+  const std::size_t errors = diags.num_errors();
+  check_known_keys(v, json_keys(), path, diags);
   Constraints c;
-  if (const json::Value* f = v.find("logicalDepthFactor")) {
+  if (const json::Value* f = expect(v, "logicalDepthFactor", FieldKind::kNumber, path, diags)) {
     c.logical_depth_factor = f->as_double();
-    QRE_REQUIRE(*c.logical_depth_factor >= 1.0, "logicalDepthFactor must be >= 1");
+    if (*c.logical_depth_factor < 1.0) {
+      diags.error("value-range", pointer_join(path, "logicalDepthFactor"),
+                  "'logicalDepthFactor' must be >= 1");
+    }
   }
-  if (const json::Value* f = v.find("maxTFactories")) {
-    c.max_t_factories = f->as_uint();
-    QRE_REQUIRE(*c.max_t_factories >= 1, "maxTFactories must be >= 1");
+  for (const auto& [key, member] : {std::pair{"maxTFactories", &Constraints::max_t_factories},
+                                    std::pair{"maxPhysicalQubits",
+                                              &Constraints::max_physical_qubits}}) {
+    c.*member = expect_count(v, key, path, diags);
+    if (c.*member == 0u) {
+      diags.error("value-range", pointer_join(path, key),
+                  "'" + std::string(key) + "' must be >= 1");
+    }
   }
-  if (const json::Value* f = v.find("maxDuration")) {
-    c.max_duration_ns = f->as_double();
-    QRE_REQUIRE(*c.max_duration_ns > 0.0, "maxDuration must be positive");
+  // numTsPerRotation accepts 0 ("rotations are free").
+  c.num_ts_per_rotation = expect_count(v, "numTsPerRotation", path, diags);
+  if (const json::Value* f = expect(v, "maxDuration", FieldKind::kNumber, path, diags)) {
+    if (check_positive_number(*f, "maxDuration", path, diags)) c.max_duration_ns = f->as_double();
   }
-  if (const json::Value* f = v.find("maxPhysicalQubits")) {
-    c.max_physical_qubits = f->as_uint();
-    QRE_REQUIRE(*c.max_physical_qubits >= 1, "maxPhysicalQubits must be >= 1");
-  }
-  if (const json::Value* f = v.find("numTsPerRotation")) {
-    c.num_ts_per_rotation = f->as_uint();
-  }
+  if (diags.num_errors() != errors) return std::nullopt;
   return c;
+}
+
+Constraints Constraints::from_json(const json::Value& v, Diagnostics* diags) {
+  return parse_or_throw(diags, [&](Diagnostics& found) { return parse(v, "/constraints", found); });
 }
 
 json::Value Constraints::to_json() const {

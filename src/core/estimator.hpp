@@ -48,11 +48,15 @@ struct Constraints {
   /// Override for the number of T states consumed per rotation.
   std::optional<std::uint64_t> num_ts_per_rotation;
 
-  /// Unknown keys warn on `diags` when a sink is given, reject otherwise.
+  /// The constraints section parser (contract in common/diagnostics.hpp).
+  static std::optional<Constraints> parse(const json::Value& v, std::string_view path,
+                                          Diagnostics& diags);
+
+  /// parse() for direct callers (see parse_or_throw).
   static Constraints from_json(const json::Value& v, Diagnostics* diags = nullptr);
   json::Value to_json() const;
 
-  /// The keys from_json understands; shared with the schema validator.
+  /// The keys parse() understands.
   static const std::vector<std::string_view>& json_keys();
 };
 

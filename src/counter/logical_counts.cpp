@@ -1,40 +1,69 @@
 #include "counter/logical_counts.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 
 namespace qre {
 
+namespace {
+
+/// Every count field, in document order.
+constexpr std::pair<std::string_view, std::uint64_t LogicalCounts::*> kFields[] = {
+    {"numQubits", &LogicalCounts::num_qubits},
+    {"tCount", &LogicalCounts::t_count},
+    {"rotationCount", &LogicalCounts::rotation_count},
+    {"rotationDepth", &LogicalCounts::rotation_depth},
+    {"cczCount", &LogicalCounts::ccz_count},
+    {"ccixCount", &LogicalCounts::ccix_count},
+    {"measurementCount", &LogicalCounts::measurement_count},
+    {"cliffordCount", &LogicalCounts::clifford_count},
+};
+
+}  // namespace
+
 const std::vector<std::string_view>& LogicalCounts::json_keys() {
-  static const std::vector<std::string_view> kKeys = {
-      "numQubits", "tCount",           "rotationCount", "rotationDepth",
-      "cczCount",  "ccixCount",        "measurementCount", "cliffordCount",
-  };
+  static const std::vector<std::string_view> kKeys = [] {
+    std::vector<std::string_view> keys;
+    for (const auto& [key, member] : kFields) keys.push_back(key);
+    return keys;
+  }();
   return kKeys;
 }
 
-LogicalCounts LogicalCounts::from_json(const json::Value& v, Diagnostics* diags) {
-  check_known_keys(v, json_keys(), "/logicalCounts", diags);
+std::optional<LogicalCounts> LogicalCounts::parse(const json::Value& v, std::string_view path,
+                                                  Diagnostics& diags) {
+  if (!v.is_object()) {
+    diags.error("type-mismatch", std::string(path), "logicalCounts must be an object");
+    return std::nullopt;
+  }
+  const std::size_t errors = diags.num_errors();
+  check_known_keys(v, json_keys(), path, diags);
   LogicalCounts c;
-  c.num_qubits = v.at("numQubits").as_uint();
-  QRE_REQUIRE(c.num_qubits > 0, "LogicalCounts: numQubits must be positive");
-  auto field = [&v](const char* key) -> std::uint64_t {
-    const json::Value* f = v.find(key);
-    return f != nullptr ? f->as_uint() : 0;
-  };
-  c.t_count = field("tCount");
-  c.rotation_count = field("rotationCount");
-  c.rotation_depth = field("rotationDepth");
-  c.ccz_count = field("cczCount");
-  c.ccix_count = field("ccixCount");
-  c.measurement_count = field("measurementCount");
-  c.clifford_count = field("cliffordCount");
-  QRE_REQUIRE(c.rotation_depth <= c.rotation_count,
-              "LogicalCounts: rotationDepth cannot exceed rotationCount");
-  QRE_REQUIRE(c.rotation_count == 0 || c.rotation_depth > 0,
-              "LogicalCounts: rotationDepth must be positive when rotations are present");
+  for (const auto& [key, member] : kFields) {
+    const bool is_width = member == &LogicalCounts::num_qubits;
+    const std::optional<std::uint64_t> count = expect_count(v, key, path, diags, is_width);
+    if (is_width && count == 0u) {
+      diags.error("value-range", pointer_join(path, key), "'numQubits' must be positive");
+    }
+    c.*member = count.value_or(0);
+  }
+  // Unreadable counts read as 0 here, so each problem is reported once.
+  if (c.rotation_depth > c.rotation_count) {
+    diags.error("value-range", pointer_join(path, "rotationDepth"),
+                "'rotationDepth' cannot exceed 'rotationCount'");
+  } else if (c.rotation_count > 0 && c.rotation_depth == 0) {
+    diags.error("value-range", pointer_join(path, "rotationDepth"),
+                "'rotationDepth' must be positive when rotations are present");
+  }
+  if (diags.num_errors() != errors) return std::nullopt;
   return c;
+}
+
+LogicalCounts LogicalCounts::from_json(const json::Value& v, Diagnostics* diags) {
+  return parse_or_throw(diags,
+                        [&](Diagnostics& found) { return parse(v, "/logicalCounts", found); });
 }
 
 LogicalCounts LogicalCounts::sequential(const std::vector<LogicalCounts>& parts) {
@@ -68,14 +97,7 @@ LogicalCounts LogicalCounts::repeated(std::uint64_t times) const {
 
 json::Value LogicalCounts::to_json() const {
   json::Object o;
-  o.emplace_back("numQubits", num_qubits);
-  o.emplace_back("tCount", t_count);
-  o.emplace_back("rotationCount", rotation_count);
-  o.emplace_back("rotationDepth", rotation_depth);
-  o.emplace_back("cczCount", ccz_count);
-  o.emplace_back("ccixCount", ccix_count);
-  o.emplace_back("measurementCount", measurement_count);
-  o.emplace_back("cliffordCount", clifford_count);
+  for (const auto& [key, member] : kFields) o.emplace_back(std::string(key), this->*member);
   return json::Value(std::move(o));
 }
 

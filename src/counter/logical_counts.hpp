@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -40,15 +41,17 @@ struct LogicalCounts {
     return t_count + rotation_count + ccz_count + ccix_count != 0;
   }
 
-  /// Parses {"numQubits": ..., "tCount": ..., "rotationCount": ...,
-  /// "rotationDepth": ..., "cczCount": ..., "ccixCount": ...,
-  /// "measurementCount": ...}; all fields except numQubits default to 0.
-  /// Unknown keys are reported as warnings on `diags` when a sink is given
-  /// and rejected (qre::Error) otherwise.
+  /// The logicalCounts section parser (contract in common/diagnostics.hpp):
+  /// {"numQubits": ..., "tCount": ..., "rotationCount": ..., ...}; all
+  /// fields except numQubits default to 0.
+  static std::optional<LogicalCounts> parse(const json::Value& v, std::string_view path,
+                                            Diagnostics& diags);
+
+  /// parse() for direct callers (see parse_or_throw).
   static LogicalCounts from_json(const json::Value& v, Diagnostics* diags = nullptr);
   json::Value to_json() const;
 
-  /// The keys from_json understands; shared with the schema validator.
+  /// The keys parse() understands.
   static const std::vector<std::string_view>& json_keys();
 
   /// Composes subroutines executed one after another on a shared machine —

@@ -22,37 +22,63 @@ const std::vector<std::string_view>& ExploreOptions::json_keys() {
   return kKeys;
 }
 
-ExploreOptions ExploreOptions::from_json(const json::Value& v, Diagnostics* diags) {
-  QRE_REQUIRE(v.is_object(), "frontier section must be an object");
-  check_known_keys(v, json_keys(), "/frontier", diags);
+std::optional<ExploreOptions> ExploreOptions::parse(const json::Value& v, std::string_view path,
+                                                    Diagnostics& diags) {
+  if (!v.is_object()) {
+    diags.error("type-mismatch", std::string(path), "frontier must be an object");
+    return std::nullopt;
+  }
+  const std::size_t errors = diags.num_errors();
+  check_known_keys(v, json_keys(), path, diags);
   ExploreOptions o;
-  if (const json::Value* f = v.find("maxProbes")) {
-    o.max_probes = static_cast<std::size_t>(f->as_uint());
-    QRE_REQUIRE(o.max_probes >= 2, "frontier.maxProbes must be >= 2");
-  }
-  if (const json::Value* f = v.find("qubitTolerance")) {
-    o.qubit_tolerance = f->as_double();
-    QRE_REQUIRE(o.qubit_tolerance >= 0.0, "frontier.qubitTolerance must be >= 0");
-  }
-  if (const json::Value* f = v.find("runtimeTolerance")) {
-    o.runtime_tolerance = f->as_double();
-    QRE_REQUIRE(o.runtime_tolerance >= 0.0, "frontier.runtimeTolerance must be >= 0");
-  }
-  if (const json::Value* f = v.find("errorBudgets")) {
-    QRE_REQUIRE(f->is_array() && !f->as_array().empty(),
-                "frontier.errorBudgets must be a non-empty array");
-    for (const json::Value& b : f->as_array()) {
-      const double budget = b.as_double();
-      QRE_REQUIRE(budget > 0.0 && budget < 1.0,
-                  "frontier.errorBudgets entries must be in (0, 1)");
-      o.error_budgets.push_back(budget);
+  if (const std::optional<std::uint64_t> probes = expect_count(v, "maxProbes", path, diags)) {
+    o.max_probes = static_cast<std::size_t>(*probes);
+    if (o.max_probes < 2) {
+      diags.error("value-range", pointer_join(path, "maxProbes"),
+                  "'maxProbes' must be >= 2 (the frontier needs both bracket probes)");
     }
   }
-  // Every budget level costs at least its bracketing probe; a tighter
-  // budget would silently drop whole objective levels.
-  QRE_REQUIRE(o.error_budgets.size() <= o.max_probes,
-              "frontier.maxProbes must be at least the number of errorBudgets levels");
+  for (const auto& [key, member] : {std::pair{"qubitTolerance", &ExploreOptions::qubit_tolerance},
+                                    std::pair{"runtimeTolerance",
+                                              &ExploreOptions::runtime_tolerance}}) {
+    if (const json::Value* t = expect(v, key, FieldKind::kNumber, path, diags)) {
+      o.*member = t->as_double();
+      if (o.*member < 0.0) {
+        diags.error("value-range", pointer_join(path, key),
+                    "'" + std::string(key) + "' must be >= 0");
+      }
+    }
+  }
+  if (const json::Value* budgets = expect(v, "errorBudgets", FieldKind::kArray, path, diags)) {
+    const std::string budgets_path = pointer_join(path, "errorBudgets");
+    if (budgets->as_array().empty()) {
+      diags.error("value-range", budgets_path, "'errorBudgets' must not be empty");
+    }
+    for (std::size_t i = 0; i < budgets->as_array().size(); ++i) {
+      const json::Value& budget = budgets->as_array()[i];
+      if (!budget.is_number()) {
+        diags.error("type-mismatch", pointer_join(budgets_path, i),
+                    "error budget must be a number");
+      } else if (!(budget.as_double() > 0.0 && budget.as_double() < 1.0)) {
+        diags.error("value-range", pointer_join(budgets_path, i),
+                    "error budget must be in (0, 1)");
+      } else {
+        o.error_budgets.push_back(budget.as_double());
+      }
+    }
+    // Every budget level costs at least its bracketing probe; a tighter
+    // probe budget would silently drop whole objective levels.
+    if (budgets->as_array().size() > o.max_probes) {
+      diags.error("value-range", budgets_path,
+                  "'errorBudgets' has more levels than 'maxProbes' allows probes");
+    }
+  }
+  if (diags.num_errors() != errors) return std::nullopt;
   return o;
+}
+
+ExploreOptions ExploreOptions::from_json(const json::Value& v, Diagnostics* diags) {
+  return parse_or_throw(diags, [&](Diagnostics& found) { return parse(v, "/frontier", found); });
 }
 
 namespace {

@@ -30,7 +30,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/diagnostics.hpp"
@@ -54,11 +56,14 @@ struct ExploreOptions {
   /// keeps the document's own budget (a 2-objective exploration).
   std::vector<double> error_budgets;
 
-  /// Unknown keys warn on `diags` when a sink is given, reject otherwise.
-  /// Range violations throw qre::Error.
+  /// The "frontier" section parser (contract in common/diagnostics.hpp).
+  static std::optional<ExploreOptions> parse(const json::Value& v, std::string_view path,
+                                             Diagnostics& diags);
+
+  /// parse() for direct callers (see parse_or_throw).
   static ExploreOptions from_json(const json::Value& v, Diagnostics* diags = nullptr);
 
-  /// The keys from_json understands; shared with the schema validator.
+  /// The keys parse() understands.
   static const std::vector<std::string_view>& json_keys();
 };
 

@@ -96,93 +96,120 @@ QubitParams QubitParams::from_name(std::string_view name) {
               "qubit_gate_us_e4, qubit_maj_ns_e4, qubit_maj_ns_e6");
 }
 
+namespace {
+
+/// A numeric field: a duration (must be positive) or an error rate (must be
+/// in (0, 1)), used by gate-based models, Majorana models, or both.
+struct NumericField {
+  std::string_view key;
+  double QubitParams::*member;
+  bool is_time;
+  bool gate_based;
+  bool majorana;
+
+  bool used_by(InstructionSet set) const {
+    return set == InstructionSet::kGateBased ? gate_based : majorana;
+  }
+};
+
+/// Every numeric field, in document order.
+constexpr NumericField kFields[] = {
+    {"oneQubitMeasurementTime", &QubitParams::one_qubit_measurement_time_ns, true, true, true},
+    {"oneQubitGateTime", &QubitParams::one_qubit_gate_time_ns, true, true, false},
+    {"twoQubitGateTime", &QubitParams::two_qubit_gate_time_ns, true, true, false},
+    {"twoQubitJointMeasurementTime", &QubitParams::two_qubit_joint_measurement_time_ns, true,
+     false, true},
+    {"tGateTime", &QubitParams::t_gate_time_ns, true, true, true},
+    {"oneQubitMeasurementErrorRate", &QubitParams::one_qubit_measurement_error_rate, false, true,
+     true},
+    {"oneQubitGateErrorRate", &QubitParams::one_qubit_gate_error_rate, false, true, false},
+    {"twoQubitGateErrorRate", &QubitParams::two_qubit_gate_error_rate, false, true, false},
+    {"twoQubitJointMeasurementErrorRate", &QubitParams::two_qubit_joint_measurement_error_rate,
+     false, false, true},
+    {"tGateErrorRate", &QubitParams::t_gate_error_rate, false, true, true},
+    {"idleErrorRate", &QubitParams::idle_error_rate, false, true, true},
+};
+
+}  // namespace
+
 const std::vector<std::string_view>& QubitParams::json_keys() {
-  static const std::vector<std::string_view> kKeys = {
-      "name",
-      "instructionSet",
-      "oneQubitMeasurementTime",
-      "oneQubitGateTime",
-      "twoQubitGateTime",
-      "twoQubitJointMeasurementTime",
-      "tGateTime",
-      "oneQubitMeasurementErrorRate",
-      "oneQubitGateErrorRate",
-      "twoQubitGateErrorRate",
-      "twoQubitJointMeasurementErrorRate",
-      "tGateErrorRate",
-      "idleErrorRate",
-  };
+  static const std::vector<std::string_view> kKeys = [] {
+    std::vector<std::string_view> keys = {"name", "instructionSet"};
+    for (const NumericField& f : kFields) keys.push_back(f.key);
+    return keys;
+  }();
   return kKeys;
 }
 
-QubitParams QubitParams::from_json(const json::Value& v, Diagnostics* diags) {
-  check_known_keys(v, json_keys(), "/qubitParams", diags);
-  QubitParams q;
-  bool have_preset = false;
-  if (const json::Value* name = v.find("name")) {
-    const std::string& n = name->as_string();
-    bool known = std::find(preset_names().begin(), preset_names().end(), n) !=
-                 preset_names().end();
-    if (known) {
-      q = from_name(n);
-      have_preset = true;
-    } else {
-      q.name = n;
+std::optional<QubitParams> QubitParams::parse(const json::Value& v, std::string_view path,
+                                              const QubitParams* base, Diagnostics& diags,
+                                              const std::vector<std::string_view>& keys) {
+  if (!v.is_object()) {
+    diags.error("type-mismatch", std::string(path), "qubitParams must be an object");
+    return std::nullopt;
+  }
+  const std::size_t errors = diags.num_errors();
+  check_known_keys(v, keys, path, diags);
+  QubitParams q = base != nullptr ? *base : QubitParams{};
+  const json::Value* name = expect(v, "name", FieldKind::kString, path, diags);
+  if (base == nullptr && name != nullptr) q.name = name->as_string();
+
+  bool set_known = base != nullptr;
+  if (const json::Value* set = expect(v, "instructionSet", FieldKind::kString, path, diags)) {
+    set_known = try_parse_instruction_set(set->as_string(), q.instruction_set);
+    if (!set_known) {
+      diags.error("invalid-value", pointer_join(path, "instructionSet"),
+                  "unknown instructionSet '" + set->as_string() +
+                      "' (expected GateBased or Majorana)");
+    }
+  } else if (base == nullptr && v.find("instructionSet") == nullptr) {
+    diags.error("unknown-name", pointer_join(path, "name"),
+                name != nullptr ? "unknown qubit profile '" + name->as_string() +
+                                      "' and no 'instructionSet' to build a custom model"
+                                : "custom qubit model requires 'instructionSet'");
+  }
+  // The fields the instruction set uses come from the section or the base
+  // (a custom model has none).
+  if (set_known) {
+    for (const NumericField& f : kFields) {
+      if (f.used_by(q.instruction_set) && q.*f.member == 0.0 && v.find(f.key) == nullptr) {
+        diags.error("required-missing", pointer_join(path, f.key),
+                    "required field '" + std::string(f.key) + "' is missing");
+      }
     }
   }
-  if (!have_preset && v.find("instructionSet") == nullptr) {
-    throw_error("custom qubit model requires 'instructionSet'");
+  for (const NumericField& f : kFields) {
+    if (const json::Value* x = expect(v, f.key, FieldKind::kNumber, path, diags)) {
+      if (f.is_time ? check_positive_number(*x, f.key, path, diags)
+                    : check_probability(*x, f.key, path, diags)) {
+        q.*f.member = x->as_double();
+      }
+    }
   }
-  q.apply_json_overrides(v);
+  if (diags.num_errors() != errors) return std::nullopt;
   return q;
 }
 
-void QubitParams::apply_json_overrides(const json::Value& v) {
-  if (const json::Value* is = v.find("instructionSet")) {
-    const std::string& s = is->as_string();
-    if (!try_parse_instruction_set(s, instruction_set)) {
-      throw_error("unknown instructionSet '" + s + "' (expected GateBased or Majorana)");
-    }
+QubitParams QubitParams::from_json(const json::Value& v, Diagnostics* diags) {
+  const json::Value* name = v.is_object() ? v.find("name") : nullptr;
+  std::optional<QubitParams> preset;
+  try {
+    if (name != nullptr) preset = from_name(name->as_string());
+  } catch (const Error&) {
+    // Not a preset: a custom model, or a name parse() reports.
   }
-
-  auto override_field = [&v](const char* key, double& field) {
-    if (const json::Value* f = v.find(key)) field = f->as_double();
-  };
-  override_field("oneQubitMeasurementTime", one_qubit_measurement_time_ns);
-  override_field("oneQubitGateTime", one_qubit_gate_time_ns);
-  override_field("twoQubitGateTime", two_qubit_gate_time_ns);
-  override_field("twoQubitJointMeasurementTime", two_qubit_joint_measurement_time_ns);
-  override_field("tGateTime", t_gate_time_ns);
-  override_field("oneQubitMeasurementErrorRate", one_qubit_measurement_error_rate);
-  override_field("oneQubitGateErrorRate", one_qubit_gate_error_rate);
-  override_field("twoQubitGateErrorRate", two_qubit_gate_error_rate);
-  override_field("twoQubitJointMeasurementErrorRate", two_qubit_joint_measurement_error_rate);
-  override_field("tGateErrorRate", t_gate_error_rate);
-  override_field("idleErrorRate", idle_error_rate);
-  validate();
+  return parse_or_throw(diags, [&](Diagnostics& found) {
+    return parse(v, "/qubitParams", preset ? &*preset : nullptr, found);
+  });
 }
 
 json::Value QubitParams::to_json() const {
   json::Object o;
   o.emplace_back("name", name);
   o.emplace_back("instructionSet", std::string(to_string(instruction_set)));
-  o.emplace_back("oneQubitMeasurementTime", one_qubit_measurement_time_ns);
-  if (instruction_set == InstructionSet::kGateBased) {
-    o.emplace_back("oneQubitGateTime", one_qubit_gate_time_ns);
-    o.emplace_back("twoQubitGateTime", two_qubit_gate_time_ns);
-  } else {
-    o.emplace_back("twoQubitJointMeasurementTime", two_qubit_joint_measurement_time_ns);
+  for (const NumericField& f : kFields) {
+    if (f.used_by(instruction_set)) o.emplace_back(std::string(f.key), this->*f.member);
   }
-  o.emplace_back("tGateTime", t_gate_time_ns);
-  o.emplace_back("oneQubitMeasurementErrorRate", one_qubit_measurement_error_rate);
-  if (instruction_set == InstructionSet::kGateBased) {
-    o.emplace_back("oneQubitGateErrorRate", one_qubit_gate_error_rate);
-    o.emplace_back("twoQubitGateErrorRate", two_qubit_gate_error_rate);
-  } else {
-    o.emplace_back("twoQubitJointMeasurementErrorRate", two_qubit_joint_measurement_error_rate);
-  }
-  o.emplace_back("tGateErrorRate", t_gate_error_rate);
-  o.emplace_back("idleErrorRate", idle_error_rate);
   return json::Value(std::move(o));
 }
 

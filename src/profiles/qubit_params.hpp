@@ -26,6 +26,7 @@
 // paper).
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -80,20 +81,22 @@ struct QubitParams {
   /// Names of all presets, in the order the paper's Figure 4 uses.
   static const std::vector<std::string>& preset_names();
 
-  /// Builds a model from JSON. If the object carries a "name" matching a
-  /// preset, the remaining fields override that preset; otherwise all fields
-  /// are required for the given instruction set. Unknown keys warn on
-  /// `diags` when a sink is given and are rejected otherwise.
-  static QubitParams from_json(const json::Value& v, Diagnostics* diags = nullptr);
+  /// The qubitParams section parser (contract in common/diagnostics.hpp)
+  /// of a job's /qubitParams and a profile pack's /qubitParams/<i>, with
+  /// unknown keys checked against `keys`. The section overrides `base`, the
+  /// profile its name resolved to; nullptr makes a custom model. Every field
+  /// the (new) instruction set uses must come from the section or the base.
+  static std::optional<QubitParams> parse(const json::Value& v, std::string_view path,
+                                          const QubitParams* base, Diagnostics& diags,
+                                          const std::vector<std::string_view>& keys = json_keys());
 
-  /// Applies the JSON overrides ("instructionSet" plus the numeric fields)
-  /// onto this model and validates the result. Used by from_json after
-  /// preset resolution and by the API registry after profile lookup.
-  void apply_json_overrides(const json::Value& v);
+  /// parse() for direct callers (see parse_or_throw), with the preset
+  /// "name" names as the base.
+  static QubitParams from_json(const json::Value& v, Diagnostics* diags = nullptr);
 
   json::Value to_json() const;
 
-  /// The keys from_json understands; shared with the schema validator.
+  /// The keys parse() understands.
   static const std::vector<std::string_view>& json_keys();
 
   /// The representative physical Clifford error rate used by the QEC

@@ -99,13 +99,54 @@ const std::vector<std::string_view>& QecScheme::json_keys() {
   return kKeys;
 }
 
-QecScheme QecScheme::from_json(const json::Value& v, InstructionSet set, Diagnostics* diags) {
-  check_known_keys(v, json_keys(), "/qecScheme", diags);
-  QecScheme scheme = default_for(set);
-  if (const json::Value* name = v.find("name")) {
-    scheme = from_name(name->as_string(), set);
+std::optional<QecScheme> QecScheme::parse(const json::Value& v, std::string_view path,
+                                          const QecScheme* base, InstructionSet set,
+                                          Diagnostics& diags,
+                                          const std::vector<std::string_view>& keys) {
+  if (!v.is_object()) {
+    diags.error("type-mismatch", std::string(path), "qecScheme must be an object");
+    return std::nullopt;
   }
-  return customize(std::move(scheme), v);
+  const std::size_t errors = diags.num_errors();
+  check_known_keys(v, keys, path, diags);
+  if (const json::Value* name = expect(v, "name", FieldKind::kString, path, diags)) {
+    if (base == nullptr) {
+      diags.error("unknown-name", pointer_join(path, "name"),
+                  "unknown QEC scheme '" + name->as_string() + "' for " +
+                      std::string(to_string(set)) + " hardware");
+    }
+  }
+  if (const json::Value* t =
+          expect(v, "errorCorrectionThreshold", FieldKind::kNumber, path, diags)) {
+    check_probability(*t, "errorCorrectionThreshold", path, diags);
+  }
+  if (const json::Value* a = expect(v, "crossingPrefactor", FieldKind::kNumber, path, diags)) {
+    check_positive_number(*a, "crossingPrefactor", path, diags);
+  }
+  for (std::string_view key : {"logicalCycleTime", "physicalQubitsPerLogicalQubit"}) {
+    if (const json::Value* f = expect(v, key, FieldKind::kString, path, diags)) {
+      check_formula(*f, key, path, diags);
+    }
+  }
+  if (expect_count(v, "maxCodeDistance", path, diags) == 0u) {
+    diags.error("value-range", pointer_join(path, "maxCodeDistance"),
+                "'maxCodeDistance' must be >= 1");
+  }
+  if (diags.num_errors() != errors || base == nullptr) return std::nullopt;
+  return customize(*base, v);
+}
+
+QecScheme QecScheme::from_json(const json::Value& v, InstructionSet set, Diagnostics* diags) {
+  const json::Value* name = v.is_object() ? v.find("name") : nullptr;
+  std::optional<QecScheme> base;
+  try {
+    base = name == nullptr ? default_for(set) : from_name(name->as_string(), set);
+  } catch (const Error&) {
+    // No built-in scheme by that name (or no string name): parse() says so.
+  }
+  return parse_or_throw(diags, [&](Diagnostics& found) {
+    return parse(v, "/qecScheme", base ? &*base : nullptr, set, found);
+  });
 }
 
 QecScheme QecScheme::customize(QecScheme base, const json::Value& v) {

@@ -55,16 +55,26 @@ class QecScheme {
   /// "floquet_code" (Majorana only; throws for gate-based).
   static QecScheme from_name(std::string_view name, InstructionSet set);
 
-  /// Customization from JSON: an optional "name" preset plus any of
+  /// The qecScheme section parser (contract in common/diagnostics.hpp) of
+  /// a job's /qecScheme and a profile pack's /qecSchemes/<i>, with unknown
+  /// keys checked against `keys`: an optional "name" plus any of
   /// "errorCorrectionThreshold", "crossingPrefactor", "logicalCycleTime",
-  /// "physicalQubitsPerLogicalQubit", "maxCodeDistance" overrides. Unknown
-  /// keys warn on `diags` when a sink is given and are rejected otherwise.
+  /// "physicalQubitsPerLogicalQubit", "maxCodeDistance" overrides onto
+  /// `base`, the scheme the name resolved to for `set` hardware (the default
+  /// scheme without a name; nullptr when the name resolved to none).
+  static std::optional<QecScheme> parse(const json::Value& v, std::string_view path,
+                                        const QecScheme* base, InstructionSet set,
+                                        Diagnostics& diags,
+                                        const std::vector<std::string_view>& keys = json_keys());
+
+  /// parse() for direct callers (see parse_or_throw), with the built-in
+  /// scheme "name" names as the base.
   static QecScheme from_json(const json::Value& v, InstructionSet set,
                              Diagnostics* diags = nullptr);
 
   /// Applies the JSON override keys (everything but "name") onto `base` and
-  /// range-checks the result. Used by from_json after preset resolution and
-  /// by the API registry after scheme lookup.
+  /// range-checks the result: the builder parse() calls once the section
+  /// checked out, and a direct entry point for code-built overrides.
   static QecScheme customize(QecScheme base, const json::Value& v);
 
   /// A copy of this scheme under a different name (profile-pack loading).
@@ -72,7 +82,7 @@ class QecScheme {
 
   json::Value to_json() const;
 
-  /// The keys from_json understands; shared with the schema validator.
+  /// The keys parse() understands.
   static const std::vector<std::string_view>& json_keys();
 
   const std::string& name() const { return name_; }

@@ -5,7 +5,6 @@
 #include <string_view>
 #include <utility>
 
-#include "api/api.hpp"
 #include "api/schema.hpp"
 #include "common/diagnostics.hpp"
 #include "common/error.hpp"
@@ -166,8 +165,8 @@ BatchKernelPlan plan_batch_kernel(const json::Value& job, const api::Registry& r
   // One probe document per axis VALUE (base + this value, every other axis
   // at its first value): the grid document the per-item path would parse
   // for that item, so parsed inputs are exact. A value whose probe fails
-  // validation or parsing stays nullopt; grid items picking it run the
-  // per-item runner and produce identical error documents.
+  // validation stays nullopt; grid items picking it run the per-item runner
+  // and produce identical error documents.
   for (BatchKernelAxis& a : plan.axes_) {
     a.inputs.resize(a.values.size());
     a.key_dumps.reserve(a.values.size());
@@ -183,15 +182,8 @@ BatchKernelPlan plan_batch_kernel(const json::Value& job, const api::Registry& r
         throw;
       }
       if (!composes) continue;
-      try {
-        Diagnostics probe_diags;
-        api::validate_job(probe, registry, probe_diags);
-        if (probe_diags.has_errors()) continue;
-        Diagnostics sink;  // tolerate warnings, as the per-item runner does
-        a.inputs[k] = api::input_from_document(probe, registry, &sink);
-      } catch (const std::exception&) {
-        // leave invalid: the per-item runner reports the exact error
-      }
+      Diagnostics probe_diags;  // tolerate warnings, as the per-item runner does
+      a.inputs[k] = api::validate_job(probe, registry, probe_diags);
     }
   }
 

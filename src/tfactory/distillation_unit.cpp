@@ -1,5 +1,7 @@
 #include "tfactory/distillation_unit.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
 
 namespace qre {
@@ -66,31 +68,76 @@ const std::vector<std::string_view>& DistillationUnit::logical_spec_keys() {
   return kKeys;
 }
 
+std::optional<DistillationUnit> DistillationUnit::parse(const json::Value& v,
+                                                        std::string_view path,
+                                                        Diagnostics& diags) {
+  if (!v.is_object()) {
+    diags.error("type-mismatch", std::string(path),
+                "distillation unit specification must be an object");
+    return std::nullopt;
+  }
+  const std::size_t errors = diags.num_errors();
+  check_known_keys(v, json_keys(), path, diags);
+  DistillationUnit u;
+  if (const json::Value* name = expect(v, "name", FieldKind::kString, path, diags, true)) {
+    u.name = name->as_string();
+  }
+  const std::optional<std::uint64_t> in = expect_count(v, "numInputTs", path, diags, true);
+  const std::optional<std::uint64_t> out = expect_count(v, "numOutputTs", path, diags, true);
+  if (in && out && !(*out > 0 && *out < *in)) {
+    diags.error("value-range", pointer_join(path, "numOutputTs"),
+                "a distillation unit must output fewer (but at least one) T states "
+                "than it consumes");
+  }
+  u.num_input_ts = in.value_or(0);
+  u.num_output_ts = out.value_or(0);
+  for (const auto& [key, member] :
+       {std::pair{"failureProbabilityFormula", &DistillationUnit::failure_probability},
+        std::pair{"outputErrorRateFormula", &DistillationUnit::output_error_rate}}) {
+    if (const json::Value* f = expect(v, key, FieldKind::kString, path, diags, true)) {
+      if (std::optional<Formula> formula = check_formula(*f, key, path, diags)) {
+        u.*member = std::move(*formula);
+      }
+    }
+  }
+  const json::Value* phys =
+      expect(v, "physicalQubitSpecification", FieldKind::kObject, path, diags);
+  const json::Value* log = expect(v, "logicalQubitSpecification", FieldKind::kObject, path, diags);
+  if (v.find("physicalQubitSpecification") == nullptr &&
+      v.find("logicalQubitSpecification") == nullptr) {
+    diags.error("required-missing", std::string(path),
+                "distillation unit needs a physicalQubitSpecification or "
+                "logicalQubitSpecification");
+  }
+  if (phys != nullptr) {
+    const std::string spec = pointer_join(path, "physicalQubitSpecification");
+    check_known_keys(*phys, physical_spec_keys(), spec, diags);
+    u.allow_physical = true;
+    u.physical_qubits_at_physical =
+        expect_count(*phys, "numUnitQubits", spec, diags, true).value_or(0);
+    if (const json::Value* f =
+            expect(*phys, "durationFormula", FieldKind::kString, spec, diags, true)) {
+      if (std::optional<Formula> formula = check_formula(*f, "durationFormula", spec, diags)) {
+        u.duration_at_physical_ns = std::move(*formula);
+      }
+    }
+  }
+  if (log != nullptr) {
+    const std::string spec = pointer_join(path, "logicalQubitSpecification");
+    check_known_keys(*log, logical_spec_keys(), spec, diags);
+    u.allow_logical = true;
+    u.logical_qubits_at_logical =
+        expect_count(*log, "numUnitQubits", spec, diags, true).value_or(0);
+    u.duration_in_logical_cycles =
+        expect_count(*log, "durationInLogicalCycles", spec, diags, true).value_or(0);
+  }
+  if (diags.num_errors() != errors) return std::nullopt;
+  return u;
+}
+
 DistillationUnit DistillationUnit::from_json(const json::Value& v, Diagnostics* diags,
                                              std::string_view base_path) {
-  check_known_keys(v, json_keys(), base_path, diags);
-  DistillationUnit u;
-  u.name = v.at("name").as_string();
-  u.num_input_ts = v.at("numInputTs").as_uint();
-  u.num_output_ts = v.at("numOutputTs").as_uint();
-  u.failure_probability = Formula::parse(v.at("failureProbabilityFormula").as_string());
-  u.output_error_rate = Formula::parse(v.at("outputErrorRateFormula").as_string());
-  if (const json::Value* phys = v.find("physicalQubitSpecification")) {
-    check_known_keys(*phys, physical_spec_keys(),
-                     pointer_join(base_path, "physicalQubitSpecification"), diags);
-    u.allow_physical = true;
-    u.physical_qubits_at_physical = phys->at("numUnitQubits").as_uint();
-    u.duration_at_physical_ns = Formula::parse(phys->at("durationFormula").as_string());
-  }
-  if (const json::Value* log = v.find("logicalQubitSpecification")) {
-    check_known_keys(*log, logical_spec_keys(),
-                     pointer_join(base_path, "logicalQubitSpecification"), diags);
-    u.allow_logical = true;
-    u.logical_qubits_at_logical = log->at("numUnitQubits").as_uint();
-    u.duration_in_logical_cycles = log->at("durationInLogicalCycles").as_uint();
-  }
-  u.validate();
-  return u;
+  return parse_or_throw(diags, [&](Diagnostics& found) { return parse(v, base_path, found); });
 }
 
 json::Value DistillationUnit::to_json() const {

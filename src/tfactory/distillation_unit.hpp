@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -61,17 +62,20 @@ struct DistillationUnit {
   /// process; each call returns a copy).
   static std::vector<DistillationUnit> default_units();
 
-  /// JSON customization; see tests/test_tfactory.cpp for the schema.
-  /// Unknown keys warn on `diags` when a sink is given, reject otherwise;
-  /// `base_path` anchors those warnings (callers that know the unit's array
-  /// index pass e.g. "/distillationUnitSpecifications/2").
+  /// The distillation unit parser (contract in common/diagnostics.hpp) of
+  /// a job's /distillationUnitSpecifications/<i> and a profile pack's
+  /// /distillationUnits/<i>; see tests/test_tfactory.cpp for the schema.
+  static std::optional<DistillationUnit> parse(const json::Value& v, std::string_view path,
+                                               Diagnostics& diags);
+
+  /// parse() for direct callers (see parse_or_throw), under `base_path`.
   static DistillationUnit from_json(const json::Value& v, Diagnostics* diags = nullptr,
                                     std::string_view base_path =
                                         "/distillationUnitSpecifications");
   json::Value to_json() const;
 
-  /// The keys from_json understands (top level and the two nested level
-  /// specifications); shared with the schema validator.
+  /// The keys parse() understands (top level and the two nested level
+  /// specifications).
   static const std::vector<std::string_view>& json_keys();
   static const std::vector<std::string_view>& physical_spec_keys();
   static const std::vector<std::string_view>& logical_spec_keys();

@@ -133,7 +133,12 @@ TEST(Registry, ProfilePackCollectsErrorsAndKeepsGoodEntries) {
     "qubitParams": [
       {"name": "orphan", "base": "no_such_base"},
       {"oneQubitGateTime": 10},
-      {"name": "ok_profile", "base": "qubit_maj_ns_e4", "tGateErrorRate": 0.04}
+      {"name": "ok_profile", "base": "qubit_maj_ns_e4", "tGateErrorRate": 0.04},
+      {"name": "q", "base": "qubit_gate_ns_e3", "tGateTime": "fast"},
+      {"name": "maj_from_gate", "base": "qubit_gate_ns_e3", "instructionSet": "Majorana"}
+    ],
+    "qecSchemes": [
+      {"name": "zero_distance", "instructionSet": "GateBased", "maxCodeDistance": 0}
     ]
   })");
   r.load_profile_pack(pack, diags);
@@ -143,6 +148,30 @@ TEST(Registry, ProfilePackCollectsErrorsAndKeepsGoodEntries) {
   EXPECT_EQ(r.find_qubit("orphan"), nullptr);
   ASSERT_NE(r.find_qubit("ok_profile"), nullptr);  // valid entry still landed
   EXPECT_DOUBLE_EQ(r.find_qubit("ok_profile")->t_gate_error_rate, 0.04);
+
+  // Pack entries go through the job's section parsers: every problem is
+  // reported at the field's own path, and an entry a job would reject
+  // is not registered.
+  const Diagnostic* type = find_diagnostic(diags, "type-mismatch", "/qubitParams/3/tGateTime");
+  ASSERT_NE(type, nullptr);
+  EXPECT_EQ(type->message, "'tGateTime' must be a number");
+  EXPECT_EQ(r.find_qubit("q"), nullptr);
+  for (const char* field : {"twoQubitJointMeasurementTime", "twoQubitJointMeasurementErrorRate"}) {
+    const Diagnostic* missing = find_diagnostic(
+        diags, "required-missing", std::string("/qubitParams/4/") + field);
+    ASSERT_NE(missing, nullptr) << field;
+    EXPECT_EQ(missing->message, std::string("required field '") + field + "' is missing");
+  }
+  EXPECT_EQ(r.find_qubit("maj_from_gate"), nullptr);
+  const Diagnostic* distance =
+      find_diagnostic(diags, "value-range", "/qecSchemes/0/maxCodeDistance");
+  ASSERT_NE(distance, nullptr);
+  EXPECT_EQ(distance->message, "'maxCodeDistance' must be >= 1");
+  EXPECT_EQ(r.find_qec("zero_distance", InstructionSet::kGateBased), nullptr);
+  // No finding is reported on a whole entry: each names its field.
+  for (const Diagnostic& d : diags.entries()) {
+    EXPECT_EQ(std::count(d.path.begin(), d.path.end(), '/'), 3) << d.path << ": " << d.message;
+  }
 }
 
 // -------------------------------------------------- validation & schema ---
@@ -645,6 +674,39 @@ TEST(SchemaV2, EveryRuleReportsItsPinnedDiagnostics) {
       actual.push_back({std::string(to_string(d.severity)), d.code, d.path, d.message});
     }
     EXPECT_EQ(actual, c.expected) << "actual:\n" << render_diagnostics(request.diagnostics);
+  }
+}
+
+TEST(SchemaV2, RejectsWhatTheRunWouldFail) {
+  // Validation and parsing share one parser per section, so a document that
+  // validates also builds its input; these two used to pass validation and
+  // then fail the run.
+  struct Case {
+    const char* file;
+    std::vector<std::array<std::string, 4>> expected;
+  };
+  const Case cases[] = {
+      // Counts compare as integers: 2^53 + 1 > 2^53.
+      {"/tests/data/invalid_rotation_depth_precision.json",
+       {{"error", "value-range", "/logicalCounts/rotationDepth",
+         "'rotationDepth' cannot exceed 'rotationCount'"}}},
+      // A preset switched to another instruction set lacks that set's fields.
+      {"/tests/data/invalid_preset_instruction_set.json",
+       {{"error", "required-missing", "/qubitParams/twoQubitJointMeasurementTime",
+         "required field 'twoQubitJointMeasurementTime' is missing"},
+        {"error", "required-missing", "/qubitParams/twoQubitJointMeasurementErrorRate",
+         "required field 'twoQubitJointMeasurementErrorRate' is missing"}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.file);
+    const json::Value job = json::parse_file(std::string(QRE_SOURCE_DIR) + c.file);
+    const EstimateRequest request = EstimateRequest::parse(job);
+    std::vector<std::array<std::string, 4>> actual;
+    for (const Diagnostic& d : request.diagnostics.entries()) {
+      actual.push_back({std::string(to_string(d.severity)), d.code, d.path, d.message});
+    }
+    EXPECT_EQ(actual, c.expected) << render_diagnostics(request.diagnostics);
+    EXPECT_THROW(api::input_from_document(job, Registry::global()), ValidationError);
   }
 }
 

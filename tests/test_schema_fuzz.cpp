@@ -119,6 +119,14 @@ void expect_graceful_validation(const json::Value& document) {
         request.document.find("frontier") != nullptr) {
       ASSERT_NO_THROW(api::FrontierRequest::parse(document, registry));
     }
+    // Valid means parsable: a single job that validates builds its input.
+    const bool single_job = request.document.find("items") == nullptr &&
+                            request.document.find("sweep") == nullptr &&
+                            request.document.find("frontier") == nullptr;
+    if (single_job) {
+      Diagnostics sink;
+      ASSERT_NO_THROW(api::input_from_document(request.document, registry, &sink));
+    }
   }
   for (const Diagnostic& d : request.diagnostics.entries()) {
     EXPECT_FALSE(d.code.empty());
@@ -137,6 +145,8 @@ TEST(SchemaFuzz, MutatedDocumentsAlwaysValidateGracefully) {
       json::parse(kFrontierJob),
       json::parse_file(QRE_SOURCE_DIR "/examples/fig4_sweep_job.json"),
       json::parse_file(QRE_SOURCE_DIR "/examples/frontier_job.json"),
+      json::parse_file(QRE_SOURCE_DIR "/tests/data/invalid_rotation_depth_precision.json"),
+      json::parse_file(QRE_SOURCE_DIR "/tests/data/invalid_preset_instruction_set.json"),
   };
   for (std::size_t seed_index = 0; seed_index < seeds.size(); ++seed_index) {
     for (std::uint64_t iteration = 0; iteration < 300; ++iteration) {
