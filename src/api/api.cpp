@@ -191,11 +191,8 @@ EstimateResponse run(const EstimateRequest& request, const service::EngineOption
       // anyway, and run_job's contract stays byte-identical either way —
       // the cache replays the exact result document.
       trace::PhaseTimer phase(timings, "api.execute");
-      Diagnostics sink;
-      auto compute = [&] {
-        return request.input ? run_single_input(doc, *request.input)
-                             : run_single_document(doc, registry, &sink);
-      };
+      QRE_REQUIRE(request.input.has_value(), "a single estimate needs the input parse() built");
+      auto compute = [&] { return run_single_input(doc, *request.input); };
       if (run_options.use_cache && run_options.cache != nullptr) {
         response.result =
             run_options.cache->get_or_compute(service::canonical_key(doc), compute);

@@ -67,13 +67,14 @@ std::optional<EstimationInput> parse_sections(const json::Value& doc, const Regi
       input.qubit = std::move(*parsed);
     }
   }
-  // The registry's entry for the default scheme wins (a pack may re-tune
-  // it); QecScheme::default_for stays the single source of the name table.
+  // Without a qecScheme section the registry's entry for the default scheme
+  // wins (a pack may re-tune it); a section without a name overrides the
+  // built-in default. QecScheme::default_for stays the single source of the
+  // name table.
   const InstructionSet set = resolve_instruction_set(doc, registry);
-  const QecScheme fallback = QecScheme::default_for(set);
-  const QecScheme* scheme = registry.find_qec(fallback.name(), set);
-  if (scheme == nullptr) scheme = &fallback;
+  const QecScheme builtin = QecScheme::default_for(set);
   if (const json::Value* qec = doc.find("qecScheme")) {
+    const QecScheme* scheme = &builtin;
     if (const json::Value* name = qec->is_object() ? qec->find("name") : nullptr) {
       scheme = name->is_string() ? registry.find_qec(name->as_string(), set) : nullptr;
     }
@@ -81,7 +82,8 @@ std::optional<EstimationInput> parse_sections(const json::Value& doc, const Regi
       input.qec = std::move(*parsed);
     }
   } else {
-    input.qec = *scheme;
+    const QecScheme* scheme = registry.find_qec(builtin.name(), set);
+    input.qec = scheme != nullptr ? *scheme : builtin;
   }
   if (const json::Value* budget = doc.find("errorBudget")) {
     if (auto parsed = ErrorBudget::parse(*budget, "/errorBudget", diags)) input.budget = *parsed;

@@ -146,8 +146,10 @@ std::optional<std::uint64_t> expect_count(const json::Value& obj, std::string_vi
                                           bool required) {
   const json::Value* field = expect(obj, key, FieldKind::kUint, base, diags, required);
   if (field == nullptr) return std::nullopt;
-  // An integral double at or above 2^63 has no int64 reading.
-  if (field->as_double() >= 9223372036854775808.0) {
+  // An int64 is exact; an integral double at or above 2^63 has no int64
+  // reading (INT64_MAX itself rounds to 2^63 as a double, so compare only
+  // numbers the parser could not hold as an int64).
+  if (!field->is_int() && field->as_double() >= 9223372036854775808.0) {
     diags.error("value-range", pointer_join(base, key),
                 "'" + std::string(key) + "' exceeds the largest supported count");
     return std::nullopt;

@@ -60,6 +60,8 @@ class Value {
   bool is_number() const {
     return std::holds_alternative<double>(data_) || std::holds_alternative<std::int64_t>(data_);
   }
+  /// A number held as an exact int64 (integer literals that fit one).
+  bool is_int() const { return std::holds_alternative<std::int64_t>(data_); }
   bool is_string() const { return std::holds_alternative<std::string>(data_); }
   bool is_array() const { return std::holds_alternative<Array>(data_); }
   bool is_object() const { return std::holds_alternative<Object>(data_); }

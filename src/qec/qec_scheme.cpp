@@ -116,24 +116,40 @@ std::optional<QecScheme> QecScheme::parse(const json::Value& v, std::string_view
                       std::string(to_string(set)) + " hardware");
     }
   }
+  QecScheme scheme = base != nullptr ? *base : default_for(set);
   if (const json::Value* t =
           expect(v, "errorCorrectionThreshold", FieldKind::kNumber, path, diags)) {
-    check_probability(*t, "errorCorrectionThreshold", path, diags);
-  }
-  if (const json::Value* a = expect(v, "crossingPrefactor", FieldKind::kNumber, path, diags)) {
-    check_positive_number(*a, "crossingPrefactor", path, diags);
-  }
-  for (std::string_view key : {"logicalCycleTime", "physicalQubitsPerLogicalQubit"}) {
-    if (const json::Value* f = expect(v, key, FieldKind::kString, path, diags)) {
-      check_formula(*f, key, path, diags);
+    if (check_probability(*t, "errorCorrectionThreshold", path, diags)) {
+      scheme.threshold_ = t->as_double();
     }
   }
-  if (expect_count(v, "maxCodeDistance", path, diags) == 0u) {
-    diags.error("value-range", pointer_join(path, "maxCodeDistance"),
-                "'maxCodeDistance' must be >= 1");
+  if (const json::Value* a = expect(v, "crossingPrefactor", FieldKind::kNumber, path, diags)) {
+    if (check_positive_number(*a, "crossingPrefactor", path, diags)) {
+      scheme.crossing_prefactor_ = a->as_double();
+    }
+  }
+  for (const auto& [key, member] :
+       {std::pair{"logicalCycleTime", &QecScheme::logical_cycle_time_},
+        std::pair{"physicalQubitsPerLogicalQubit",
+                  &QecScheme::physical_qubits_per_logical_qubit_}}) {
+    if (const json::Value* f = expect(v, key, FieldKind::kString, path, diags)) {
+      if (std::optional<Formula> formula = check_formula(*f, key, path, diags)) {
+        scheme.*member = std::move(*formula);
+      }
+    }
+  }
+  if (const std::optional<std::uint64_t> m = expect_count(v, "maxCodeDistance", path, diags)) {
+    if (*m == 0u) {
+      diags.error("value-range", pointer_join(path, "maxCodeDistance"),
+                  "'maxCodeDistance' must be >= 1");
+    }
+    scheme.max_code_distance_ = *m;
   }
   if (diags.num_errors() != errors || base == nullptr) return std::nullopt;
-  return customize(*base, v);
+  // The copy shares the base scheme's memo; the formulas may just have
+  // changed, so give the parsed scheme a cache of its own.
+  scheme.eval_cache_ = std::make_shared<EvalCache>();
+  return scheme;
 }
 
 QecScheme QecScheme::from_json(const json::Value& v, InstructionSet set, Diagnostics* diags) {

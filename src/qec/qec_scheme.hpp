@@ -73,8 +73,8 @@ class QecScheme {
                              Diagnostics* diags = nullptr);
 
   /// Applies the JSON override keys (everything but "name") onto `base` and
-  /// range-checks the result: the builder parse() calls once the section
-  /// checked out, and a direct entry point for code-built overrides.
+  /// range-checks the result: an entry point for overrides built in code,
+  /// which trusts the keys' types (documents go through parse()).
   static QecScheme customize(QecScheme base, const json::Value& v);
 
   /// A copy of this scheme under a different name (profile-pack loading).

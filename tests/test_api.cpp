@@ -174,6 +174,31 @@ TEST(Registry, ProfilePackCollectsErrorsAndKeepsGoodEntries) {
   }
 }
 
+TEST(Registry, RetunedDefaultSchemeAppliesWithoutAQecSchemeSection) {
+  Registry r = Registry::with_builtins();
+  Diagnostics diags;
+  r.load_profile_pack(json::parse(R"({"qecSchemes": [
+    {"name": "surface_code", "instructionSet": "GateBased", "crossingPrefactor": 0.05}
+  ]})"), diags);
+  ASSERT_FALSE(diags.has_errors()) << diags.summary();
+  const auto input = [&r](const char* sections) {
+    const std::string doc = std::string(R"({"logicalCounts": {"numQubits": 5, "tCount": 10})") +
+                            sections + "}";
+    return api::input_from_document(json::parse(doc), r);
+  };
+  // No section: the registry's (re-tuned) default scheme.
+  EXPECT_DOUBLE_EQ(input("").qec.crossing_prefactor(), 0.05);
+  // A section naming the scheme overrides the registered entry.
+  const EstimationInput named =
+      input(R"(, "qecScheme": {"name": "surface_code", "maxCodeDistance": 30})");
+  EXPECT_DOUBLE_EQ(named.qec.crossing_prefactor(), 0.05);
+  EXPECT_EQ(named.qec.max_code_distance(), 30u);
+  // A section without a name overrides the built-in default scheme.
+  const EstimationInput unnamed = input(R"(, "qecScheme": {"maxCodeDistance": 30})");
+  EXPECT_DOUBLE_EQ(unnamed.qec.crossing_prefactor(), 0.03);
+  EXPECT_EQ(unnamed.qec.max_code_distance(), 30u);
+}
+
 // -------------------------------------------------- validation & schema ---
 
 TEST(SchemaV2, CollectsAllProblemsWithPointerPaths) {
@@ -708,6 +733,27 @@ TEST(SchemaV2, RejectsWhatTheRunWouldFail) {
     EXPECT_EQ(actual, c.expected) << render_diagnostics(request.diagnostics);
     EXPECT_THROW(api::input_from_document(job, Registry::global()), ValidationError);
   }
+}
+
+TEST(SchemaV2, CountsReachInt64Max) {
+  // INT64_MAX is an exact count even though it rounds to 2^63 as a double;
+  // only a number written as a double can reach 2^63.
+  const EstimateRequest largest = EstimateRequest::parse(json::parse(
+      R"({"logicalCounts": {"numQubits": 5, "measurementCount": 9223372036854775807}})"));
+  EXPECT_TRUE(largest.diagnostics.empty()) << render_diagnostics(largest.diagnostics);
+  ASSERT_TRUE(largest.input.has_value());
+  EXPECT_EQ(largest.input->counts.measurement_count, 9223372036854775807u);
+
+  const EstimateRequest beyond = EstimateRequest::parse(
+      json::parse(R"({"logicalCounts": {"numQubits": 5, "measurementCount": 1e19}})"));
+  std::vector<std::array<std::string, 4>> actual;
+  for (const Diagnostic& d : beyond.diagnostics.entries()) {
+    actual.push_back({std::string(to_string(d.severity)), d.code, d.path, d.message});
+  }
+  const std::vector<std::array<std::string, 4>> expected = {
+      {"error", "value-range", "/logicalCounts/measurementCount",
+       "'measurementCount' exceeds the largest supported count"}};
+  EXPECT_EQ(actual, expected) << render_diagnostics(beyond.diagnostics);
 }
 
 // ----------------------------------------------------------- the façade ---

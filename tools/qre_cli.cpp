@@ -514,10 +514,7 @@ int main(int argc, char** argv) {
                      request.diagnostics.num_errors());
         return 1;
       }
-      qre::Diagnostics sink;
-      qre::EstimationInput input =
-          qre::api::input_from_document(request.document, registry, &sink);
-      qre::ResourceEstimate e = qre::estimate(input);
+      qre::ResourceEstimate e = qre::estimate(request.input.value());
       std::printf("%s\n%s", qre::report_to_text(e).c_str(),
                   qre::space_diagram(e).c_str());
       finish_run();
