@@ -69,7 +69,8 @@ EstimateRequest EstimateRequest::parse(const json::Value& job, const Registry& r
       break;
     }
   }
-  request.document = upgrade_job(stripped, request.diagnostics, &request.source_version);
+  request.document =
+      upgrade_job(std::move(stripped), request.diagnostics, &request.source_version);
   if (!request.diagnostics.has_errors()) {
     request.input = validate_job(request.document, registry, request.diagnostics);
   }

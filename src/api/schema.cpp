@@ -155,31 +155,30 @@ bool is_job_kind(std::string_view key) {
 
 }  // namespace
 
-json::Value upgrade_job(const json::Value& job, Diagnostics& diags, int* source_version) {
+json::Value upgrade_job(json::Value job, Diagnostics& diags, int* source_version) {
   if (source_version != nullptr) *source_version = 1;
   if (!job.is_object()) return job;  // the validator reports the type error
-  json::Value upgraded = job;
   const json::Value* version = job.find("schemaVersion");
   if (version == nullptr) {
-    upgraded.set("schemaVersion", kSchemaVersion);
-    return upgraded;
+    job.set("schemaVersion", kSchemaVersion);
+    return job;
   }
   if (!version->is_number()) {
     diags.error("type-mismatch", "/schemaVersion", "schemaVersion must be a number");
-    return upgraded;
+    return job;
   }
   const double declared = version->as_double();
   if (declared == 1.0) {
-    upgraded.set("schemaVersion", kSchemaVersion);
-    return upgraded;
+    job.set("schemaVersion", kSchemaVersion);
+    return job;
   }
   if (declared == 2.0) {
     if (source_version != nullptr) *source_version = 2;
-    return upgraded;
+    return job;
   }
   diags.error("unsupported-version", "/schemaVersion",
               "unsupported schemaVersion " + version->dump() + " (this service handles 1 and 2)");
-  return upgraded;
+  return job;
 }
 
 void validate_batch_items(const json::Value& job, const Registry& registry,

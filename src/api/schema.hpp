@@ -52,8 +52,9 @@ const std::vector<std::string_view>& job_kinds();
 /// Upgrades a job document to schema v2: a missing "schemaVersion" (or 1)
 /// marks a v1 document and is rewritten to 2; other versions produce an
 /// "unsupported-version" error. Returns the normalized document and stores
-/// the version the input declared in `source_version`.
-json::Value upgrade_job(const json::Value& job, Diagnostics& diags, int* source_version);
+/// the version the input declared in `source_version`. Takes `job` by
+/// value: a caller done with its document moves it in, and nothing is copied.
+json::Value upgrade_job(json::Value job, Diagnostics& diags, int* source_version);
 
 /// Strict validation of a (normalized, v2) job document against
 /// `registry`. Collects ALL problems on `diags` — errors for structural and

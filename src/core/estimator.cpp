@@ -96,10 +96,8 @@ ResourceEstimate estimate(const EstimationInput& input) {
   QRE_REQUIRE(counts.num_qubits > 0, "estimation requires at least one logical qubit");
   input.qubit.validate();
 
-  ResourceEstimate out;
+  ResourceEstimate out(input.qubit, input.qec);
   out.pre_layout = counts;
-  out.qubit = input.qubit;
-  out.qec = input.qec;
 
   // --- Step B: algorithmic logical estimation ----------------------------.
   const bool has_rotations = counts.rotation_count > 0;
@@ -211,14 +209,14 @@ ResourceEstimate estimate(const EstimationInput& input) {
   out.physical_qubits_for_algorithm = q * patch.physical_qubits;
   out.num_t_factories = copies;
   if (factory != nullptr && !factory->no_distillation() && copies > 0) {
-    out.tfactory = *factory;
+    out.tfactory = factory;
     out.physical_qubits_for_tfactories = copies * factory->physical_qubits;
     out.num_t_factory_invocations = invocations_needed;
     out.num_invocations_per_factory = ceil_div(invocations_needed, copies);
     out.achieved_tstate_error =
         static_cast<double>(out.num_tstates) * factory->output_error_rate;
   } else if (factory != nullptr) {
-    out.tfactory = *factory;  // raw physical T states suffice
+    out.tfactory = factory;  // raw physical T states suffice
     out.achieved_tstate_error =
         static_cast<double>(out.num_tstates) * factory->output_error_rate;
   }

@@ -24,7 +24,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/error_budget.hpp"
@@ -77,6 +79,12 @@ struct EstimationInput {
 /// Full estimation result; the report module renders the output groups of
 /// paper Section IV-D from this.
 struct ResourceEstimate {
+  ResourceEstimate() = default;
+  /// A result echoing `qubit_params` and `qec_scheme` (groups 7/8), built
+  /// without first copying the default scheme.
+  ResourceEstimate(QubitParams qubit_params, QecScheme qec_scheme)
+      : qubit(std::move(qubit_params)), qec(std::move(qec_scheme)) {}
+
   // Group 1: physical resource estimates.
   std::uint64_t total_physical_qubits = 0;
   double runtime_ns = 0.0;
@@ -104,8 +112,9 @@ struct ResourceEstimate {
   // Group 3: logical qubit parameters.
   LogicalQubit logical_qubit;
 
-  // Group 4: T factory parameters.
-  std::optional<TFactory> tfactory;
+  // Group 4: T factory parameters: the shared FactoryCache design, or null
+  // for a program without T states.
+  std::shared_ptr<const TFactory> tfactory;
 
   // Group 5: pre-layout logical resources.
   LogicalCounts pre_layout;

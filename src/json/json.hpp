@@ -120,6 +120,32 @@ void write_number(std::string& out, double d);
 /// Appends `n` as Value(n) dumps it: exact up to INT64_MAX, a double above.
 void write_count(std::string& out, std::uint64_t n);
 
+/// Appends one JSON object to a string, member by member. Keys are fixed
+/// identifiers that need no escaping; values go through the writers above,
+/// so the bytes match the tree's.
+class ObjectWriter {
+ public:
+  explicit ObjectWriter(std::string& out) : out_(out) { out_.push_back('{'); }
+
+  /// Appends the separator and `"k":`; returns the string for the value.
+  std::string& key(std::string_view k) {
+    if (!first_) out_.push_back(',');
+    first_ = false;
+    out_.push_back('"');
+    out_.append(k);
+    out_ += "\":";
+    return out_;
+  }
+  void count(std::string_view k, std::uint64_t v) { write_count(key(k), v); }
+  void number(std::string_view k, double v) { write_number(key(k), v); }
+  void string(std::string_view k, std::string_view v) { write_escaped(key(k), v); }
+  void close() { out_.push_back('}'); }
+
+ private:
+  std::string& out_;
+  bool first_ = true;
+};
+
 /// Deepest container nesting parse() accepts. Far above any job document;
 /// it keeps the recursive parser, writer and destructor off the stack limit.
 inline constexpr int kMaxNestingDepth = 512;

@@ -1,8 +1,12 @@
 #include "report/report.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <sstream>
-#include <string_view>
+#include <tuple>
+#include <vector>
 
 #include "common/format.hpp"
 
@@ -55,7 +59,7 @@ json::Value report_to_json(const ResourceEstimate& e) {
   root.emplace_back("physicalCountsBreakdown", json::Value(std::move(breakdown)));
 
   root.emplace_back("logicalQubit", e.logical_qubit.to_json());
-  if (e.tfactory.has_value()) {
+  if (e.tfactory != nullptr) {
     root.emplace_back("tfactory", e.tfactory->to_json());
   } else {
     root.emplace_back("tfactory", json::Value(nullptr));
@@ -82,79 +86,9 @@ json::Value report_to_json(const ResourceEstimate& e) {
 
 namespace {
 
-/// Appends one JSON object to a string, member by member. Keys are fixed
-/// identifiers that need no escaping; values go through the writers dump()
-/// uses, so the bytes match the tree's.
-class ObjectWriter {
- public:
-  explicit ObjectWriter(std::string& out) : out_(out) { out_.push_back('{'); }
-
-  /// Appends the separator and `"k":`; returns the string for the value.
-  std::string& key(std::string_view k) {
-    if (!first_) out_.push_back(',');
-    first_ = false;
-    out_.push_back('"');
-    out_.append(k);
-    out_ += "\":";
-    return out_;
-  }
-  void count(std::string_view k, std::uint64_t v) { json::write_count(key(k), v); }
-  void number(std::string_view k, double v) { json::write_number(key(k), v); }
-  void string(std::string_view k, std::string_view v) { json::write_escaped(key(k), v); }
-  void close() { out_.push_back('}'); }
-
- private:
-  std::string& out_;
-  bool first_ = true;
-};
-
-void write_value(std::string& out, std::uint64_t v) { json::write_count(out, v); }
-void write_value(std::string& out, double v) { json::write_number(out, v); }
-
-/// Appends the array of one per-round field.
-template <typename T>
-void write_per_round(std::string& out, const std::vector<DistillationRound>& rounds,
-                     T DistillationRound::*field) {
-  out.push_back('[');
-  for (std::size_t i = 0; i < rounds.size(); ++i) {
-    if (i != 0) out.push_back(',');
-    write_value(out, rounds[i].*field);
-  }
-  out.push_back(']');
-}
-
-void write_tfactory(std::string& out, const TFactory& f) {
-  ObjectWriter o(out);
-  o.count("numRounds", f.rounds.size());
-  std::string& names = o.key("unitNamePerRound");
-  names.push_back('[');
-  for (std::size_t i = 0; i < f.rounds.size(); ++i) {
-    if (i != 0) names.push_back(',');
-    json::write_escaped(names, f.rounds[i].unit_name);
-    names.pop_back();  // reopen the string: the suffix needs no escaping
-    names += f.rounds[i].physical ? " (physical)\"" : " (logical)\"";
-  }
-  names.push_back(']');
-  write_per_round(o.key("codeDistancePerRound"), f.rounds, &DistillationRound::code_distance);
-  write_per_round(o.key("numUnitsPerRound"), f.rounds, &DistillationRound::num_units);
-  write_per_round(o.key("physicalQubitsPerRound"), f.rounds,
-                  &DistillationRound::physical_qubits);
-  write_per_round(o.key("runtimePerRound"), f.rounds, &DistillationRound::duration_ns);
-  write_per_round(o.key("failureProbabilityPerRound"), f.rounds,
-                  &DistillationRound::failure_probability);
-  write_per_round(o.key("outputErrorRatePerRound"), f.rounds,
-                  &DistillationRound::output_error_rate);
-  o.count("physicalQubits", f.physical_qubits);
-  o.number("runtime", f.duration_ns);
-  o.number("inputTErrorRate", f.input_t_error_rate);
-  o.number("outputTErrorRate", f.output_error_rate);
-  o.number("tstatesPerInvocation", f.tstates_per_invocation);
-  o.close();
-}
-
 void write_qubit(std::string& out, const QubitParams& q) {
   const bool gate_based = q.instruction_set == InstructionSet::kGateBased;
-  ObjectWriter o(out);
+  json::ObjectWriter o(out);
   o.string("name", q.name);
   o.string("instructionSet", to_string(q.instruction_set));
   o.number("oneQubitMeasurementTime", q.one_qubit_measurement_time_ns);
@@ -177,6 +111,17 @@ void write_qubit(std::string& out, const QubitParams& q) {
   o.close();
 }
 
+void write_qec(std::string& out, const QecScheme& s) {
+  json::ObjectWriter o(out);
+  o.string("name", s.name());
+  o.number("errorCorrectionThreshold", s.threshold());
+  o.number("crossingPrefactor", s.crossing_prefactor());
+  o.string("logicalCycleTime", s.logical_cycle_time_text());
+  o.string("physicalQubitsPerLogicalQubit", s.physical_qubits_text());
+  o.count("maxCodeDistance", s.max_code_distance());
+  o.close();
+}
+
 /// The constant "assumptions" array, serialized once per process.
 const std::string& assumptions_bytes() {
   static const std::string bytes = [] {
@@ -191,20 +136,105 @@ const std::string& assumptions_bytes() {
   return bytes;
 }
 
+// ------------------------------------------------------------ echo memo --
+//
+// The echo tail — the "physicalQubitParameters", "qecScheme" and
+// "assumptions" members — depends only on the qubit model and the QEC
+// scheme, and sweeps repeat a few of those over thousands of results. Each
+// thread keeps the tails it wrote last, keyed on every field of the model
+// and every field the scheme group prints.
+
+/// Every field of a QubitParams, in declaration order. The structured
+/// binding stops compiling when the struct gains a field, so the memo key
+/// cannot silently miss one.
+auto qubit_fields(const QubitParams& q) {
+  const auto& [name, set, t_meas, t_1q, t_2q, t_joint, t_t, e_meas, e_1q, e_2q, e_joint, e_t,
+               e_idle] = q;
+  return std::tie(name, set, t_meas, t_1q, t_2q, t_joint, t_t, e_meas, e_1q, e_2q, e_joint, e_t,
+                  e_idle);
+}
+
+/// The QecScheme fields write_qec() prints.
+auto qec_fields(const QecScheme& s) {
+  return std::make_tuple(std::cref(s.name()), s.threshold(), s.crossing_prefactor(),
+                         std::cref(s.logical_cycle_time_text()),
+                         std::cref(s.physical_qubits_text()), s.max_code_distance());
+}
+
+/// Doubles compare by bit pattern: -0.0 and 0.0 print differently.
+bool same(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+template <typename T>
+bool same(const T& a, const T& b) {
+  return a == b;
+}
+
+template <typename... T>
+bool same_fields(const std::tuple<T...>& a, const std::tuple<T...>& b) {
+  return std::apply(
+      [&b](const auto&... x) {
+        return std::apply([&x...](const auto&... y) { return (same(x, y) && ...); }, b);
+      },
+      a);
+}
+
+struct EchoTail {
+  QubitParams qubit;
+  QecScheme qec;
+  std::string bytes;  // starts with the comma before the first member
+};
+
+/// Tails each thread keeps, replaced round-robin once full.
+constexpr std::size_t kEchoMemoEntries = 8;
+/// Larger tails (long custom names) are written but not kept.
+constexpr std::size_t kEchoTailMaxBytes = 16 * 1024;
+
+void append_echo_tail(std::string& out, const QubitParams& q, const QecScheme& s) {
+  thread_local std::vector<EchoTail> memo;
+  thread_local std::size_t next = 0;
+  for (const EchoTail& tail : memo) {
+    if (same_fields(qubit_fields(tail.qubit), qubit_fields(q)) &&
+        same_fields(qec_fields(tail.qec), qec_fields(s))) {
+      out += tail.bytes;
+      return;
+    }
+  }
+  std::string bytes = ",\"physicalQubitParameters\":";
+  write_qubit(bytes, q);
+  bytes += ",\"qecScheme\":";
+  write_qec(bytes, s);
+  bytes += ",\"assumptions\":";
+  bytes += assumptions_bytes();
+  out += bytes;
+  if (bytes.size() > kEchoTailMaxBytes) return;
+  if (memo.size() < kEchoMemoEntries) {
+    memo.push_back({q, s, std::move(bytes)});
+  } else {
+    memo[next] = {q, s, std::move(bytes)};
+    next = (next + 1) % kEchoMemoEntries;
+  }
+}
+
+/// The per-thread render buffer keeps at most this much capacity.
+constexpr std::size_t kBufferMaxBytes = 64 * 1024;
+
 }  // namespace
 
 std::string report_bytes(const ResourceEstimate& e) {
-  std::string out;
-  out.reserve(4096);  // a result is about 3 KB: no regrowth while writing
-  ObjectWriter root(out);
+  // Rendered into a per-thread buffer that keeps its capacity, then copied
+  // once at exact size: results outlive the call in caches and the store.
+  thread_local std::string out;
+  out.clear();
+  json::ObjectWriter root(out);
 
-  ObjectWriter physical(root.key("physicalCounts"));
+  json::ObjectWriter physical(root.key("physicalCounts"));
   physical.count("physicalQubits", e.total_physical_qubits);
   physical.number("runtime", e.runtime_ns);
   physical.number("rqops", e.rqops);
   physical.close();
 
-  ObjectWriter breakdown(root.key("physicalCountsBreakdown"));
+  json::ObjectWriter breakdown(root.key("physicalCountsBreakdown"));
   breakdown.count("algorithmicLogicalQubits", e.algorithmic_logical_qubits);
   breakdown.count("algorithmicLogicalDepth", e.algorithmic_logical_depth);
   breakdown.count("logicalDepth", e.logical_depth);
@@ -222,7 +252,7 @@ std::string report_bytes(const ResourceEstimate& e) {
   breakdown.number("logicalOperations", e.logical_operations);
   breakdown.close();
 
-  ObjectWriter logical(root.key("logicalQubit"));
+  json::ObjectWriter logical(root.key("logicalQubit"));
   logical.count("codeDistance", e.logical_qubit.code_distance);
   logical.count("physicalQubits", e.logical_qubit.physical_qubits);
   logical.number("logicalCycleTime", e.logical_qubit.cycle_time_ns);
@@ -230,14 +260,14 @@ std::string report_bytes(const ResourceEstimate& e) {
   logical.number("logicalClockFrequency", e.logical_qubit.clock_frequency_hz());
   logical.close();
 
-  if (e.tfactory.has_value()) {
-    write_tfactory(root.key("tfactory"), *e.tfactory);
+  if (e.tfactory != nullptr) {
+    e.tfactory->append_json(root.key("tfactory"));
   } else {
     root.key("tfactory") += "null";
   }
 
   const LogicalCounts& c = e.pre_layout;
-  ObjectWriter counts(root.key("logicalCounts"));
+  json::ObjectWriter counts(root.key("logicalCounts"));
   counts.count("numQubits", c.num_qubits);
   counts.count("tCount", c.t_count);
   counts.count("rotationCount", c.rotation_count);
@@ -248,7 +278,7 @@ std::string report_bytes(const ResourceEstimate& e) {
   counts.count("cliffordCount", c.clifford_count);
   counts.close();
 
-  ObjectWriter budget(root.key("errorBudget"));
+  json::ObjectWriter budget(root.key("errorBudget"));
   budget.number("logical", e.budget.logical);
   budget.number("tstates", e.budget.tstates);
   budget.number("rotations", e.budget.rotations);
@@ -256,22 +286,12 @@ std::string report_bytes(const ResourceEstimate& e) {
   budget.number("achievedTstates", e.achieved_tstate_error);
   budget.close();
 
-  write_qubit(root.key("physicalQubitParameters"), e.qubit);
-
-  ObjectWriter qec(root.key("qecScheme"));
-  qec.string("name", e.qec.name());
-  qec.number("errorCorrectionThreshold", e.qec.threshold());
-  qec.number("crossingPrefactor", e.qec.crossing_prefactor());
-  qec.string("logicalCycleTime", e.qec.logical_cycle_time_text());
-  qec.string("physicalQubitsPerLogicalQubit", e.qec.physical_qubits_text());
-  qec.count("maxCodeDistance", e.qec.max_code_distance());
-  qec.close();
-
-  root.key("assumptions") += assumptions_bytes();
+  append_echo_tail(out, e.qubit, e.qec);
   root.close();
-  // Results outlive the call in caches and the store: keep only their bytes.
-  out.shrink_to_fit();
-  return out;
+
+  std::string bytes = out;
+  if (out.capacity() > kBufferMaxBytes) std::string().swap(out);
+  return bytes;
 }
 
 std::string report_to_text(const ResourceEstimate& e) {
@@ -307,7 +327,7 @@ std::string report_to_text(const ResourceEstimate& e) {
   os << "  Logical error rate:        " << format_sci(e.logical_qubit.logical_error_rate)
      << "\n";
 
-  if (e.tfactory.has_value() && !e.tfactory->no_distillation()) {
+  if (e.tfactory != nullptr && !e.tfactory->no_distillation()) {
     const TFactory& f = *e.tfactory;
     os << "=== T factory parameters ===\n";
     os << "  Rounds:                    " << f.rounds.size() << "\n";

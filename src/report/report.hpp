@@ -15,9 +15,12 @@
 //
 // The JSON comes in two forms with the same bytes. report_bytes() is what
 // every runner serves: it appends the compact document straight into one
-// string, with no tree in between. report_to_json() builds the tree; it is
-// the independent reference the writer is tested against, and the form for
-// callers that want to read fields.
+// string, with no tree in between. It splices the groups a result shares
+// with others: the echo of the qubit model, QEC scheme and assumptions from
+// a per-thread memo of 8 entries, and the "tfactory" group from the bytes
+// kept with the shared design (TFactory::keep_json). report_to_json()
+// builds the tree; it is the independent reference the writer is tested
+// against, and the form for callers that want to read fields.
 #pragma once
 
 #include <string>

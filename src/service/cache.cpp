@@ -36,10 +36,14 @@ std::string canonical_key(const json::Value& job) { return sorted_copy(job).dump
 
 json::Value EstimateCache::get_or_compute(const std::string& key, const Compute& compute,
                                           LookupCounts* counts) {
-  std::shared_future<json::Value> future;
+  using Entries = LruMap<std::shared_future<json::Value>>;
   std::promise<json::Value> promise;
+  std::shared_future<json::Value> future = promise.get_future().share();
+  // The entry a miss links in is built before locking, and what the insert
+  // evicts is destroyed after unlocking: the critical section only links.
+  Entries::Nodes node = Entries::make_node(key, future);
+  Entries::Nodes evicted;
   bool owner = false;
-  std::uint64_t evicted = 0;
   {
     MutexLock lock(mutex_);
     if (const std::shared_future<json::Value>* found = entries_.find(key)) {
@@ -47,15 +51,19 @@ json::Value EstimateCache::get_or_compute(const std::string& key, const Compute&
       future = *found;
     } else {
       misses_.fetch_add(1);
-      future = promise.get_future().share();
-      evicted = entries_.insert(key, future);
-      evictions_.fetch_add(evicted);
+      evicted = entries_.insert(std::move(node));
+      evictions_.fetch_add(evicted.size());
       owner = true;
     }
   }
+  const std::size_t num_evicted = evicted.size();
+  evicted.clear();
+  // A hit drops its unused entry here, so the unfulfilled promise is the
+  // last owner of its state and breaks no future when it goes.
+  node.clear();
   if (counts != nullptr) {
     ++(owner ? counts->misses : counts->hits);
-    counts->evictions += evicted;
+    counts->evictions += num_evicted;
   }
   if (!owner) {
     QRE_TRACE_INSTANT("estimate.cache.hit");

@@ -63,13 +63,18 @@ json::Value run_one(std::size_t index, const IndexedRunner& runner, const Indexe
   }
 }
 
+/// std::thread::hardware_concurrency(), read once per process: glibc reads
+/// /sys/devices/system/cpu/online on every call.
+std::size_t hardware_threads() {
+  static const std::size_t threads = std::thread::hardware_concurrency();
+  return threads;
+}
+
 /// The batch width for `num_items` items: 0 means hardware concurrency, and
 /// a batch is never wider than its item count, nor empty.
 std::size_t resolve_num_workers(const EngineOptions& options, std::size_t num_items) {
   std::size_t num_workers = options.num_workers;
-  if (num_workers == 0) {
-    num_workers = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  if (num_workers == 0) num_workers = std::max<std::size_t>(1, hardware_threads());
   return std::max<std::size_t>(1, std::min(num_workers, num_items));
 }
 
@@ -159,7 +164,7 @@ class WorkerPool {
   /// hardware_concurrency - 1.
   void grow_to(std::size_t helpers) QRE_REQUIRES(pool_mutex) {
     if (threads_.empty()) {
-      const std::size_t hardware = std::thread::hardware_concurrency();
+      const std::size_t hardware = hardware_threads();
       helpers = std::max(helpers, hardware > 1 ? hardware - 1 : 0);
     }
     while (threads_.size() < helpers) {

@@ -103,9 +103,13 @@ void fingerprint_into(std::string& out, double required_output_error, const Qubi
   }
 }
 
+/// Shares a design, with its "tfactory" output group written once for every
+/// result that reports the design to splice.
 std::shared_ptr<const TFactory> wrap(std::optional<TFactory> designed) {
   if (!designed.has_value()) return nullptr;
-  return std::make_shared<const TFactory>(std::move(*designed));
+  auto shared = std::make_shared<TFactory>(std::move(*designed));
+  shared->keep_json();
+  return shared;
 }
 
 }  // namespace
@@ -165,9 +169,13 @@ std::shared_ptr<const TFactory> FactoryCache::design_shared(
   // same (deterministic) design twice.
   std::shared_ptr<const TFactory> designed =
       wrap(design_tfactory(required_output_error, qubit, scheme, units, options));
+  using Entries = LruMap<std::shared_ptr<const TFactory>>;
+  Entries::Nodes node = Entries::make_node(key, designed);
+  Entries::Nodes evicted;  // destroyed after unlocking
   MutexLock lock(mutex_);
   if (!entries_.contains(key)) {
-    evictions_.fetch_add(entries_.insert(key, designed));
+    evicted = entries_.insert(std::move(node));
+    evictions_.fetch_add(evicted.size());
   }
   return designed;
 }

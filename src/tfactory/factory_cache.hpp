@@ -58,7 +58,9 @@ class FactoryCache {
   /// and unit-name strings stay shared), and the fingerprint is built into a
   /// thread-local reusable buffer. nullptr means "cached as infeasible" —
   /// the same answer design() reports as nullopt. The batch kernel's
-  /// steady-state path calls this on every item.
+  /// steady-state path calls this on every item. A shared design carries
+  /// its "tfactory" output group, written once (TFactory::keep_json), which
+  /// every result reporting the design splices.
   std::shared_ptr<const TFactory> design_shared(double required_output_error,
                                                 const QubitParams& qubit,
                                                 const QecScheme& scheme,

@@ -48,6 +48,69 @@ json::Value TFactory::to_json() const {
 
 namespace {
 
+void write_value(std::string& out, std::uint64_t v) { json::write_count(out, v); }
+void write_value(std::string& out, double v) { json::write_number(out, v); }
+
+/// Appends the array of one per-round field.
+template <typename T>
+void write_per_round(std::string& out, const std::vector<DistillationRound>& rounds,
+                     T DistillationRound::*field) {
+  out.push_back('[');
+  for (std::size_t i = 0; i < rounds.size(); ++i) {
+    if (i != 0) out.push_back(',');
+    write_value(out, rounds[i].*field);
+  }
+  out.push_back(']');
+}
+
+/// The one writer of the "tfactory" group's bytes.
+void write_tfactory(std::string& out, const TFactory& f) {
+  json::ObjectWriter o(out);
+  o.count("numRounds", f.rounds.size());
+  std::string& names = o.key("unitNamePerRound");
+  names.push_back('[');
+  for (std::size_t i = 0; i < f.rounds.size(); ++i) {
+    if (i != 0) names.push_back(',');
+    json::write_escaped(names, f.rounds[i].unit_name);
+    names.pop_back();  // reopen the string: the suffix needs no escaping
+    names += f.rounds[i].physical ? " (physical)\"" : " (logical)\"";
+  }
+  names.push_back(']');
+  write_per_round(o.key("codeDistancePerRound"), f.rounds, &DistillationRound::code_distance);
+  write_per_round(o.key("numUnitsPerRound"), f.rounds, &DistillationRound::num_units);
+  write_per_round(o.key("physicalQubitsPerRound"), f.rounds,
+                  &DistillationRound::physical_qubits);
+  write_per_round(o.key("runtimePerRound"), f.rounds, &DistillationRound::duration_ns);
+  write_per_round(o.key("failureProbabilityPerRound"), f.rounds,
+                  &DistillationRound::failure_probability);
+  write_per_round(o.key("outputErrorRatePerRound"), f.rounds,
+                  &DistillationRound::output_error_rate);
+  o.count("physicalQubits", f.physical_qubits);
+  o.number("runtime", f.duration_ns);
+  o.number("inputTErrorRate", f.input_t_error_rate);
+  o.number("outputTErrorRate", f.output_error_rate);
+  o.number("tstatesPerInvocation", f.tstates_per_invocation);
+  o.close();
+}
+
+}  // namespace
+
+void TFactory::append_json(std::string& out) const {
+  if (!json_bytes.get().empty()) {
+    out += json_bytes.get();
+  } else {
+    write_tfactory(out, *this);
+  }
+}
+
+void TFactory::keep_json() {
+  std::string bytes;
+  write_tfactory(bytes, *this);
+  json_bytes.set(std::move(bytes));
+}
+
+namespace {
+
 /// One candidate round configuration prior to unit-count assignment.
 struct RoundChoice {
   const DistillationUnit* unit = nullptr;

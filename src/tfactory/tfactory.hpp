@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "json/json.hpp"
@@ -40,6 +41,25 @@ struct DistillationRound {
   std::uint64_t physical_qubits = 0;
 };
 
+/// Bytes derived from the object that holds them. A copy, and a moved-to
+/// object, starts empty: an edited copy of the holder is never served its
+/// source's bytes.
+class DerivedBytes {
+ public:
+  DerivedBytes() = default;
+  DerivedBytes(const DerivedBytes&) noexcept {}
+  DerivedBytes& operator=(const DerivedBytes&) noexcept {
+    bytes_.clear();
+    return *this;
+  }
+
+  const std::string& get() const { return bytes_; }
+  void set(std::string bytes) { bytes_ = std::move(bytes); }
+
+ private:
+  std::string bytes_;
+};
+
 struct TFactory {
   std::vector<DistillationRound> rounds;
   std::uint64_t physical_qubits = 0;
@@ -48,6 +68,8 @@ struct TFactory {
   double output_error_rate = 0.0;
   /// Expected accepted T states per factory invocation.
   double tstates_per_invocation = 0.0;
+  /// This design's "tfactory" output group once keep_json() wrote it.
+  DerivedBytes json_bytes;
 
   /// True when the raw physical T states already meet the requirement and
   /// no distillation runs (zero qubits, zero duration).
@@ -58,6 +80,12 @@ struct TFactory {
   double normalized_volume() const;
 
   json::Value to_json() const;
+  /// Appends to_json().dump(): the bytes keep_json() stored, or written
+  /// afresh without the tree.
+  void append_json(std::string& out) const;
+  /// Writes the group once and keeps it in json_bytes. FactoryCache calls
+  /// it on every design it shares, before the design becomes const.
+  void keep_json();
 };
 
 struct TFactoryOptions {

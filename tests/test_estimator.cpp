@@ -103,7 +103,7 @@ TEST(Estimator, HandComputedReferenceCase) {
 
   // T factory: required per-T error 5e-4 / 1e6 = 5e-10.
   EXPECT_NEAR(e.required_tstate_error_rate, 5e-10, 1e-20);
-  ASSERT_TRUE(e.tfactory.has_value());
+  ASSERT_NE(e.tfactory, nullptr);
   EXPECT_FALSE(e.tfactory->no_distillation());
   EXPECT_LE(e.tfactory->output_error_rate, 5e-10);
   EXPECT_GE(e.num_t_factories, 1u);
@@ -120,7 +120,7 @@ TEST(Estimator, HandComputedReferenceCase) {
 TEST(Estimator, FactorySupplyCoversDemand) {
   EstimationInput input = EstimationInput::for_profile(t_workload(), "qubit_gate_ns_e3", 1e-3);
   ResourceEstimate e = estimate(input);
-  ASSERT_TRUE(e.tfactory.has_value());
+  ASSERT_NE(e.tfactory, nullptr);
   // Total invocations across all copies deliver enough T states within the
   // runtime.
   double delivered = static_cast<double>(e.num_t_factory_invocations) *
@@ -213,7 +213,7 @@ TEST(Estimator, CliffordOnlyProgramNeedsNoFactories) {
   EXPECT_EQ(e.num_tstates, 0u);
   EXPECT_EQ(e.num_t_factories, 0u);
   EXPECT_EQ(e.physical_qubits_for_tfactories, 0u);
-  EXPECT_FALSE(e.tfactory.has_value());
+  EXPECT_EQ(e.tfactory, nullptr);
   EXPECT_DOUBLE_EQ(e.budget.logical, 1e-3);  // everything went to the logical part
 }
 
@@ -225,7 +225,7 @@ TEST(Estimator, RawTStatesWithoutDistillation) {
   counts.measurement_count = 10;
   EstimationInput input = EstimationInput::for_profile(counts, "qubit_gate_us_e3", 1e-2);
   ResourceEstimate e = estimate(input);
-  ASSERT_TRUE(e.tfactory.has_value());
+  ASSERT_NE(e.tfactory, nullptr);
   EXPECT_TRUE(e.tfactory->no_distillation());
   EXPECT_EQ(e.num_t_factories, 0u);
   EXPECT_EQ(e.physical_qubits_for_tfactories, 0u);
@@ -254,7 +254,7 @@ TEST(Estimator, MaxTFactoriesCapRespected) {
   EXPECT_GE(capped.runtime_ns, base.runtime_ns);
   EXPECT_LE(capped.physical_qubits_for_tfactories, base.physical_qubits_for_tfactories);
   // Supply still covers demand.
-  ASSERT_TRUE(capped.tfactory.has_value());
+  ASSERT_NE(capped.tfactory, nullptr);
   double delivered = static_cast<double>(capped.num_t_factory_invocations) *
                      capped.tfactory->tstates_per_invocation;
   EXPECT_GE(delivered + 1.0, static_cast<double>(capped.num_tstates));

@@ -3,9 +3,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/api.hpp"
@@ -144,7 +147,7 @@ TEST(ReportBytes, CliffordOnlyJobWritesANullFactory) {
   counts.measurement_count = 10;
   const ResourceEstimate e =
       estimate(EstimationInput::for_profile(counts, "qubit_maj_ns_e4", 1e-3));
-  ASSERT_FALSE(e.tfactory.has_value());
+  ASSERT_EQ(e.tfactory, nullptr);
   EXPECT_NE(report_bytes(e).find("\"tfactory\":null"), std::string::npos);
   expect_bytes_match_tree(e);
 }
@@ -156,7 +159,7 @@ TEST(ReportBytes, RawTStatesWriteEmptyRoundArrays) {
   EstimationInput input = EstimationInput::for_profile(counts, "qubit_gate_ns_e3", 0.5);
   input.qubit.t_gate_error_rate = 1e-12;
   const ResourceEstimate e = estimate(input);
-  ASSERT_TRUE(e.tfactory.has_value());
+  ASSERT_NE(e.tfactory, nullptr);
   ASSERT_TRUE(e.tfactory->no_distillation());
   EXPECT_NE(report_bytes(e).find("\"unitNamePerRound\":[]"), std::string::npos);
   expect_bytes_match_tree(e);
@@ -164,10 +167,13 @@ TEST(ReportBytes, RawTStatesWriteEmptyRoundArrays) {
 
 TEST(ReportBytes, EscapesCustomNames) {
   ResourceEstimate e = sample_estimate();
-  ASSERT_TRUE(e.tfactory.has_value());
+  ASSERT_NE(e.tfactory, nullptr);
   ASSERT_FALSE(e.tfactory->rounds.empty());
   e.qubit.name = "my \"qubit\" \\ v2\x01\n";
-  for (DistillationRound& round : e.tfactory->rounds) round.unit_name = "unit\\\"\x1f\t";
+  // The design is shared with the factory cache: rename a copy of it.
+  auto renamed = std::make_shared<TFactory>(*e.tfactory);
+  for (DistillationRound& round : renamed->rounds) round.unit_name = "unit\\\"\x1f\t";
+  e.tfactory = renamed;
   const std::string bytes = report_bytes(e);
   EXPECT_NE(bytes.find(R"("my \"qubit\" \\ v2\u0001\n")"), std::string::npos) << bytes;
   expect_bytes_match_tree(e);
@@ -249,18 +255,152 @@ TEST(ReportBytes, MatchesTheTreeOnRandomEstimates) {
           &e.logical_qubit.code_distance, &e.pre_layout.clifford_count}) {
       *c = count();
     }
-    if (e.tfactory.has_value()) {
-      for (DistillationRound& r : e.tfactory->rounds) {
+    if (e.tfactory != nullptr) {
+      auto f = std::make_shared<TFactory>(*e.tfactory);
+      for (DistillationRound& r : f->rounds) {
         r.duration_ns = number();
         r.failure_probability = number();
         r.num_units = count();
         r.physical = rng() % 2 == 0;
       }
-      e.tfactory->tstates_per_invocation = number();
+      f->tstates_per_invocation = number();
+      e.tfactory = f;
     }
     expect_bytes_match_tree(e);
   }
   EXPECT_GE(estimated, 100);
+}
+
+// --------------------------------------------- memoized invariant groups --
+//
+// report_bytes splices the echo tail (physical qubit parameters, QEC scheme,
+// assumptions) from a per-thread memo and the "tfactory" group from the
+// shared design. Every case still compares against the tree.
+
+/// Counts the fields of an aggregate without naming them: the most
+/// AnyField values it can be brace-initialized from.
+struct AnyField {
+  template <typename T>
+  operator T() const;
+};
+template <typename T, typename... Fields>
+constexpr std::size_t field_count() {
+  if constexpr (requires { T{Fields{}..., AnyField{}}; }) {
+    return field_count<T, Fields..., AnyField>();
+  } else {
+    return sizeof...(Fields);
+  }
+}
+// The echo memo key (report.cpp) compares all 13 fields of QubitParams and
+// the printed fields of QecScheme. A new field must join that key: update
+// it and these guards together.
+static_assert(field_count<QubitParams>() == 13, "QubitParams changed: update the echo memo key");
+struct QecSchemeLayout {
+  std::string name;
+  double threshold;
+  double crossing_prefactor;
+  Formula logical_cycle_time;
+  Formula physical_qubits_per_logical_qubit;
+  std::uint64_t max_code_distance;
+  std::shared_ptr<void> eval_cache;
+};
+static_assert(sizeof(QecScheme) == sizeof(QecSchemeLayout),
+              "QecScheme changed: update the echo memo key");
+
+/// Renders `e`, then `e` after `change`: both match the tree and differ,
+/// and `e` renders as before once more.
+void expect_change_shows(const ResourceEstimate& e,
+                         const std::function<void(ResourceEstimate&)>& change) {
+  const std::string before = report_bytes(e);
+  EXPECT_EQ(before, report_to_json(e).dump());
+  ResourceEstimate changed = e;
+  change(changed);
+  const std::string after = report_bytes(changed);
+  EXPECT_EQ(after, report_to_json(changed).dump());
+  EXPECT_NE(after, before);
+  EXPECT_EQ(report_bytes(e), before);
+}
+
+TEST(ReportBytes, EveryPrintedQubitFieldChangesTheBytes) {
+  const ResourceEstimate gate = sample_estimate();
+  ResourceEstimate majorana = gate;
+  majorana.qubit = QubitParams::maj_ns_e4();
+  const auto one_ulp = [](double QubitParams::*field) {
+    return [field](ResourceEstimate& r) { r.qubit.*field = std::nextafter(r.qubit.*field, 1.0); };
+  };
+  for (double QubitParams::*field :
+       {&QubitParams::one_qubit_measurement_time_ns, &QubitParams::one_qubit_gate_time_ns,
+        &QubitParams::two_qubit_gate_time_ns, &QubitParams::t_gate_time_ns,
+        &QubitParams::one_qubit_measurement_error_rate, &QubitParams::one_qubit_gate_error_rate,
+        &QubitParams::two_qubit_gate_error_rate, &QubitParams::t_gate_error_rate,
+        &QubitParams::idle_error_rate}) {
+    expect_change_shows(gate, one_ulp(field));
+  }
+  for (double QubitParams::*field :
+       {&QubitParams::one_qubit_measurement_time_ns,
+        &QubitParams::two_qubit_joint_measurement_time_ns, &QubitParams::t_gate_time_ns,
+        &QubitParams::one_qubit_measurement_error_rate,
+        &QubitParams::two_qubit_joint_measurement_error_rate, &QubitParams::t_gate_error_rate,
+        &QubitParams::idle_error_rate}) {
+    expect_change_shows(majorana, one_ulp(field));
+  }
+  expect_change_shows(gate, [](ResourceEstimate& r) { r.qubit.name += "x"; });
+  expect_change_shows(gate, [](ResourceEstimate& r) {
+    r.qubit.instruction_set = InstructionSet::kMajorana;
+  });
+  // Zero and negative zero print differently.
+  ResourceEstimate zero = gate;
+  zero.qubit.idle_error_rate = 0.0;
+  expect_change_shows(zero, [](ResourceEstimate& r) { r.qubit.idle_error_rate = -0.0; });
+}
+
+TEST(ReportBytes, EveryPrintedQecFieldChangesTheBytes) {
+  const ResourceEstimate e = sample_estimate();
+  const auto customized = [](const char* override_json) {
+    return [override_json](ResourceEstimate& r) {
+      r.qec = QecScheme::customize(r.qec, json::parse(override_json));
+    };
+  };
+  expect_change_shows(e, [](ResourceEstimate& r) { r.qec = r.qec.with_name("renamed"); });
+  expect_change_shows(e, customized(R"({"errorCorrectionThreshold": 0.010000000000000002})"));
+  expect_change_shows(e, customized(R"({"crossingPrefactor": 0.030000000000000002})"));
+  expect_change_shows(e, customized(R"({"logicalCycleTime":
+      "(4 * twoQubitGateTime + 2 * oneQubitMeasurementTime) * codeDistance + 1"})"));
+  expect_change_shows(e, customized(R"({"physicalQubitsPerLogicalQubit":
+      "2 * codeDistance * codeDistance + 1"})"));
+  expect_change_shows(e, customized(R"({"maxCodeDistance": 49})"));
+}
+
+TEST(ReportBytes, ThreadsRenderInterleavedProfilesAndDesigns) {
+  // 6 profiles x 2 scheme names outnumber a thread's memo, and the budgets
+  // give each profile several factory designs.
+  std::vector<ResourceEstimate> estimates;
+  for (const std::string& profile : QubitParams::preset_names()) {
+    for (double budget : {1e-2, 1e-4, 1e-6}) {
+      ResourceEstimate e = estimate(EstimationInput::for_profile(mixed_counts(), profile, budget));
+      estimates.push_back(e);
+      e.qec = e.qec.with_name("renamed_" + e.qec.name());
+      estimates.push_back(std::move(e));
+    }
+  }
+  std::vector<std::string> expected;
+  for (const ResourceEstimate& e : estimates) expected.push_back(report_to_json(e).dump());
+
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 20; ++round) {
+        for (std::size_t i = 0; i < estimates.size(); ++i) {
+          const std::size_t k = (i * (2 * t + 1) + round) % estimates.size();
+          if (report_bytes(estimates[k]) != expected[k]) ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << "thread " << t;
 }
 
 TEST(ReportBytes, FrontierEstimateTypeJoinsTheReports) {
