@@ -15,9 +15,9 @@
 #include <cstdlib>
 #include <limits>
 
+#include "api/api.hpp"
 #include "bench/bench_json.hpp"
 #include "core/estimator.hpp"
-#include "core/job.hpp"
 #include "service/engine.hpp"
 #include "tfactory/factory_cache.hpp"
 #include "tfactory/tfactory.hpp"
@@ -107,6 +107,11 @@ BENCHMARK(BM_Frontier)->Unit(benchmark::kMillisecond);
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+/// One job through the service entry point, parse included.
+json::Value run_request(const json::Value& job, const service::EngineOptions& options) {
+  return api::run(api::EstimateRequest::parse(job), options).result;
 }
 
 /// Mean milliseconds per call, repeating until ~0.3s of samples (>= 2 reps).
@@ -199,7 +204,7 @@ void write_estimator_bench_json() {
   });
   const double sweep_ms = timed_ms([&] {
     FactoryCache::global().clear();
-    benchmark::DoNotOptimize(run_job(sweep_job, serial));
+    benchmark::DoNotOptimize(run_request(sweep_job, serial));
   });
 
   // Steady-state sweep throughput on the dense grid. The estimate cache is
@@ -214,13 +219,13 @@ void write_estimator_bench_json() {
   // so the cost is the fastest pass, not the mean (the mean swings 30-40%
   // between runs of the same binary).
   double dense_sweep_ms = std::numeric_limits<double>::infinity();
-  benchmark::DoNotOptimize(run_job(dense_job, dense_serial));  // warm-up
+  benchmark::DoNotOptimize(run_request(dense_job, dense_serial));  // warm-up
   {
     const auto start = std::chrono::steady_clock::now();
     int reps = 0;
     do {
       const auto t0 = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(run_job(dense_job, dense_serial));
+      benchmark::DoNotOptimize(run_request(dense_job, dense_serial));
       dense_sweep_ms = std::min(dense_sweep_ms, seconds_since(t0) * 1e3);
       ++reps;
     } while (seconds_since(start) < 0.9 || reps < 5);
@@ -238,7 +243,7 @@ void write_estimator_bench_json() {
       benchmark::DoNotOptimize(estimate_frontier(frontier_input, 8).size());
     });
     sweep_baseline_ms = timed_ms([&] {
-      benchmark::DoNotOptimize(run_job(sweep_job, serial));
+      benchmark::DoNotOptimize(run_request(sweep_job, serial));
     });
   }
 

@@ -12,7 +12,6 @@
 #include <cstdio>
 
 #include "api/api.hpp"
-#include "api/frontier.hpp"
 #include "bench/bench_json.hpp"
 #include "service/engine.hpp"
 
@@ -46,13 +45,13 @@ struct Run {
   std::uint64_t misses = 0;
 };
 
-Run explore_once(const api::FrontierRequest& request, service::Engine& engine,
+Run explore_once(const api::EstimateRequest& request, service::Engine& engine,
                  std::size_t workers) {
   service::EngineOptions options = engine.options();
   options.num_workers = workers;
   const std::uint64_t misses_before = engine.cache().misses();
   const auto start = std::chrono::steady_clock::now();
-  api::FrontierResponse response = api::run_frontier(request, options);
+  api::EstimateResponse response = api::run(request, options);
   Run run;
   run.seconds = seconds_since(start);
   if (!response.success) {
@@ -70,8 +69,7 @@ Run explore_once(const api::FrontierRequest& request, service::Engine& engine,
 
 int main() {
   api::Registry registry = api::Registry::with_builtins();
-  api::FrontierRequest request =
-      api::FrontierRequest::parse(json::parse(kFrontierJob), registry);
+  api::EstimateRequest request = api::EstimateRequest::parse(json::parse(kFrontierJob), registry);
   if (!request.ok()) {
     std::fprintf(stderr, "bench job invalid: %s\n", request.diagnostics.summary().c_str());
     return 1;

@@ -7,8 +7,8 @@
 #include <cstdio>
 #include <thread>
 
+#include "api/api.hpp"
 #include "bench/bench_json.hpp"
-#include "core/job.hpp"
 #include "service/engine.hpp"
 
 namespace {
@@ -49,7 +49,7 @@ Run timed_run(const json::Value& job, std::size_t workers, bool use_cache) {
   options.num_workers = workers;
   options.use_cache = use_cache;
   const auto start = std::chrono::steady_clock::now();
-  json::Value result = run_job(job, options);
+  json::Value result = api::run(api::EstimateRequest::parse(job), options).result;
   Run run;
   run.seconds = seconds_since(start);
   const json::Value& stats = result.at("batchStats");

@@ -2,10 +2,10 @@
 
 #include <chrono>
 
-#include "api/frontier.hpp"
 #include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/trace.hpp"
+#include "frontier/explorer.hpp"
 #include "report/report.hpp"
 #include "service/batch_kernel.hpp"
 
@@ -92,11 +92,6 @@ EstimationInput input_from_document(const json::Value& doc, const Registry& regi
                         [&](Diagnostics& found) { return validate_job(doc, registry, found); });
 }
 
-json::Value run_single_document(const json::Value& doc, const Registry& registry,
-                                Diagnostics* diags) {
-  return run_single_input(doc, input_from_document(doc, registry, diags));
-}
-
 EstimateResponse run(const EstimateRequest& request, const service::EngineOptions& options,
                      const Registry& registry) {
   EstimateResponse response;
@@ -127,13 +122,22 @@ EstimateResponse run(const EstimateRequest& request, const service::EngineOption
     // or past its deadline; mid-run the engine and frontier explorer check
     // the same token at item boundaries.
     run_options.cancel.throw_if_cancelled("estimate");
-    if (doc.find("frontier") != nullptr) {
-      // The adaptive Pareto explorer (see api/frontier.hpp). Probes are
+    if (const json::Value* section = doc.find("frontier")) {
+      // The adaptive Pareto explorer (docs/frontier.md). Each probe is a
+      // single-estimate document and yields the leaf a single estimate
+      // does, so probes share cache keys with single estimates. Probes are
       // memoized individually through `options`' cache, never the frontier
       // document as a whole, so streaming sinks observe every probe even on
-      // a warm engine.
+      // a warm engine. explore() throws when every probe is infeasible.
       trace::PhaseTimer phase(timings, "api.explore");
-      response.result = run_frontier_document(doc, registry, run_options);
+      Diagnostics sink;  // validate_job ran the same parser and reported its findings
+      const frontier::ExploreOptions explore_options =
+          frontier::ExploreOptions::from_json(*section, &sink);
+      const service::JobRunner probe = [&registry](const json::Value& item) -> json::Value {
+        Diagnostics probe_sink;  // probes derive from a validated document
+        return run_single_input(item, input_from_document(item, registry, &probe_sink));
+      };
+      response.result = frontier::explore(doc, explore_options, probe, run_options);
       response.success = true;
     } else if (items != nullptr || sweep != nullptr) {
       auto runner = [&registry](const json::Value& item) -> json::Value {
@@ -189,8 +193,8 @@ EstimateResponse run(const EstimateRequest& request, const service::EngineOption
     } else {
       // Single estimates are memoized only through an EXTERNAL cache (a
       // serving engine's): a batch-private cache would die with this call
-      // anyway, and run_job's contract stays byte-identical either way —
-      // the cache replays the exact result document.
+      // anyway, and the result stays byte-identical either way — the cache
+      // replays the exact result document.
       trace::PhaseTimer phase(timings, "api.execute");
       QRE_REQUIRE(request.input.has_value(), "a single estimate needs the input parse() built");
       auto compute = [&] { return run_single_input(doc, *request.input); };

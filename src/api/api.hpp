@@ -1,8 +1,8 @@
 // Stable public API façade (v2).
 //
-// Everything that consumes the estimator as a service — the CLI, the batch
-// engine wiring in core/job.cpp, examples, external embedders — sits on this
-// layer:
+// The one way into the estimator as a service (paper Sec. IV-A: a JSON job
+// in, result groups out). qre_cli, qre_serve, the job queue, examples and
+// external embedders all sit on this layer:
 //
 //   EstimateRequest request = api::EstimateRequest::parse(document);
 //   if (!request.ok()) { /* request.diagnostics lists every problem */ }
@@ -69,14 +69,6 @@ struct EstimateResponse {
 EstimationInput input_from_document(const json::Value& doc, const Registry& registry,
                                     Diagnostics* diags = nullptr);
 
-/// Runs one non-batch document: the report object, or {"frontier": [...]},
-/// as a raw leaf of compact bytes (see json::Value::raw) written straight
-/// from the estimate by report_bytes. The caches, the store and the writers
-/// hold and splice these bytes; readers that need fields materialize().
-/// Throws qre::Error (or ValidationError) on invalid/infeasible input.
-json::Value run_single_document(const json::Value& doc, const Registry& registry,
-                                Diagnostics* diags = nullptr);
-
 /// Executes a request. A single estimate runs on `request.input`, which
 /// parse() built against its registry; batch items, sweeps and frontiers
 /// resolve names through `registry`. Invalid requests return success=false
@@ -90,6 +82,10 @@ json::Value run_single_document(const json::Value& doc, const Registry& registry
 /// `registry` (re-registering a profile a cached result resolved) makes
 /// replayed entries stale — clear the external cache on registry mutation,
 /// or follow the serving layer's registration-before-serve discipline.
+/// A single estimate's result is a raw leaf of compact bytes (see
+/// json::Value::raw) written straight from the estimate by report_bytes;
+/// the caches, the store and the writers splice these bytes, and readers
+/// that need fields materialize().
 EstimateResponse run(const EstimateRequest& request,
                      const service::EngineOptions& options = {},
                      const Registry& registry = Registry::global());

@@ -84,7 +84,7 @@ class Registry {
   static Registry with_builtins();
 
   /// The mutable process-wide registry used by the default lookup paths
-  /// (run_job, qre_cli). Seeded with the builtins on first access.
+  /// (api::EstimateRequest::parse, api::run). Seeded with the builtins on first access.
   static Registry& global();
 
   // --- qubit profiles ----------------------------------------------------

@@ -99,6 +99,11 @@ std::optional<EstimationInput> parse_sections(const json::Value& doc, const Regi
       diags.error("type-mismatch", base, "distillationUnitSpecifications must be an array");
     } else if (units->as_array().empty()) {
       diags.error("value-range", base, "distillationUnitSpecifications must not be empty");
+    } else if (units->as_array().size() > kMaxDistillationUnits) {
+      diags.error("value-range", base,
+                  "distillationUnitSpecifications lists " +
+                      std::to_string(units->as_array().size()) + " units; at most " +
+                      std::to_string(kMaxDistillationUnits) + " are allowed");
     } else {
       input.distillation_units.clear();
       for (std::size_t i = 0; i < units->as_array().size(); ++i) {

@@ -38,6 +38,12 @@ namespace qre::api {
 
 inline constexpr int kSchemaVersion = 2;
 
+/// The most entries "distillationUnitSpecifications" may list. The T-factory
+/// search grows about cubically with the unit count (a 256-entry list takes
+/// tens of seconds per design, and a deadline cannot interrupt a search),
+/// while the paper and every shipped template set use 2 units.
+inline constexpr std::size_t kMaxDistillationUnits = 8;
+
 /// The top-level keys a v2 job document may carry.
 const std::vector<std::string_view>& job_keys();
 

@@ -106,7 +106,7 @@ struct Interval {
 };
 
 /// Pulls the objectives out of a probe's report document, materialized (a
-/// runner's result is raw bytes; see api::run_single_document). A missing or
+/// runner's result is raw bytes; see api::run). A missing or
 /// malformed section (an {"error": ...} entry from the batch runner, or a
 /// synthetic runner returning junk) reports failure instead of throwing.
 bool extract_objectives(const json::Value& result, Probe& probe) {

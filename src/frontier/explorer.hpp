@@ -25,7 +25,7 @@
 // The module is deliberately decoupled from the API layer: it executes any
 // JobRunner over probe documents it derives from the base job, which keeps
 // it unit-testable with synthetic runners (see tests/test_frontier.cpp).
-// The api/ façade (api/frontier.hpp) wires in the real estimator runner.
+// api::run (api/api.hpp) wires in the real estimator runner.
 #pragma once
 
 #include <cstddef>

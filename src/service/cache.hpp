@@ -73,8 +73,8 @@ struct LookupCounts {
 
 /// Concurrency-safe, LRU-bounded memoization table from canonical job keys
 /// to result documents. Estimate results arrive as raw leaves (see
-/// api::run_single_document), so a hit is a reference-count copy of the
-/// bytes and an eviction frees one string.
+/// api::run), so a hit is a reference-count copy of the bytes and an
+/// eviction frees one string.
 class EstimateCache {
  public:
   using Compute = std::function<json::Value()>;
@@ -100,7 +100,6 @@ class EstimateCache {
   /// is read concurrently and without synchronization afterwards. The
   /// backing is not owned and must outlive the cache's last lookup.
   void set_backing(StoreBacking* backing) { backing_ = backing; }
-  StoreBacking* backing() const { return backing_; }
 
   /// Lookups that found an existing (or in-flight) entry.
   std::uint64_t hits() const { return hits_.load(); }

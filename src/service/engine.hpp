@@ -9,7 +9,7 @@
 //    which worker finishes first;
 //  - per-item error isolation: a failing item becomes a structured
 //    {"error": {"code", "message"}} document instead of aborting the batch
-//    (matching the serial run_job contract);
+//    (matching api::run's serial contract);
 //  - memoization: items are keyed by a canonical serialization of their
 //    resolved job document, so duplicated grid points across a batch are
 //    estimated once (see service/cache.hpp);
@@ -36,7 +36,7 @@
 namespace qre::service {
 
 /// Executes one complete (non-batch) job document. A successful estimate is
-/// the raw leaf api::run_single_document returns: the cache and the store
+/// the raw leaf api::run returns for a single estimate: the cache and the store
 /// keep its bytes, and the writers splice them (see json::Value::raw).
 /// Error documents ({"error": ...}) stay trees, so the engine and the store
 /// recognize them with find("error").
@@ -82,7 +82,7 @@ struct EngineOptions {
   trace::Collector* timings = nullptr;
 };
 
-/// Aggregate counters for one batch run, echoed as "batchStats" by run_job.
+/// Aggregate counters for one batch run, echoed as "batchStats" by api::run.
 /// The estimate-cache counters count this batch's own lookups only, however
 /// many requests share the cache: every item that reaches the cache is one
 /// hit or one miss.

@@ -1,7 +1,6 @@
 #include "tfactory/factory_cache.hpp"
 
 #include <charconv>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/trace.hpp"
@@ -121,26 +120,7 @@ FactoryCache::FactoryCache(std::size_t capacity)
 
 FactoryCache& FactoryCache::global() {
   static FactoryCache cache;
-  static const bool configured = [] {
-    const char* env = std::getenv("QRE_NO_FACTORY_CACHE");
-    if (env != nullptr && std::strcmp(env, "0") != 0) cache.set_enabled(false);
-    return true;
-  }();
-  (void)configured;
   return cache;
-}
-
-std::optional<TFactory> FactoryCache::design(double required_output_error,
-                                             const QubitParams& qubit, const QecScheme& scheme,
-                                             const std::vector<DistillationUnit>& units,
-                                             const TFactoryOptions& options) {
-  if (!enabled_.load()) {
-    return design_tfactory(required_output_error, qubit, scheme, units, options);
-  }
-  std::shared_ptr<const TFactory> found =
-      design_shared(required_output_error, qubit, scheme, units, options);
-  if (found == nullptr) return std::nullopt;
-  return *found;
 }
 
 std::shared_ptr<const TFactory> FactoryCache::design_shared(

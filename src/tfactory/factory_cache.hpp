@@ -12,15 +12,13 @@
 // The cache is bounded (LRU, kDefaultCapacity entries), concurrency-safe,
 // and transparent: a hit returns the exact factory a fresh search would
 // produce, so estimation results are bit-identical with the cache on or
-// off. QRE_NO_FACTORY_CACHE (any value other than "0") disables the global
-// instance, as does set_enabled(false) — both exist for benchmarking the
-// uncached path and for debugging.
+// off. set_enabled(false) disables it, for benchmarking the uncached path
+// and for debugging.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,27 +38,18 @@ class FactoryCache {
 
   explicit FactoryCache(std::size_t capacity = kDefaultCapacity);
 
-  /// The shared process-wide instance the estimator uses. Honors
-  /// QRE_NO_FACTORY_CACHE (checked once, at first use).
+  /// The shared process-wide instance the estimator uses.
   static FactoryCache& global();
 
   /// design_tfactory() with memoization: returns the cached design when the
   /// same problem fingerprint was solved before, and solves + stores it
-  /// otherwise. Infeasible designs (nullopt) are cached too — infeasibility
-  /// is as deterministic as success.
-  std::optional<TFactory> design(double required_output_error, const QubitParams& qubit,
-                                 const QecScheme& scheme,
-                                 const std::vector<DistillationUnit>& units,
-                                 const TFactoryOptions& options);
-
-  /// The allocation-free variant design() wraps: a cache hit bumps a
-  /// shared_ptr refcount instead of copying the factory (the rounds vector
-  /// and unit-name strings stay shared), and the fingerprint is built into a
-  /// thread-local reusable buffer. nullptr means "cached as infeasible" —
-  /// the same answer design() reports as nullopt. The batch kernel's
-  /// steady-state path calls this on every item. A shared design carries
-  /// its "tfactory" output group, written once (TFactory::keep_json), which
-  /// every result reporting the design splices.
+  /// otherwise. A hit bumps a shared_ptr refcount instead of copying the
+  /// factory (the rounds vector and unit-name strings stay shared), and the
+  /// fingerprint is built into a thread-local reusable buffer. nullptr means
+  /// "cached as infeasible": infeasibility is as deterministic as success.
+  /// The batch kernel's steady-state path calls this on every item. A
+  /// shared design carries its "tfactory" output group, written once
+  /// (TFactory::keep_json), which every result reporting the design splices.
   std::shared_ptr<const TFactory> design_shared(double required_output_error,
                                                 const QubitParams& qubit,
                                                 const QecScheme& scheme,
@@ -76,7 +65,7 @@ class FactoryCache {
   std::size_t size() const;
   std::size_t capacity() const { return entries_.capacity(); }
 
-  /// Disabling makes design() always run the search (no stats recorded).
+  /// Disabling makes design_shared() always run the search (no stats recorded).
   void set_enabled(bool enabled) { enabled_.store(enabled); }
   bool enabled() const { return enabled_.load(); }
 

@@ -11,7 +11,7 @@
 
 #include "api/api.hpp"
 #include "common/error.hpp"
-#include "core/job.hpp"
+#include "tests/run_request.hpp"
 
 #ifndef QRE_SOURCE_DIR
 #define QRE_SOURCE_DIR "."
@@ -334,8 +334,8 @@ TEST(SchemaV2, ShimEquivalenceOnFig4Sweep) {
   json::Value v2 = v1;
   v2.set("schemaVersion", 2);
 
-  json::Value via_shim = run_job(v1);
-  json::Value native_v2 = run_job(v2);
+  json::Value via_shim = run_request(v1);
+  json::Value native_v2 = run_request(v2);
   EXPECT_EQ(via_shim.dump(), native_v2.dump());
 
   EstimateRequest request = EstimateRequest::parse(v1);
@@ -576,6 +576,16 @@ const std::vector<PinCase>& pin_cases() {
       {R"({"logicalCounts": {"numQubits": 1}, "distillationUnitSpecifications": []})",
        {{"error", "value-range", "/distillationUnitSpecifications",
          "distillationUnitSpecifications must not be empty"}}},
+      // At most kMaxDistillationUnits entries: the search grows about
+      // cubically with the unit count.
+      {R"({"logicalCounts": {"numQubits": 1}, "distillationUnitSpecifications": [)"
+       R"({"name": "15-to-1 RM prep"}, {"name": "15-to-1 space efficient"},)"
+       R"({"name": "15-to-1 RM prep"}, {"name": "15-to-1 space efficient"},)"
+       R"({"name": "15-to-1 RM prep"}, {"name": "15-to-1 space efficient"},)"
+       R"({"name": "15-to-1 RM prep"}, {"name": "15-to-1 space efficient"},)"
+       R"({"name": "15-to-1 RM prep"}]})",
+       {{"error", "value-range", "/distillationUnitSpecifications",
+         "distillationUnitSpecifications lists 9 units; at most 8 are allowed"}}},
       {R"({"logicalCounts": {"numQubits": 1}, "distillationUnitSpecifications": [5]})",
        {{"error", "type-mismatch", "/distillationUnitSpecifications/0",
          "distillation unit specification must be an object"}}},
@@ -758,16 +768,16 @@ TEST(SchemaV2, CountsReachInt64Max) {
 
 // ----------------------------------------------------------- the façade ---
 
-TEST(Facade, RunJobThrowsValidationErrorWithDiagnostics) {
+TEST(Facade, InvalidDocumentFailsWithEveryDiagnostic) {
   json::Value job = json::parse_file(std::string(QRE_SOURCE_DIR) +
                                      "/tests/data/invalid_job_v2.json");
-  try {
-    run_job(job);
-    FAIL() << "run_job accepted an invalid document";
-  } catch (const ValidationError& e) {
-    EXPECT_EQ(e.diagnostics().num_errors(), 3u);
-    EXPECT_NE(std::string(e.what()).find("/errorBudget"), std::string::npos);
-  }
+  const EstimateRequest request = EstimateRequest::parse(job);
+  EXPECT_EQ(request.diagnostics.num_errors(), 3u);
+  EXPECT_NE(request.diagnostics.summary().find("/errorBudget"), std::string::npos);
+  const EstimateResponse response = api::run(request);
+  EXPECT_FALSE(response.success);
+  EXPECT_EQ(response.diagnostics.num_errors(), 3u);
+  EXPECT_EQ(response.to_json().find("result"), nullptr);
 }
 
 TEST(Facade, BatchItemsFailWithStructuredErrors) {
@@ -798,7 +808,7 @@ TEST(Facade, DistillationUnitsResolveFromRegistryByName) {
   })");
   EstimateRequest request = EstimateRequest::parse(job);
   ASSERT_TRUE(request.ok()) << request.diagnostics.summary();
-  EstimationInput input = estimation_input_from_json(job);
+  EstimationInput input = api::input_from_document(job, Registry::global());
   ASSERT_EQ(input.distillation_units.size(), 1u);
   EXPECT_FALSE(input.distillation_units[0].allow_physical);
   EXPECT_EQ(input.distillation_units[0].logical_qubits_at_logical, 20u);
@@ -808,7 +818,7 @@ TEST(Facade, DistillationUnitsResolveFromRegistryByName) {
     "distillationUnitSpecifications": [{"name": "no_such_template"}]
   })");
   EXPECT_FALSE(EstimateRequest::parse(bad).ok());
-  EXPECT_THROW(estimation_input_from_json(bad), Error);
+  EXPECT_THROW(api::input_from_document(bad, Registry::global()), ValidationError);
 }
 
 TEST(Facade, GlobalRegistryExtendsJobVocabulary) {
@@ -820,7 +830,7 @@ TEST(Facade, GlobalRegistryExtendsJobVocabulary) {
     "qubitParams": {"name": "test_api_custom_qubit"}
   })");
   EXPECT_TRUE(EstimateRequest::parse(job).ok());
-  const json::Value result = run_job(job).materialize();
+  const json::Value result = run_request(job).materialize();
   EXPECT_EQ(result.at("physicalQubitParameters").at("name").as_string(),
             "test_api_custom_qubit");
 }
@@ -862,7 +872,7 @@ TEST(Facade, StrictParsersRejectUnknownKeysWithoutSink) {
     "qubitParams": {"name": "qubit_gate_ns_e3", "tGateTim": 25}
   })");
   // Strict path (no diagnostics sink): the typo is an error...
-  EXPECT_THROW(estimation_input_from_json(job), Error);
+  EXPECT_THROW(api::input_from_document(job, Registry::global()), ValidationError);
   // ...while the façade downgrades it to a warning and still runs.
   EstimateRequest request = EstimateRequest::parse(job);
   EXPECT_TRUE(request.ok());

@@ -20,12 +20,12 @@
 
 #include "api/api.hpp"
 #include "api/registry.hpp"
-#include "core/job.hpp"
 #include "json/json.hpp"
 #include "service/batch_kernel.hpp"
 #include "service/cache.hpp"
 #include "service/engine.hpp"
 #include "service/sweep.hpp"
+#include "tests/run_request.hpp"
 
 namespace qre {
 namespace {
@@ -38,7 +38,7 @@ json::Value run_sweep(const json::Value& job, std::size_t workers = 1,
   EngineOptions options;
   options.num_workers = workers;
   options.cache = cache;
-  return run_job(job, options);
+  return run_request(job, options);
 }
 
 /// The per-item reference: the sweep's expanded documents submitted as an

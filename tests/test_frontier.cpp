@@ -1,4 +1,4 @@
-// Tests of the adaptive Pareto explorer (src/frontier/ + api/frontier.hpp):
+// Tests of the adaptive Pareto explorer (src/frontier/ + api::run):
 // bisection refinement against synthetic trade-off models, non-domination
 // of every returned point, serial-vs-parallel byte-identity, warm-engine
 // probe reuse, and the schema-v2 "frontier" job kind end to end.
@@ -10,20 +10,17 @@
 #include <vector>
 
 #include "api/api.hpp"
-#include "api/frontier.hpp"
 #include "common/error.hpp"
-#include "core/job.hpp"
 #include "frontier/explorer.hpp"
 #include "json/json.hpp"
 #include "service/engine.hpp"
+#include "tests/run_request.hpp"
 
 namespace qre {
 namespace {
 
 using api::EstimateRequest;
 using api::EstimateResponse;
-using api::FrontierRequest;
-using api::FrontierResponse;
 using api::Registry;
 using frontier::ExploreOptions;
 using frontier::ExploreStats;
@@ -382,15 +379,15 @@ TEST(FrontierJob, StreamingObservesEveryProbeInOrder) {
   }
 }
 
-TEST(FrontierJob, RunJobWrapperAndV1UpgradeWork) {
+TEST(FrontierJob, V1UpgradeRunsTheFrontierKind) {
   // No schemaVersion: the v1 shim upgrades in place and the frontier kind
-  // still runs through the plain run_job entry point.
+  // still runs.
   json::Value job = json::parse(kRealFrontierJob);
   json::Object pruned;
   for (const auto& [k, v] : job.as_object()) {
     if (k != "schemaVersion") pruned.emplace_back(k, v);
   }
-  json::Value result = run_job(json::Value(std::move(pruned)));
+  json::Value result = run_request(json::Value(std::move(pruned)));
   EXPECT_NE(result.find("frontier"), nullptr);
   EXPECT_NE(result.find("frontierStats"), nullptr);
 }
@@ -403,7 +400,7 @@ TEST(FrontierJob, LegacyFixedGridEstimateTypeStillWorks) {
   }
   json::Value legacy{std::move(pruned)};
   legacy.set("estimateType", json::Value("frontier"));
-  const json::Value result = run_job(legacy).materialize();
+  const json::Value result = run_request(legacy).materialize();
   EXPECT_NE(result.find("frontier"), nullptr);
   EXPECT_EQ(result.find("frontierStats"), nullptr);  // fixed grid has no stats
 }
@@ -418,23 +415,16 @@ const Diagnostic* find_diag(const Diagnostics& diags, std::string_view code,
   return nullptr;
 }
 
-TEST(FrontierValidation, FrontierRequestRequiresTheSection) {
+TEST(FrontierValidation, ParseAcceptsAndRunsOptions) {
   Registry registry = Registry::with_builtins();
-  FrontierRequest request = FrontierRequest::parse(
-      json::parse(R"({"schemaVersion": 2, "logicalCounts": {"numQubits": 5}})"), registry);
-  EXPECT_FALSE(request.ok());
-  EXPECT_NE(find_diag(request.diagnostics, "required-missing", "/frontier"), nullptr);
-}
-
-TEST(FrontierValidation, ParseAcceptsAndEchoesOptions) {
-  Registry registry = Registry::with_builtins();
-  FrontierRequest request =
-      FrontierRequest::parse(json::parse(kRealFrontierJob), registry);
+  EstimateRequest request = EstimateRequest::parse(json::parse(kRealFrontierJob), registry);
   ASSERT_TRUE(request.ok()) << request.diagnostics.summary();
-  EXPECT_EQ(request.options.max_probes, 16u);
-  EXPECT_DOUBLE_EQ(request.options.qubit_tolerance, 0.02);
-  FrontierResponse response = api::run_frontier(request, {}, registry);
+  const ExploreOptions options = ExploreOptions::from_json(request.document.at("frontier"));
+  EXPECT_EQ(options.max_probes, 16u);
+  EXPECT_DOUBLE_EQ(options.qubit_tolerance, 0.02);
+  EstimateResponse response = api::run(request, {}, registry);
   ASSERT_TRUE(response.success);
+  EXPECT_LE(response.result.at("frontierStats").at("numProbes").as_uint(), 16u);
   EXPECT_EQ(response.to_json().at("schemaVersion").as_int(), 2);
 }
 
@@ -493,8 +483,10 @@ TEST(FrontierValidation, BudgetLevelsMustFitTheProbeBudget) {
                Error);
 }
 
-TEST(FrontierValidation, SingleJobEntryPointRejectsFrontierDocuments) {
-  EXPECT_THROW(run_single_job(json::parse(kRealFrontierJob)), Error);
+TEST(FrontierValidation, FrontierDocumentsNeverRunAsASingleEstimate) {
+  const json::Value result = run_request(json::parse(kRealFrontierJob));
+  EXPECT_EQ(result.find("physicalCounts"), nullptr);
+  EXPECT_NE(result.find("frontierStats"), nullptr);
 }
 
 }  // namespace

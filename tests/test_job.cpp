@@ -5,12 +5,22 @@
 
 #include <vector>
 
+#include "api/api.hpp"
 #include "common/error.hpp"
-#include "core/job.hpp"
 #include "report/report.hpp"
+#include "tests/run_request.hpp"
 
 namespace qre {
 namespace {
+
+/// Whether validation reports `code` at `path`.
+bool rejects(const json::Value& job, std::string_view code, std::string_view path) {
+  const api::EstimateRequest request = api::EstimateRequest::parse(job);
+  for (const Diagnostic& d : request.diagnostics.entries()) {
+    if (d.severity == Severity::kError && d.code == code && d.path == path) return true;
+  }
+  return false;
+}
 
 const char* kBaseJob = R"({
   "logicalCounts": {
@@ -24,7 +34,7 @@ const char* kBaseJob = R"({
 
 TEST(Job, InputFromJsonDefaults) {
   json::Value minimal = json::parse(R"({"logicalCounts": {"numQubits": 5, "tCount": 10}})");
-  EstimationInput input = estimation_input_from_json(minimal);
+  EstimationInput input = api::input_from_document(minimal, api::Registry::global());
   EXPECT_EQ(input.qubit.name, "qubit_gate_ns_e3");  // default profile
   EXPECT_EQ(input.qec.name(), "surface_code");
   EXPECT_DOUBLE_EQ(input.budget.total(), 1e-3);
@@ -47,7 +57,7 @@ TEST(Job, InputFromJsonFull) {
       "logicalQubitSpecification": {"numUnitQubits": 31, "durationInLogicalCycles": 11}
     }]
   })");
-  EstimationInput input = estimation_input_from_json(job);
+  EstimationInput input = api::input_from_document(job, api::Registry::global());
   EXPECT_EQ(input.qubit.instruction_set, InstructionSet::kMajorana);
   EXPECT_EQ(input.qec.name(), "surface_code");  // Majorana surface code
   EXPECT_DOUBLE_EQ(input.qec.threshold(), 0.0015);
@@ -58,8 +68,8 @@ TEST(Job, InputFromJsonFull) {
 
 TEST(Job, SinglePointMatchesDirectEstimate) {
   json::Value job = json::parse(kBaseJob);
-  const json::Value result = run_job(job).materialize();
-  ResourceEstimate direct = estimate(estimation_input_from_json(job));
+  const json::Value result = run_request(job).materialize();
+  ResourceEstimate direct = estimate(api::input_from_document(job, api::Registry::global()));
   EXPECT_EQ(result.at("physicalCounts").at("physicalQubits").as_uint(),
             direct.total_physical_qubits);
   EXPECT_DOUBLE_EQ(result.at("physicalCounts").at("runtime").as_double(),
@@ -69,7 +79,7 @@ TEST(Job, SinglePointMatchesDirectEstimate) {
 TEST(Job, FrontierEstimateType) {
   json::Value job = json::parse(kBaseJob);
   job.set("estimateType", json::Value("frontier"));
-  const json::Value result = run_job(job).materialize();
+  const json::Value result = run_request(job).materialize();
   const json::Array& points = result.at("frontier").as_array();
   ASSERT_GE(points.size(), 2u);
   double previous_runtime = 0.0;
@@ -84,10 +94,11 @@ TEST(Job, FrontierEstimateType) {
   }
 }
 
-TEST(Job, UnknownEstimateTypeThrows) {
+TEST(Job, UnknownEstimateTypeIsRejected) {
   json::Value job = json::parse(kBaseJob);
   job.set("estimateType", json::Value("pareto"));
-  EXPECT_THROW(run_job(job), Error);
+  EXPECT_TRUE(rejects(job, "invalid-value", "/estimateType"));
+  EXPECT_FALSE(api::run(api::EstimateRequest::parse(job)).success);
 }
 
 TEST(Job, BatchedItemsInheritAndOverride) {
@@ -98,14 +109,14 @@ TEST(Job, BatchedItemsInheritAndOverride) {
   items.push_back(json::parse(R"({"errorBudget": 0.01})"));
   job.set("items", json::Value(std::move(items)));
 
-  json::Value result = run_job(job);
+  json::Value result = run_request(job);
   std::vector<json::Value> results;
   for (const json::Value& r : result.at("results").as_array()) {
     results.push_back(r.materialize());
   }
   ASSERT_EQ(results.size(), 3u);
   // Item 0 equals the non-batched run.
-  const json::Value single = run_job(json::parse(kBaseJob)).materialize();
+  const json::Value single = run_request(json::parse(kBaseJob)).materialize();
   EXPECT_EQ(results[0].at("physicalCounts").at("physicalQubits").as_uint(),
             single.at("physicalCounts").at("physicalQubits").as_uint());
   // Item 1 switched hardware.
@@ -128,7 +139,7 @@ TEST(Job, BatchIsolatesItemFailures) {
   items.push_back(json::parse(R"({})"));
   job.set("items", json::Value(std::move(items)));
 
-  json::Value result = run_job(job);
+  json::Value result = run_request(job);
   const json::Array& results = result.at("results").as_array();
   ASSERT_EQ(results.size(), 3u);
   EXPECT_NE(results[0].materialize().find("physicalCounts"), nullptr);
@@ -142,7 +153,7 @@ TEST(Job, NestedItemsAreNotInherited) {
   json::Array items;
   items.push_back(json::parse(R"({"errorBudget": 0.01})"));
   job.set("items", json::Value(std::move(items)));
-  json::Value result = run_job(job);
+  json::Value result = run_request(job);
   // One item -> one result, and it is a report, not another batch.
   const json::Array& results = result.at("results").as_array();
   ASSERT_EQ(results.size(), 1u);
@@ -151,9 +162,11 @@ TEST(Job, NestedItemsAreNotInherited) {
   EXPECT_EQ(item.find("results"), nullptr);
 }
 
-TEST(Job, MissingCountsThrows) {
-  EXPECT_THROW(run_job(json::parse(R"({"errorBudget": 0.001})")), Error);
-  EXPECT_THROW(run_job(json::parse("[]")), Error);
+TEST(Job, MissingCountsAreRejected) {
+  EXPECT_TRUE(rejects(json::parse(R"({"errorBudget": 0.001})"), "required-missing",
+                      "/logicalCounts"));
+  EXPECT_TRUE(rejects(json::parse("[]"), "type-mismatch", ""));
+  EXPECT_FALSE(api::run(api::EstimateRequest::parse(json::parse("[]"))).success);
 }
 
 TEST(Job, CountsComposition) {

@@ -408,7 +408,7 @@ TEST(ReportBytes, FrontierEstimateTypeJoinsTheReports) {
     "logicalCounts": {"numQubits": 40, "tCount": 200000, "measurementCount": 1000},
     "estimateType": "frontier"
   })");
-  const json::Value result = api::run_single_document(doc, api::Registry::global());
+  const json::Value result = api::run(api::EstimateRequest::parse(doc)).result;
   ASSERT_TRUE(result.is_raw());
   json::Array points;
   for (const ResourceEstimate& e :

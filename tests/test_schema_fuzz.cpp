@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "api/api.hpp"
-#include "api/frontier.hpp"
 #include "common/error.hpp"
+#include "frontier/explorer.hpp"
 #include "json/json.hpp"
 #include "server/http.hpp"
 #include "server/router.hpp"
@@ -115,9 +115,12 @@ void expect_graceful_validation(const json::Value& document) {
   if (request.ok()) {
     ASSERT_NO_THROW(
         api::validate_batch_items(request.document, registry, request.diagnostics));
-    if (request.document.is_object() &&
-        request.document.find("frontier") != nullptr) {
-      ASSERT_NO_THROW(api::FrontierRequest::parse(document, registry));
+    // api::run reads a validated "frontier" section this way.
+    if (const json::Value* section = request.document.is_object()
+                                         ? request.document.find("frontier")
+                                         : nullptr) {
+      Diagnostics sink;
+      ASSERT_NO_THROW(frontier::ExploreOptions::from_json(*section, &sink));
     }
     // Valid means parsable: a single job that validates builds its input.
     const bool single_job = request.document.find("items") == nullptr &&

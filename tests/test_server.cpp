@@ -21,9 +21,9 @@
 #include <unistd.h>
 
 #include "api/registry.hpp"
+#include "api/schema.hpp"
 #include "common/failpoint.hpp"
 #include "common/trace.hpp"
-#include "core/job.hpp"
 #include "json/json.hpp"
 #include "server/client.hpp"
 #include "server/http.hpp"
@@ -31,6 +31,7 @@
 #include "server/metrics_registry.hpp"
 #include "server/router.hpp"
 #include "server/server.hpp"
+#include "tests/run_request.hpp"
 #include "tfactory/factory_cache.hpp"
 
 namespace qre {
@@ -196,7 +197,7 @@ server::ServiceOptions frozen_queue_options(std::size_t backlog) {
   return o;
 }
 
-TEST(Server, SyncEstimateMatchesRunJobByteForByte) {
+TEST(Server, SyncEstimateMatchesApiRunByteForByte) {
   ServerFixture fx;
   const json::Value job = json::parse(kSingleJob);
   Client::Result r = fx.client().post("/v2/estimate", kSingleJob);
@@ -204,10 +205,10 @@ TEST(Server, SyncEstimateMatchesRunJobByteForByte) {
   EXPECT_EQ(r.status, 200);
   json::Value envelope = json::parse(r.body);
   EXPECT_TRUE(envelope.at("success").as_bool());
-  EXPECT_EQ(envelope.at("result").dump(), run_job(job).dump());
+  EXPECT_EQ(envelope.at("result").dump(), run_request(job).dump());
 }
 
-TEST(Server, SyncBatchEstimateMatchesRunJobByteForByte) {
+TEST(Server, SyncBatchEstimateMatchesApiRunByteForByte) {
   // A fresh fixture's shared cache is cold, so even batchStats must agree
   // with a private-cache serial run.
   ServerFixture fx;
@@ -217,7 +218,7 @@ TEST(Server, SyncBatchEstimateMatchesRunJobByteForByte) {
   EXPECT_EQ(r.status, 200);
   json::Value envelope = json::parse(r.body);
   ASSERT_TRUE(envelope.at("success").as_bool());
-  EXPECT_EQ(envelope.at("result").dump(), run_job(job).dump());
+  EXPECT_EQ(envelope.at("result").dump(), run_request(job).dump());
 }
 
 TEST(Server, RepeatedRequestsHitTheSharedCacheAndStayIdentical) {
@@ -533,6 +534,34 @@ TEST(Server, HealthVersionAndErrorRoutes) {
   json::Value envelope = json::parse(invalid.body);
   EXPECT_FALSE(envelope.at("success").as_bool());
   EXPECT_GE(envelope.at("diagnostics").as_array().size(), 1u);
+}
+
+TEST(Server, OversizedDistillationUnitListIsA400) {
+  // A long unit list would make one T-factory search run for seconds; it is
+  // rejected at validation instead. Up to the cap, the job runs.
+  auto job_with_units = [](std::size_t n) {
+    std::string units;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i != 0) units += ",";
+      units += i % 2 == 0 ? R"({"name": "15-to-1 RM prep"})"
+                          : R"({"name": "15-to-1 space efficient"})";
+    }
+    return R"({"logicalCounts": {"numQubits": 10, "tCount": 1000000}, )"
+           R"("distillationUnitSpecifications": [)" + units + "]}";
+  };
+  ServerFixture fx;
+  for (std::size_t n : {std::size_t{9}, std::size_t{256}}) {
+    Client::Result r = fx.client().post("/v2/estimate", job_with_units(n));
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.status, 400) << n << " units";
+    const json::Value envelope = json::parse(r.body);
+    const json::Array& diagnostics = envelope.at("diagnostics").as_array();
+    ASSERT_EQ(diagnostics.size(), 1u) << n << " units";
+    EXPECT_EQ(diagnostics[0].at("code").as_string(), "value-range");
+    EXPECT_EQ(diagnostics[0].at("path").as_string(), "/distillationUnitSpecifications");
+  }
+  EXPECT_EQ(fx.client().post("/v2/estimate", job_with_units(api::kMaxDistillationUnits)).status,
+            200);
 }
 
 TEST(Server, DeeplyNestedBodyIsA400AndTheServerStaysUp) {

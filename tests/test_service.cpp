@@ -1,5 +1,5 @@
 // Tests of the concurrent sweep engine (service layer): sweep-grid
-// expansion, the memoization cache, the worker pool, and the run_job
+// expansion, the memoization cache, the worker pool, and the api::run
 // integration — including parallel-vs-serial equivalence on a Figure 4
 // style batch.
 #include <gtest/gtest.h>
@@ -18,10 +18,10 @@
 
 #include "api/api.hpp"
 #include "common/error.hpp"
-#include "core/job.hpp"
 #include "service/cache.hpp"
 #include "service/engine.hpp"
 #include "service/sweep.hpp"
+#include "tests/run_request.hpp"
 
 namespace qre {
 namespace {
@@ -483,7 +483,7 @@ TEST(Engine, SinkFailureReachesTheCallerAndLeavesThePoolUsable) {
   EXPECT_EQ(service::run_batch(items, runner, options).size(), 40u);
 }
 
-// -------------------------------------------------- run_job integration ---
+// ------------------------------------------------ api::run integration ---
 
 const char* kFig4StyleSweep = R"({
   "logicalCounts": {
@@ -507,11 +507,11 @@ TEST(Service, SweepJobParallelMatchesSerial) {
   service::EngineOptions serial;
   serial.num_workers = 1;
   serial.use_cache = false;
-  json::Value serial_result = run_job(job, serial);
+  json::Value serial_result = run_request(job, serial);
 
   service::EngineOptions parallel;
   parallel.num_workers = 4;
-  json::Value parallel_result = run_job(job, parallel);
+  json::Value parallel_result = run_request(job, parallel);
 
   const json::Array& serial_items = serial_result.at("results").as_array();
   const json::Array& parallel_items = parallel_result.at("results").as_array();
@@ -580,8 +580,8 @@ TEST(Service, SweepJobMatchesHandWrittenItems) {
       {"qubitParams": {"name": "qubit_maj_ns_e4"}}
     ]
   })");
-  json::Value a = run_job(sweep_job);
-  json::Value b = run_job(items_job);
+  json::Value a = run_request(sweep_job);
+  json::Value b = run_request(items_job);
   EXPECT_EQ(a.at("results").dump(), b.at("results").dump());
 }
 
@@ -591,7 +591,7 @@ TEST(Service, BatchStatsReportCacheHitsOnDuplicatedItems) {
     "errorBudget": 0.001,
     "items": [{}, {}, {}, {"errorBudget": 0.01}]
   })");
-  json::Value result = run_job(job);
+  json::Value result = run_request(job);
   const json::Value& stats = result.at("batchStats");
   EXPECT_EQ(stats.at("numItems").as_uint(), 4u);
   EXPECT_EQ(stats.at("cacheMisses").as_uint(), 2u);  // two distinct inputs
@@ -610,7 +610,11 @@ TEST(Service, SweepAndItemsAreMutuallyExclusive) {
     "items": [{}],
     "sweep": {"errorBudget": [0.01]}
   })");
-  EXPECT_THROW(run_job(job), Error);
+  const api::EstimateRequest request = api::EstimateRequest::parse(job);
+  ASSERT_EQ(request.diagnostics.num_errors(), 1u);
+  EXPECT_EQ(request.diagnostics.entries()[0].code, "mutually-exclusive");
+  EXPECT_EQ(request.diagnostics.entries()[0].path, "/items");
+  EXPECT_FALSE(api::run(request).success);
 }
 
 TEST(Service, SweepIsolatesInfeasibleGridPoints) {
@@ -625,7 +629,7 @@ TEST(Service, SweepIsolatesInfeasibleGridPoints) {
       ]
     }
   })");
-  json::Value result = run_job(job);
+  json::Value result = run_request(job);
   const json::Array& results = result.at("results").as_array();
   ASSERT_EQ(results.size(), 2u);
   EXPECT_NE(results[0].materialize().find("physicalCounts"), nullptr);
@@ -633,19 +637,22 @@ TEST(Service, SweepIsolatesInfeasibleGridPoints) {
   EXPECT_EQ(result.at("batchStats").at("numErrors").as_uint(), 1u);
 }
 
-TEST(Service, RunSingleJobRejectsBatchKeys) {
+TEST(Service, BatchKeysNeverRunAsASingleEstimate) {
   json::Value job = json::parse(R"({
     "logicalCounts": {"numQubits": 10, "tCount": 100},
     "items": [{}]
   })");
-  EXPECT_THROW(run_single_job(job), Error);
+  const json::Value result = run_request(job);
+  EXPECT_EQ(result.find("physicalCounts"), nullptr);
+  EXPECT_EQ(result.at("results").as_array().size(), 1u);
+  EXPECT_EQ(result.at("batchStats").at("numItems").as_uint(), 1u);
 }
 
 // ------------------------------------------------- shared-engine Engine ---
 
 // N threads pushing the SAME batch job through ONE shared Engine (the
 // estimation server's configuration) must each produce results that are
-// bit-identical to the serial run_job output, and the shared cache's
+// bit-identical to the serial api::run output, and the shared cache's
 // counters must be exactly accounted for: the in-flight deduplication in
 // EstimateCache guarantees one miss per distinct item no matter how the
 // threads interleave.
@@ -665,7 +672,7 @@ TEST(Service, ConcurrentRequestsOnOneEngineAreBitIdenticalToSerial) {
   constexpr std::size_t kItems = 3;
   constexpr std::size_t kDistinct = 2;
 
-  const std::string serial = run_job(job).at("results").dump();
+  const std::string serial = run_request(job).at("results").dump();
 
   api::Registry registry = api::Registry::with_builtins();
   service::Engine engine;
@@ -766,7 +773,7 @@ TEST(Service, ConcurrentSingleEstimatesShareOneComputation) {
     "logicalCounts": {"numQubits": 10, "tCount": 1000},
     "errorBudget": 0.01
   })");
-  const std::string serial = run_job(job).dump();
+  const std::string serial = run_request(job).dump();
 
   api::Registry registry = api::Registry::with_builtins();
   service::Engine engine;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 
 #include "common/error.hpp"
 #include "tfactory/factory_cache.hpp"
@@ -100,6 +101,12 @@ TEST(TFactorySearch, ExhaustiveEnvVarForcesBruteForce) {
 
 // ------------------------------------------------------ FactoryCache -----
 
+/// A shared design as the search returns it (nullptr: infeasible).
+std::optional<TFactory> copy_of(const std::shared_ptr<const TFactory>& design) {
+  if (design == nullptr) return std::nullopt;
+  return *design;
+}
+
 TEST(FactoryCacheTest, RepeatedDesignsHitTheCache) {
   FactoryCache cache;
   QubitParams qubit = QubitParams::maj_ns_e4();
@@ -107,14 +114,15 @@ TEST(FactoryCacheTest, RepeatedDesignsHitTheCache) {
   const std::vector<DistillationUnit> units = DistillationUnit::default_units();
   TFactoryOptions options;
 
-  std::optional<TFactory> first = cache.design(1e-12, qubit, scheme, units, options);
-  std::optional<TFactory> second = cache.design(1e-12, qubit, scheme, units, options);
+  const auto first = cache.design_shared(1e-12, qubit, scheme, units, options);
+  const auto second = cache.design_shared(1e-12, qubit, scheme, units, options);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.size(), 1u);
-  expect_identical(second, first, "cache replay");
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(second, first);  // a hit shares the design
   // The cached design equals a fresh search.
-  expect_identical(second, design_tfactory(1e-12, qubit, scheme, units, options),
+  expect_identical(copy_of(second), design_tfactory(1e-12, qubit, scheme, units, options),
                    "cache vs fresh");
 }
 
@@ -125,13 +133,13 @@ TEST(FactoryCacheTest, DistinctProblemsMiss) {
   const std::vector<DistillationUnit> units = DistillationUnit::default_units();
   TFactoryOptions options;
 
-  cache.design(1e-12, qubit, scheme, units, options);
-  cache.design(1e-10, qubit, scheme, units, options);  // different target
+  cache.design_shared(1e-12, qubit, scheme, units, options);
+  cache.design_shared(1e-10, qubit, scheme, units, options);  // different target
   TFactoryOptions min_qubits = options;
   min_qubits.objective = TFactoryOptions::Objective::kMinQubits;
-  cache.design(1e-12, qubit, scheme, units, min_qubits);  // different objective
+  cache.design_shared(1e-12, qubit, scheme, units, min_qubits);  // different objective
   QubitParams other = QubitParams::maj_ns_e6();
-  cache.design(1e-12, other, scheme, units, options);  // different qubit
+  cache.design_shared(1e-12, other, scheme, units, options);  // different qubit
   EXPECT_EQ(cache.misses(), 4u);
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.size(), 4u);
@@ -144,16 +152,16 @@ TEST(FactoryCacheTest, LruEvictionBoundsTheCache) {
   const std::vector<DistillationUnit> units = DistillationUnit::default_units();
   TFactoryOptions options;
 
-  cache.design(1e-10, qubit, scheme, units, options);
-  cache.design(1e-11, qubit, scheme, units, options);
-  cache.design(1e-10, qubit, scheme, units, options);  // refresh 1e-10
-  cache.design(1e-12, qubit, scheme, units, options);  // evicts LRU (1e-11)
+  cache.design_shared(1e-10, qubit, scheme, units, options);
+  cache.design_shared(1e-11, qubit, scheme, units, options);
+  cache.design_shared(1e-10, qubit, scheme, units, options);  // refresh 1e-10
+  cache.design_shared(1e-12, qubit, scheme, units, options);  // evicts LRU (1e-11)
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
   std::uint64_t hits_before = cache.hits();
-  cache.design(1e-10, qubit, scheme, units, options);  // survived (recently used)
+  cache.design_shared(1e-10, qubit, scheme, units, options);  // survived (recently used)
   EXPECT_EQ(cache.hits(), hits_before + 1);
-  cache.design(1e-11, qubit, scheme, units, options);  // evicted -> recomputed
+  cache.design_shared(1e-11, qubit, scheme, units, options);  // evicted -> recomputed
   EXPECT_EQ(cache.misses(), 4u);
 }
 
@@ -165,8 +173,8 @@ TEST(FactoryCacheTest, InfeasibleDesignsAreCachedToo) {
   TFactoryOptions options;
   options.max_rounds = 1;  // cannot reach 1e-9 from 5e-2 in one round
 
-  EXPECT_FALSE(cache.design(1e-9, qubit, scheme, units, options).has_value());
-  EXPECT_FALSE(cache.design(1e-9, qubit, scheme, units, options).has_value());
+  EXPECT_EQ(cache.design_shared(1e-9, qubit, scheme, units, options), nullptr);
+  EXPECT_EQ(cache.design_shared(1e-9, qubit, scheme, units, options), nullptr);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
 }
@@ -177,7 +185,7 @@ TEST(FactoryCacheTest, DisabledCacheAlwaysSearches) {
   QubitParams qubit = QubitParams::maj_ns_e4();
   QecScheme scheme = QecScheme::floquet_code();
   const std::vector<DistillationUnit> units = DistillationUnit::default_units();
-  std::optional<TFactory> f = cache.design(1e-12, qubit, scheme, units, {});
+  std::optional<TFactory> f = copy_of(cache.design_shared(1e-12, qubit, scheme, units, {}));
   ASSERT_TRUE(f.has_value());
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.hits(), 0u);

@@ -20,7 +20,6 @@
 #include "common/flags.hpp"
 #include "common/trace.hpp"
 #include "common/version.hpp"
-#include "core/job.hpp"
 #include "report/report.hpp"
 #include "server/metrics_registry.hpp"
 #include "service/engine.hpp"
