@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/pinned.hpp"
 
 namespace qre {
 
@@ -284,6 +285,10 @@ Formula Formula::parse(std::string_view text) {
   FormulaParser parser(text, *program);
   parser.run();
   return Formula(std::move(program));
+}
+
+Formula Formula::pinned() const {
+  return Formula(pin_for_process(std::make_unique<const Program>(*program_)));
 }
 
 double Formula::evaluate(const Environment& env) const {

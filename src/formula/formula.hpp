@@ -52,12 +52,18 @@ class Environment {
 };
 
 /// A parsed, immutable arithmetic formula. Copies share the compiled
-/// program, so copying a formula (and every scheme or unit holding one) is
-/// a reference-count increment, not a re-allocation.
+/// program: copying a parsed formula is a reference-count increment, not a
+/// re-allocation, and copying a pinned() one copies a pointer.
 class Formula {
  public:
   /// Parses `text`; throws qre::Error with position information on failure.
   static Formula parse(std::string_view text);
+
+  /// A handle to a copy of this formula's program that is never freed
+  /// (common/pinned.hpp), for formulas that live as long as the process:
+  /// the built-in QEC schemes and distillation units. Copies of the handle
+  /// touch no reference count, so concurrent copies write nothing shared.
+  Formula pinned() const;
 
   /// Evaluates against the environment; throws qre::Error for unbound
   /// variables, division by zero, or non-finite results.

@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/math.hpp"
 #include "common/mutex.hpp"
+#include "common/pinned.hpp"
 #include "common/thread_annotations.hpp"
 
 namespace qre {
@@ -34,38 +35,49 @@ struct QecScheme::EvalCache {
 };
 
 QecScheme::QecScheme(std::string name, double threshold, double prefactor, Formula cycle_time,
-                     Formula physical_qubits)
+                     Formula physical_qubits, std::shared_ptr<EvalCache> eval_cache)
     : name_(std::move(name)),
       threshold_(threshold),
       crossing_prefactor_(prefactor),
       logical_cycle_time_(std::move(cycle_time)),
       physical_qubits_per_logical_qubit_(std::move(physical_qubits)),
-      eval_cache_(std::make_shared<EvalCache>()) {}
+      eval_cache_(std::move(eval_cache)) {}
 
 // The built-in schemes are parsed once per process and handed out by copy:
-// every EstimationInput and ResourceEstimate starts from one, so parsing
-// their formulas per call dominated input construction. Copies share the
-// exactly keyed eval memo; customize() gives a changed scheme its own.
+// every EstimationInput, sweep item and ResourceEstimate starts from one.
+// They are pinned (common/pinned.hpp) so that a copy copies pointers:
+// with reference-counted parts, every worker of a sweep would write the
+// same few counts for every item it composes and echoes. Copies share the
+// exactly keyed eval memo; parse() and customize() give a changed scheme
+// its own, owning one.
+
+const QecScheme& QecScheme::pin(std::string name, double threshold, double prefactor,
+                                std::string_view cycle_time, std::string_view physical_qubits) {
+  return *new QecScheme(std::move(name), threshold, prefactor,
+                        Formula::parse(cycle_time).pinned(),
+                        Formula::parse(physical_qubits).pinned(),
+                        pin_for_process(std::make_unique<EvalCache>()));
+}
 
 QecScheme QecScheme::surface_code_gate_based() {
-  static const QecScheme kScheme(
-      "surface_code", 0.01, 0.03,
-      Formula::parse("(4 * twoQubitGateTime + 2 * oneQubitMeasurementTime) * codeDistance"),
-      Formula::parse("2 * codeDistance * codeDistance"));
+  static const QecScheme& kScheme =
+      pin("surface_code", 0.01, 0.03,
+          "(4 * twoQubitGateTime + 2 * oneQubitMeasurementTime) * codeDistance",
+          "2 * codeDistance * codeDistance");
   return kScheme;
 }
 
 QecScheme QecScheme::surface_code_majorana() {
-  static const QecScheme kScheme("surface_code", 0.0015, 0.08,
-                                 Formula::parse("20 * oneQubitMeasurementTime * codeDistance"),
-                                 Formula::parse("2 * codeDistance * codeDistance"));
+  static const QecScheme& kScheme =
+      pin("surface_code", 0.0015, 0.08, "20 * oneQubitMeasurementTime * codeDistance",
+          "2 * codeDistance * codeDistance");
   return kScheme;
 }
 
 QecScheme QecScheme::floquet_code() {
-  static const QecScheme kScheme(
-      "floquet_code", 0.01, 0.07, Formula::parse("3 * oneQubitMeasurementTime * codeDistance"),
-      Formula::parse("4 * codeDistance * codeDistance + 8 * (codeDistance - 1)"));
+  static const QecScheme& kScheme =
+      pin("floquet_code", 0.01, 0.07, "3 * oneQubitMeasurementTime * codeDistance",
+          "4 * codeDistance * codeDistance + 8 * (codeDistance - 1)");
   return kScheme;
 }
 

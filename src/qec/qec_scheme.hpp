@@ -15,7 +15,9 @@
 //
 // Defaults match the tool's presets: the surface code for both instruction
 // sets and the floquet (Hastings-Haah) code for Majorana hardware. Each
-// built-in scheme is built once per process; the factories return copies.
+// built-in scheme is built once and pinned for the life of the process
+// (common/pinned.hpp); the factories return copies, and copying a built-in
+// copies pointers, with no reference count for concurrent copies to share.
 #pragma once
 
 #include <cstdint>
@@ -115,8 +117,15 @@ class QecScheme {
   std::uint64_t physical_qubits_per_logical_qubit(std::uint64_t code_distance) const;
 
  private:
+  struct EvalCache;
+
   QecScheme(std::string name, double threshold, double prefactor, Formula cycle_time,
-            Formula physical_qubits);
+            Formula physical_qubits, std::shared_ptr<EvalCache> eval_cache);
+
+  /// A built-in scheme, pinned: made once, never destroyed, with pinned
+  /// formulas and a pinned eval memo.
+  static const QecScheme& pin(std::string name, double threshold, double prefactor,
+                              std::string_view cycle_time, std::string_view physical_qubits);
 
   std::string name_;
   double threshold_;
@@ -126,9 +135,9 @@ class QecScheme {
   std::uint64_t max_code_distance_ = 51;
 
   /// Formula-evaluation memo, shared by copies of this scheme (copies keep
-  /// the same formulas; customize() re-seats it before changing any).
+  /// the same formulas; parse() and customize() give the scheme they
+  /// return its own, owning memo). A built-in's memo is pinned.
   /// Concurrency-safe: results are plain doubles guarded by a mutex.
-  struct EvalCache;
   std::shared_ptr<EvalCache> eval_cache_;
 };
 

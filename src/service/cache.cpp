@@ -34,9 +34,31 @@ json::Value sorted_copy(const json::Value& v) {
 
 std::string canonical_key(const json::Value& job) { return sorted_copy(job).dump(); }
 
+EstimateCache::EstimateCache(std::size_t capacity) : capacity_(capacity) {
+  const std::size_t num_shards =
+      capacity == 0 || capacity >= kShardedCapacity ? kNumShards : 1;
+  shards_.reserve(num_shards);
+  for (std::size_t i = 0; i < num_shards; ++i) {
+    // The first capacity % num_shards shards take one entry more, so the
+    // shard capacities sum to `capacity` (0 stays unbounded everywhere).
+    const std::size_t share = capacity / num_shards + (i < capacity % num_shards ? 1 : 0);
+    shards_.push_back(std::make_unique<Shard>(share));
+  }
+}
+
+EstimateCache::Shard& EstimateCache::shard_for(std::string_view key) const {
+  if (shards_.size() == 1) return *shards_.front();
+  // The high bits of a Fibonacci-mixed hash: each shard's index map buckets
+  // the same hash, so the shard must not be picked by its low bits alone.
+  const std::uint64_t mixed =
+      static_cast<std::uint64_t>(std::hash<std::string_view>{}(key)) * 0x9E3779B97F4A7C15ull;
+  return *shards_[(mixed >> 32) % shards_.size()];
+}
+
 json::Value EstimateCache::get_or_compute(const std::string& key, const Compute& compute,
                                           LookupCounts* counts) {
   using Entries = LruMap<std::shared_future<json::Value>>;
+  Shard& shard = shard_for(key);
   std::promise<json::Value> promise;
   std::shared_future<json::Value> future = promise.get_future().share();
   // The entry a miss links in is built before locking, and what the insert
@@ -45,14 +67,14 @@ json::Value EstimateCache::get_or_compute(const std::string& key, const Compute&
   Entries::Nodes evicted;
   bool owner = false;
   {
-    MutexLock lock(mutex_);
-    if (const std::shared_future<json::Value>* found = entries_.find(key)) {
-      hits_.fetch_add(1);
+    MutexLock lock(shard.mutex);
+    if (const std::shared_future<json::Value>* found = shard.entries.find(key)) {
+      shard.hits.fetch_add(1);
       future = *found;
     } else {
-      misses_.fetch_add(1);
-      evicted = entries_.insert(std::move(node));
-      evictions_.fetch_add(evicted.size());
+      shard.misses.fetch_add(1);
+      evicted = shard.entries.insert(std::move(node));
+      shard.evictions.fetch_add(evicted.size());
       owner = true;
     }
   }
@@ -86,17 +108,31 @@ json::Value EstimateCache::get_or_compute(const std::string& key, const Compute&
   }
 }
 
+std::uint64_t EstimateCache::total(std::atomic<std::uint64_t> Shard::*counter) const {
+  std::uint64_t sum = 0;
+  for (const auto& shard : shards_) sum += ((*shard).*counter).load();
+  return sum;
+}
+
 std::size_t EstimateCache::size() const {
-  MutexLock lock(mutex_);
-  return entries_.size();
+  std::size_t total = 0;
+  for (const auto& owned : shards_) {
+    Shard& shard = *owned;
+    MutexLock lock(shard.mutex);
+    total += shard.entries.size();
+  }
+  return total;
 }
 
 void EstimateCache::clear() {
-  MutexLock lock(mutex_);
-  entries_.clear();
-  hits_.store(0);
-  misses_.store(0);
-  evictions_.store(0);
+  for (const auto& owned : shards_) {
+    Shard& shard = *owned;
+    MutexLock lock(shard.mutex);
+    shard.entries.clear();
+    shard.hits.store(0);
+    shard.misses.store(0);
+    shard.evictions.store(0);
+  }
 }
 
 }  // namespace qre::service

@@ -13,17 +13,28 @@
 // successful estimate.
 //
 // Capacity is bounded: entries beyond `capacity` are evicted least-recently
-// -used first, so a long-running sweep service cannot grow without limit.
-// Evicting an in-flight entry is safe — waiters hold their own copy of the
-// shared future — it merely allows the same key to be recomputed later.
+// -used first per shard, so a long-running sweep service cannot grow
+// without limit. The cache is split by key hash into shards, each with its
+// own mutex, LRU list and counters on its own cache line, so the workers
+// of a sweep do not all write one lock and one list. The shard count
+// follows from the capacity: one shard below kShardedCapacity (1024)
+// entries, so a small cache keeps exact LRU order, and kNumShards (16)
+// from there and when unbounded, the capacity split evenly between them
+// (4096 by default: 256 per shard). A full shard evicts its own least
+// recently used entry, even while another shard has room. Evicting an
+// in-flight entry is safe — waiters hold their own copy of the shared
+// future — it merely allows the same key to be recomputed later.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/lru_map.hpp"
 #include "common/mutex.hpp"
@@ -71,10 +82,10 @@ struct LookupCounts {
   }
 };
 
-/// Concurrency-safe, LRU-bounded memoization table from canonical job keys
-/// to result documents. Estimate results arrive as raw leaves (see
-/// api::run), so a hit is a reference-count copy of the bytes and an
-/// eviction frees one string.
+/// Concurrency-safe, LRU-bounded (per shard) memoization table from
+/// canonical job keys to result documents. Estimate results arrive as raw
+/// leaves (see api::run), so a hit is a reference-count copy of the bytes
+/// and an eviction frees one string.
 class EstimateCache {
  public:
   using Compute = std::function<json::Value()>;
@@ -82,9 +93,13 @@ class EstimateCache {
   /// Default entry bound: generous for interactive sweeps (a Figure 4 grid
   /// is 66 entries) while keeping a runaway service's footprint finite.
   static constexpr std::size_t kDefaultCapacity = 4096;
+  /// The smallest bounded capacity that is sharded (see the file comment).
+  static constexpr std::size_t kShardedCapacity = 1024;
+  /// Shards of a sharded cache.
+  static constexpr std::size_t kNumShards = 16;
 
   /// `capacity` == 0 means unbounded.
-  explicit EstimateCache(std::size_t capacity = kDefaultCapacity) : entries_(capacity) {}
+  explicit EstimateCache(std::size_t capacity = kDefaultCapacity);
 
   /// Returns the result for `key`, invoking `compute` only if no other
   /// caller has. Concurrent callers with the same key block on the single
@@ -102,27 +117,39 @@ class EstimateCache {
   void set_backing(StoreBacking* backing) { backing_ = backing; }
 
   /// Lookups that found an existing (or in-flight) entry.
-  std::uint64_t hits() const { return hits_.load(); }
+  std::uint64_t hits() const { return total(&Shard::hits); }
   /// Lookups that had to compute.
-  std::uint64_t misses() const { return misses_.load(); }
+  std::uint64_t misses() const { return total(&Shard::misses); }
   /// Entries dropped to keep the cache within capacity.
-  std::uint64_t evictions() const { return evictions_.load(); }
+  std::uint64_t evictions() const { return total(&Shard::evictions); }
   /// Number of distinct keys stored.
   std::size_t size() const;
   /// Maximum number of entries retained (0 = unbounded).
-  std::size_t capacity() const { return entries_.capacity(); }
+  std::size_t capacity() const { return capacity_; }
 
   void clear();
 
  private:
-  mutable Mutex mutex_;
+  /// One key-hash slice of the cache, alone on its cache line(s).
+  struct alignas(64) Shard {
+    explicit Shard(std::size_t capacity) : entries(capacity) {}
+
+    Mutex mutex;
+    LruMap<std::shared_future<json::Value>> entries QRE_GUARDED_BY(mutex);
+    std::atomic<std::uint64_t> hits{0};
+    std::atomic<std::uint64_t> misses{0};
+    std::atomic<std::uint64_t> evictions{0};
+  };
+
+  Shard& shard_for(std::string_view key) const;
+  /// `counter` summed over the shards.
+  std::uint64_t total(std::atomic<std::uint64_t> Shard::*counter) const;
+
+  std::size_t capacity_;
   // Deliberately unguarded: wired before traffic starts (see set_backing)
   // and read-only afterwards, like the registry's registration contract.
   StoreBacking* backing_ = nullptr;
-  LruMap<std::shared_future<json::Value>> entries_ QRE_GUARDED_BY(mutex_);
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> evictions_{0};
+  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 }  // namespace qre::service

@@ -36,11 +36,24 @@ DistillationUnit DistillationUnit::space_efficient_15_to_1() {
   return u;
 }
 
+namespace {
+
+/// `unit` with its formulas pinned (common/pinned.hpp).
+DistillationUnit pinned(DistillationUnit unit) {
+  unit.failure_probability = unit.failure_probability.pinned();
+  unit.output_error_rate = unit.output_error_rate.pinned();
+  unit.duration_at_physical_ns = unit.duration_at_physical_ns.pinned();
+  return unit;
+}
+
+}  // namespace
+
 std::vector<DistillationUnit> DistillationUnit::default_units() {
-  // Parsed once per process and returned by copy: every default-constructed
-  // EstimationInput starts from this set.
-  static const std::vector<DistillationUnit> kUnits = {rm_prep_15_to_1(),
-                                                       space_efficient_15_to_1()};
+  // Parsed once per process, pinned, never destroyed, and returned by
+  // copy: every default-constructed EstimationInput starts from this set,
+  // so a copy's formulas must not share a reference count across threads.
+  static const std::vector<DistillationUnit>& kUnits = *new std::vector<DistillationUnit>{
+      pinned(rm_prep_15_to_1()), pinned(space_efficient_15_to_1())};
   return kUnits;
 }
 

@@ -58,8 +58,9 @@ struct DistillationUnit {
   static DistillationUnit rm_prep_15_to_1();
   /// 15-to-1 space-efficient unit (logical level only).
   static DistillationUnit space_efficient_15_to_1();
-  /// The default unit set used when none is specified (built once per
-  /// process; each call returns a copy).
+  /// The default unit set used when none is specified (built once and
+  /// pinned for the life of the process; each call returns a copy whose
+  /// formulas share the pinned programs).
   static std::vector<DistillationUnit> default_units();
 
   /// The distillation unit parser (contract in common/diagnostics.hpp) of

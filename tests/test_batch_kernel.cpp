@@ -4,9 +4,13 @@
 // planned/per-item batches, warm-vs-cold store identity, the grid cap,
 // expand_sweep's errors, and sweeps the plan does not compose. The
 // per-item reference is the same grid submitted as an "items" batch of the
-// expanded documents, which never consults the plan.
+// expanded documents, which never consults the plan. Also the pinned
+// built-in profiles every composed item input copies, under concurrent
+// copies.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -15,11 +19,16 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "api/api.hpp"
 #include "api/registry.hpp"
+#include "common/math.hpp"
+#include "formula/formula.hpp"
+#include "qec/qec_scheme.hpp"
+#include "tfactory/distillation_unit.hpp"
 #include "json/json.hpp"
 #include "service/batch_kernel.hpp"
 #include "service/cache.hpp"
@@ -557,6 +566,115 @@ TEST(BatchKernel, PathConflictsAnswerWithTheFirstExpansionErrorInRowMajorOrder) 
   ASSERT_EQ(response.diagnostics.entries().size(), 1u);
   EXPECT_EQ(response.diagnostics.entries()[0].code, "estimation-failed");
   EXPECT_EQ(response.diagnostics.entries()[0].message, expected);
+}
+
+// ------------------------------------------------------ pinned built-ins ---
+
+// The built-in QEC schemes and distillation units are pinned for the life
+// of the process (common/pinned.hpp): their copies share formula programs
+// and the eval memo through handles without a reference count.
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Mismatches between `scheme`'s (memoized) overheads and those of freshly
+/// parsed copies of its formulas, over the odd distances 1..25.
+int scheme_mismatches(const QecScheme& scheme, const QubitParams& qubit) {
+  const Formula cycle = Formula::parse(scheme.logical_cycle_time_text());
+  const Formula patch = Formula::parse(scheme.physical_qubits_text());
+  int mismatches = 0;
+  for (std::uint64_t d = 1; d <= 25; d += 2) {
+    const Environment env = qec_formula_environment(qubit, d);
+    if (!same_bits(scheme.logical_cycle_time_ns(qubit, d), cycle.evaluate(env))) ++mismatches;
+    if (scheme.physical_qubits_per_logical_qubit(d) != ceil_to_u64(patch.evaluate(env))) {
+      ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+/// Mismatches between every formula of `units` and a freshly parsed copy.
+int unit_mismatches(const std::vector<DistillationUnit>& units) {
+  Environment env;
+  env.set("inputErrorRate", 1e-3);
+  env.set("cliffordErrorRate", 1e-4);
+  env.set("readoutErrorRate", 1e-4);
+  env.set("oneQubitMeasurementTime", 100.0);
+  int mismatches = 0;
+  for (const DistillationUnit& u : units) {
+    for (const Formula* f : {&u.failure_probability, &u.output_error_rate,
+                             &u.duration_at_physical_ns}) {
+      if (!same_bits(f->evaluate(env), Formula::parse(f->text()).evaluate(env))) ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+TEST(PinnedBuiltins, ConcurrentCopiesEvaluateLikeFreshlyParsedFormulas) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 50;
+  const QubitParams gate = QubitParams::gate_ns_e3();
+  const QubitParams majorana = QubitParams::maj_ns_e4();
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        // Fresh copies every round, dropped at its end, so the threads
+        // copy and destroy handles to the same built-ins concurrently.
+        const QecScheme surface = QecScheme::surface_code_gate_based();
+        const QecScheme floquet = QecScheme::floquet_code();
+        const std::vector<DistillationUnit> units = DistillationUnit::default_units();
+        mismatches += scheme_mismatches(surface, gate) + scheme_mismatches(floquet, majorana) +
+                      unit_mismatches(units);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(PinnedBuiltins, ACopyKeepsWorkingAfterEveryOtherCopyIsGone) {
+  std::optional<QecScheme> scheme;
+  std::optional<std::vector<DistillationUnit>> units;
+  {
+    const std::vector<QecScheme> copies(8, QecScheme::floquet_code());
+    scheme = copies.back();
+    const std::vector<std::vector<DistillationUnit>> unit_copies(
+        8, DistillationUnit::default_units());
+    units = unit_copies.front();
+  }
+  EXPECT_EQ(scheme_mismatches(*scheme, QubitParams::maj_ns_e6()), 0);
+  EXPECT_EQ(unit_mismatches(*units), 0);
+}
+
+TEST(PinnedBuiltins, CustomizingABuiltinGivesItItsOwnMemo) {
+  const QubitParams qubit = QubitParams::gate_ns_e3();
+  const QecScheme builtin = QecScheme::surface_code_gate_based();
+  // Fills the built-in's pinned memo at distances 7 and 9.
+  const double builtin_cycle = builtin.logical_cycle_time_ns(qubit, 7);
+  EXPECT_EQ(builtin.physical_qubits_per_logical_qubit(9), 162u);
+
+  std::optional<QecScheme> survivor;
+  {
+    const QecScheme custom = QecScheme::customize(
+        builtin, json::parse(R"({"logicalCycleTime": "5 * codeDistance",
+                                 "physicalQubitsPerLogicalQubit": "3 * codeDistance ^ 2"})"));
+    // The customized scheme answers from its own memo, not the built-in's.
+    EXPECT_EQ(custom.logical_cycle_time_ns(qubit, 7), 35.0);
+    EXPECT_EQ(custom.physical_qubits_per_logical_qubit(9), 243u);
+    survivor = custom;
+  }
+  // Its memo is owned: a copy outlives the customized original.
+  EXPECT_EQ(survivor->logical_cycle_time_ns(qubit, 11), 55.0);
+  EXPECT_EQ(scheme_mismatches(*survivor, qubit), 0);
+  // And the built-in's pinned memo never saw the custom values.
+  EXPECT_TRUE(
+      same_bits(QecScheme::surface_code_gate_based().logical_cycle_time_ns(qubit, 7),
+                builtin_cycle));
+  EXPECT_EQ(QecScheme::surface_code_gate_based().physical_qubits_per_logical_qubit(9), 162u);
+  EXPECT_EQ(scheme_mismatches(QecScheme::surface_code_gate_based(), qubit), 0);
 }
 
 }  // namespace

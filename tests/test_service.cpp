@@ -295,6 +295,92 @@ TEST(Cache, LookupCountsAreTheCallersOwn) {
   EXPECT_EQ(cache.evictions(), 3u);
 }
 
+// A default-capacity cache is split into shards: concurrent traffic over
+// three times its capacity keeps it bounded and every lookup accounted for,
+// and concurrent callers of one key still compute it once.
+TEST(Cache, ShardedCacheStaysBoundedAndCountsEveryLookup) {
+  EstimateCache cache;
+  ASSERT_EQ(cache.capacity(), 4096u);
+  constexpr std::size_t kThreads = 4;
+  const std::size_t num_keys = 3 * cache.capacity();
+  std::atomic<std::uint64_t> computes{0};
+  std::atomic<std::uint64_t> wrong_values{0};
+  std::vector<service::LookupCounts> counts(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Every thread walks every key, from its own offset, and looks each
+      // one up twice in a row: the second lookup is a hit unless the other
+      // threads pushed the key out of its shard in between.
+      for (std::size_t i = 0; i < 2 * num_keys; ++i) {
+        const std::size_t k = (i / 2 + t * num_keys / kThreads) % num_keys;
+        const json::Value v = cache.get_or_compute(
+            "key-" + std::to_string(k),
+            [&] {
+              computes.fetch_add(1);
+              return json::Value(static_cast<std::uint64_t>(k));
+            },
+            &counts[t]);
+        if (v.as_uint() != k) wrong_values.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  service::LookupCounts total;
+  for (const service::LookupCounts& c : counts) total += c;
+  EXPECT_EQ(wrong_values.load(), 0u);
+  EXPECT_LE(cache.size(), cache.capacity());
+  EXPECT_GT(cache.hits(), 0u);
+  EXPECT_GT(cache.evictions(), 0u);
+  EXPECT_EQ(cache.hits() + cache.misses(), 2 * kThreads * num_keys);
+  EXPECT_EQ(total.hits, cache.hits());
+  EXPECT_EQ(total.misses, cache.misses());
+  EXPECT_EQ(total.evictions, cache.evictions());
+  EXPECT_EQ(computes.load(), cache.misses());
+  // Every miss inserted one entry, which is still there or was evicted.
+  EXPECT_EQ(cache.misses() - cache.evictions(), cache.size());
+
+  // Concurrent callers of one key compute it once, on every shard.
+  constexpr std::size_t kHotKeys = 64;
+  std::atomic<std::uint64_t> hot_computes{0};
+  std::atomic<std::size_t> ready{0};
+  threads.clear();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (std::size_t k = 0; k < kHotKeys; ++k) {
+        cache.get_or_compute("hot-" + std::to_string(k), [&] {
+          hot_computes.fetch_add(1);
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          return json::Value(1);
+        });
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(hot_computes.load(), kHotKeys);
+}
+
+// Below EstimateCache::kShardedCapacity the cache is one shard: eviction
+// follows exact least-recently-used order over all keys.
+TEST(Cache, SmallCacheEvictsInExactLruOrder) {
+  EstimateCache cache(EstimateCache::kShardedCapacity - 1);
+  auto value = [] { return json::Value(1); };
+  for (std::size_t k = 0; k < cache.capacity(); ++k) {
+    cache.get_or_compute("key-" + std::to_string(k), value);
+  }
+  cache.get_or_compute("key-0", value);  // now most recently used
+  cache.get_or_compute("one-more", value);
+  EXPECT_EQ(cache.evictions(), 1u);
+  service::LookupCounts counts;
+  cache.get_or_compute("key-0", value, &counts);
+  cache.get_or_compute("key-1", value, &counts);  // the one evicted
+  EXPECT_EQ(counts.hits, 1u);
+  EXPECT_EQ(counts.misses, 1u);
+}
+
 // --------------------------------------------------------------- engine ---
 
 TEST(Engine, PreservesItemOrderAcrossWorkers) {
