@@ -15,11 +15,7 @@ namespace {
 
 json::Value item_error(const char* code, const std::string& message,
                        const Diagnostics* diags) {
-  json::Object error;
-  error.emplace_back("code", std::string(code));
-  error.emplace_back("message", message);
-  json::Object out;
-  out.emplace_back("error", json::Value(std::move(error)));
+  json::Object out{{"error", json::Value(json::Object{{"code", code}, {"message", message}})}};
   if (diags != nullptr && !diags->empty()) out.emplace_back("diagnostics", diags->to_json());
   return json::Value(std::move(out));
 }
@@ -78,10 +74,9 @@ EstimateRequest EstimateRequest::parse(const json::Value& job, const Registry& r
 }
 
 json::Value EstimateResponse::to_json() const {
-  json::Object o;
-  o.emplace_back("schemaVersion", kSchemaVersion);
-  o.emplace_back("success", success);
-  o.emplace_back("diagnostics", diagnostics.to_json());
+  json::Object o{{"schemaVersion", kSchemaVersion},
+                 {"success", success},
+                 {"diagnostics", diagnostics.to_json()}};
   if (success) o.emplace_back("result", result);
   return json::Value(std::move(o));
 }
@@ -185,10 +180,8 @@ EstimateResponse run(const EstimateRequest& request, const service::EngineOption
         trace::PhaseTimer phase(timings, "api.execute");
         results = service::run_batch(expanded, runner, run_options, &stats);
       }
-      json::Object out;
-      out.emplace_back("results", json::Value(std::move(results)));
-      out.emplace_back("batchStats", stats.to_json());
-      response.result = json::Value(std::move(out));
+      response.result = json::Value(json::Object{{"results", json::Value(std::move(results))},
+                                                 {"batchStats", stats.to_json()}});
       response.success = true;
     } else {
       // Single estimates are memoized only through an EXTERNAL cache (a

@@ -265,7 +265,7 @@ void indent_to(std::string& out, int indent, int depth) {
 
 }  // namespace
 
-void Value::write(std::string& out, int indent, int depth) const {
+void Value::write(std::string& out, int indent, int depth, std::vector<Splice>* splices) const {
   if (is_null()) {
     out += "null";
   } else if (const bool* b = std::get_if<bool>(&data_)) {
@@ -285,7 +285,7 @@ void Value::write(std::string& out, int indent, int depth) const {
     for (std::size_t i = 0; i < a->size(); ++i) {
       if (i != 0) out.push_back(',');
       indent_to(out, indent, depth + 1);
-      (*a)[i].write(out, indent, depth + 1);
+      (*a)[i].write(out, indent, depth + 1, splices);
     }
     indent_to(out, indent, depth);
     out.push_back(']');
@@ -303,13 +303,15 @@ void Value::write(std::string& out, int indent, int depth) const {
       write_escaped(out, k);
       out.push_back(':');
       if (indent > 0) out.push_back(' ');
-      v.write(out, indent, depth + 1);
+      v.write(out, indent, depth + 1, splices);
     }
     indent_to(out, indent, depth);
     out.push_back('}');
   } else if (const Raw* r = std::get_if<Raw>(&data_)) {
     if (indent > 0) {
-      materialize().write(out, indent, depth);
+      materialize().write(out, indent, depth, nullptr);
+    } else if (splices != nullptr) {
+      splices->emplace_back(out.size(), r->bytes);
     } else {
       out += *r->bytes;
     }
@@ -318,14 +320,33 @@ void Value::write(std::string& out, int indent, int depth) const {
 
 std::string Value::dump() const {
   std::string out;
-  write(out, 0, 0);
+  write(out, 0, 0, nullptr);
   return out;
 }
 
+void Value::gather(Gathered& out) const { write(out.text, 0, 0, &out.splices); }
+
 std::string Value::pretty() const {
   std::string out;
-  write(out, 2, 0);
+  write(out, 2, 0, nullptr);
   return out;
+}
+
+std::size_t Gathered::size() const {
+  std::size_t n = text.size();
+  for (const auto& splice : splices) n += splice.second->size();
+  return n;
+}
+
+void Gathered::append_pieces(std::vector<std::string_view>& out) const {
+  const std::string_view all(text);
+  std::size_t from = 0;
+  for (const auto& [at, bytes] : splices) {
+    if (at > from) out.push_back(all.substr(from, at - from));
+    if (!bytes->empty()) out.push_back(*bytes);
+    from = at;
+  }
+  if (from < all.size()) out.push_back(all.substr(from));
 }
 
 namespace {

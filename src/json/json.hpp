@@ -19,6 +19,10 @@
 namespace qre::json {
 
 class Value;
+struct Gathered;
+/// A raw leaf's place in a Gathered document: the offset in its text where
+/// the leaf's shared bytes go, and the bytes.
+using Splice = std::pair<std::size_t, std::shared_ptr<const std::string>>;
 
 using Array = std::vector<Value>;
 /// Insertion-ordered object representation.
@@ -32,9 +36,10 @@ using Object = std::vector<std::pair<std::string, Value>>;
 /// compact document held as shared, immutable bytes (see raw()). Estimate
 /// results travel in this form from the worker that computed them through
 /// the cache, the store and the writers, so copying one is a reference
-/// count and dumping one appends its bytes. To a reader a raw leaf is
-/// opaque, like any non-object: is_object() is false and find() returns
-/// nullptr. Readers that need fields call materialize(), which parses.
+/// count, dumping one appends its bytes and gather() splices them. To a
+/// reader a raw leaf is opaque, like any non-object: is_object() is false
+/// and find() returns nullptr. Readers that need fields call materialize(),
+/// which parses.
 class Value {
  public:
   Value() : data_(nullptr) {}
@@ -93,6 +98,10 @@ class Value {
 
   /// Serializes compactly (no whitespace); raw leaves are appended as they are.
   std::string dump() const;
+  /// Appends dump()'s bytes to `out` in gathered form: the text goes to
+  /// out.text, and each raw leaf becomes a splice of its shared bytes
+  /// instead of a copy.
+  void gather(Gathered& out) const;
   /// Serializes with 2-space indentation; raw leaves are parsed to re-indent.
   std::string pretty() const;
 
@@ -105,10 +114,32 @@ class Value {
     bool operator==(const Raw& other) const { return *bytes == *other.bytes; }
   };
 
-  void write(std::string& out, int indent, int depth) const;
+  /// The one writer behind dump(), pretty() and gather(). With `splices`
+  /// (compact only) raw leaves are recorded there instead of appended.
+  void write(std::string& out, int indent, int depth, std::vector<Splice>* splices) const;
 
   std::variant<std::nullptr_t, bool, double, std::int64_t, std::string, Array, Object, Raw>
       data_;
+};
+
+/// A compact document kept in pieces: `text` holds what dump() writes
+/// except the raw leaves, and each splice records a leaf's shared bytes and
+/// the offset in `text` where dump() would have appended them. Its pieces,
+/// in order, concatenate to dump()'s bytes without copying any leaf; the
+/// server hands them to the socket as they are (server/http.hpp).
+struct Gathered {
+  Gathered() = default;
+  /// Plain text: one piece, no splices.
+  Gathered(std::string plain) : text(std::move(plain)) {}
+
+  std::string text;
+  std::vector<Splice> splices;  // offsets non-decreasing
+
+  /// Total bytes over every piece.
+  std::size_t size() const;
+  /// Appends the pieces to `out` in order, skipping empty ones. The views
+  /// point into this object and its leaves.
+  void append_pieces(std::vector<std::string_view>& out) const;
 };
 
 /// The writers dump() uses, for code that appends a document straight into a

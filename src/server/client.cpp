@@ -134,7 +134,7 @@ Client::Result Client::request_once(const std::string& method, const std::string
     message += "Content-Length: " + std::to_string(body.size()) + "\r\n";
   }
   message += "\r\n";
-  message += body;
+  const std::string_view pieces[] = {message, body};
 
   // One transparent retry for the keep-alive race the pre-send peek cannot
   // fully close (the server finishes our connection between peek and send).
@@ -149,39 +149,17 @@ Client::Result Client::request_once(const std::string& method, const std::string
       return result;
     }
 
-    bool write_ok = true;
-    std::string_view remaining = message;
-    while (!remaining.empty()) {
-      const ssize_t n = ::send(fd_, remaining.data(), remaining.size(), MSG_NOSIGNAL);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        write_ok = false;
-        break;
-      }
-      remaining.remove_prefix(static_cast<std::size_t>(n));
-    }
-    if (!write_ok) {
-      const bool untouched = remaining.size() == message.size();
+    std::size_t sent = 0;
+    if (!send_all(fd_, pieces, &sent)) {
       disconnect();
       result.error = "send failed";
-      transport_retriable = idempotent || untouched;
+      transport_retriable = idempotent || sent == 0;
       if (transport_retriable) continue;  // retry on a fresh connection
       return result;
     }
 
-    const int fd = fd_;
-    const ByteSource source = [fd](char* buf, std::size_t len) -> long {
-      for (;;) {
-        const ssize_t n = ::recv(fd, buf, len, 0);
-        if (n >= 0) return static_cast<long>(n);
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return -2;
-        return -1;
-      }
-    };
-
     ParsedResponse response;
-    const ReadStatus status = read_response(source, buffer_, response, {});
+    const ReadStatus status = read_response(socket_source(fd_), buffer_, response, {});
     if (status == ReadStatus::kClosed && attempt == 0 && idempotent) {
       disconnect();
       result.error = "connection closed before response";

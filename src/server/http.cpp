@@ -1,7 +1,12 @@
 #include "server/http.hpp"
 
+#include <sys/socket.h>
+#include <sys/uio.h>
+
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 
@@ -352,16 +357,51 @@ std::string head_lines(int status, const std::string& content_type, bool close,
 
 }  // namespace
 
-bool write_response(const ByteSink& sink, const Response& r, bool keep_alive) {
-  const bool close = r.close || !keep_alive;
-  std::string message = head_lines(r.status, r.content_type, close, r.extra_headers);
-  message += "Content-Length: " + std::to_string(r.body.size()) + "\r\n\r\n";
-  message += r.body;
-  return sink(message);
+ByteSource socket_source(int fd) {
+  return [fd](char* buf, std::size_t len) -> long {
+    for (;;) {
+      const ssize_t n = ::recv(fd, buf, len, 0);
+      if (n >= 0) return static_cast<long>(n);
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return -2;  // SO_RCVTIMEO
+      return -1;
+    }
+  };
 }
 
-bool ChunkedWriter::begin(int status, const std::string& content_type, bool keep_alive) {
-  return begin(status, content_type, keep_alive, {});
+bool send_all(int fd, ByteSink::Pieces pieces, std::size_t* sent) {
+  std::vector<iovec> iov;
+  iov.reserve(pieces.size());
+  for (std::string_view piece : pieces) {
+    if (!piece.empty()) iov.push_back({const_cast<char*>(piece.data()), piece.size()});
+  }
+  if (sent != nullptr) *sent = 0;
+  for (std::size_t next = 0; next < iov.size();) {
+    msghdr message{};
+    message.msg_iov = &iov[next];
+    message.msg_iovlen = std::min<std::size_t>(iov.size() - next, IOV_MAX);
+    const ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      return false;
+    }
+    auto left = static_cast<std::size_t>(n);
+    if (sent != nullptr) *sent += left;
+    for (; next < iov.size() && left >= iov[next].iov_len; ++next) left -= iov[next].iov_len;
+    if (left > 0) {
+      iov[next].iov_base = static_cast<char*>(iov[next].iov_base) + left;
+      iov[next].iov_len -= left;
+    }
+  }
+  return true;
+}
+
+bool write_response(const ByteSink& sink, const Response& r, bool keep_alive) {
+  std::string head = head_lines(r.status, r.content_type, !keep_alive, r.extra_headers);
+  head += "Content-Length: " + std::to_string(r.body.size()) + "\r\n\r\n";
+  std::vector<std::string_view> pieces{head};
+  r.body.append_pieces(pieces);
+  return sink(pieces);
 }
 
 bool ChunkedWriter::begin(int status, const std::string& content_type, bool keep_alive,
@@ -372,14 +412,15 @@ bool ChunkedWriter::begin(int status, const std::string& content_type, bool keep
   return sink_(head);
 }
 
-bool ChunkedWriter::write(std::string_view data) {
-  if (data.empty()) return true;  // a zero-size chunk would terminate the body
-  char size[32];
-  std::snprintf(size, sizeof size, "%zx\r\n", data.size());
-  std::string chunk(size);
-  chunk.append(data);
-  chunk += "\r\n";
-  return sink_(chunk);
+bool ChunkedWriter::write(const json::Gathered& data) {
+  const std::size_t size = data.size();
+  if (size == 0) return true;
+  char size_line[32];
+  const int n = std::snprintf(size_line, sizeof size_line, "%zx\r\n", size);
+  std::vector<std::string_view> pieces{std::string_view(size_line, static_cast<std::size_t>(n))};
+  data.append_pieces(pieces);
+  pieces.push_back("\r\n");
+  return sink_(pieces);
 }
 
 bool ChunkedWriter::end() { return sink_("0\r\n\r\n"); }

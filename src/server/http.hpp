@@ -3,9 +3,10 @@
 // The paper frames the estimator as a cloud service consuming JSON job
 // documents over HTTP; this module is the wire format for our serving layer.
 // It is deliberately transport-agnostic: messages are read from a ByteSource
-// and written to a ByteSink (plain callables), so the same parser serves the
+// and written to a ByteSink (callables), so the same parser serves the
 // socket server, the in-process test client, and unit tests that replay
-// captured byte streams — no mocking of file descriptors anywhere.
+// captured byte streams — no mocking of file descriptors anywhere. The
+// socket ends of both seams are here too, shared by server and client.
 //
 // Supported framing, both directions:
 //   * request line / status line + headers (case-insensitive names),
@@ -17,11 +18,16 @@
 // read with kTooLarge so a misbehaving client cannot balloon the process.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
+
+#include "json/json.hpp"
 
 namespace qre::server {
 
@@ -38,8 +44,42 @@ const std::string* find_header(const std::vector<Header>& headers, std::string_v
 /// EAGAIN/EWOULDBLOCK from SO_RCVTIMEO to -2).
 using ByteSource = std::function<long(char* buf, std::size_t len)>;
 
-/// Pushes bytes to the peer; false means the connection is gone.
-using ByteSink = std::function<bool(std::string_view data)>;
+/// Pushes bytes to the peer, one call per response or chunk, with the
+/// pieces to send in order; false means the connection is gone.
+class ByteSink {
+ public:
+  using Pieces = std::span<const std::string_view>;
+
+  /// A gather callable, bool(Pieces); the socket sink hands them to sendmsg.
+  template <typename F>
+    requires(!std::is_same_v<std::decay_t<F>, ByteSink> &&
+             std::is_invocable_r_v<bool, F&, Pieces>)
+  ByteSink(F gather) : write_(std::move(gather)) {}
+  /// A one-buffer callable, bool(std::string_view), called once per piece
+  /// in order until one returns false.
+  template <typename F>
+    requires(!std::is_invocable_v<F&, Pieces> && std::is_invocable_r_v<bool, F&, std::string_view>)
+  ByteSink(F one)
+      : write_([one = std::move(one)](Pieces pieces) mutable {
+          return std::all_of(pieces.begin(), pieces.end(), std::ref(one));
+        }) {}
+
+  bool operator()(Pieces pieces) const { return write_(pieces); }
+  bool operator()(std::string_view one) const { return write_(Pieces(&one, 1)); }
+
+ private:
+  std::function<bool(Pieces)> write_;
+};
+
+/// The socket ends of both seams, shared by Server and Client. The source
+/// retries EINTR and maps EAGAIN/EWOULDBLOCK (SO_RCVTIMEO) to -2.
+ByteSource socket_source(int fd);
+/// Blocking gather send of `pieces` in order through sendmsg, IOV_MAX per
+/// call, resuming a partial write inside the piece it stopped in; EINTR
+/// retries. MSG_NOSIGNAL: a dead peer is an error, not SIGPIPE. EAGAIN
+/// (SO_SNDTIMEO: the peer stopped reading) also returns false, so the
+/// caller abandons the message and closes. `sent` gets the bytes that went.
+bool send_all(int fd, ByteSink::Pieces pieces, std::size_t* sent = nullptr);
 
 struct ReadLimits {
   std::size_t max_header_bytes = 64 * 1024;
@@ -103,27 +143,27 @@ std::string_view status_text(int status);
 struct Response {
   int status = 200;
   std::string content_type = "application/json";
-  std::string body;
+  json::Gathered body;  // a JSON document's pieces, or one piece of text
   std::vector<Header> extra_headers;
-  bool close = false;  // force "Connection: close" regardless of the request
 };
 
-/// Serializes `r` with Content-Length framing. `keep_alive` is the
-/// request's wish; the connection closes when either side says so.
-/// Returns false when the sink reports a dead connection.
+/// Sends `r` with Content-Length framing: the head, then the body's pieces,
+/// in one sink call; "Connection: close" unless `keep_alive`. Returns false
+/// when the sink reports a dead connection.
 bool write_response(const ByteSink& sink, const Response& r, bool keep_alive);
 
 /// Streaming response writer (Transfer-Encoding: chunked) for NDJSON
-/// bodies whose length is unknown up front. begin() is idempotent-free:
-/// call once, then write() per chunk, then end().
+/// bodies whose length is unknown up front. Call begin() exactly once, then
+/// write() per chunk, then end(); each is one sink call.
 class ChunkedWriter {
  public:
   explicit ChunkedWriter(ByteSink sink) : sink_(std::move(sink)) {}
 
-  bool begin(int status, const std::string& content_type, bool keep_alive);
   bool begin(int status, const std::string& content_type, bool keep_alive,
              const std::vector<Header>& extra_headers);
-  bool write(std::string_view data);
+  /// Sends `data` as one chunk: size line, its pieces, CRLF. An empty
+  /// `data` sends nothing (a zero-size chunk would end the body).
+  bool write(const json::Gathered& data);
   bool end();
   /// Whether begin() ran (i.e. headers are already on the wire).
   bool begun() const { return begun_; }

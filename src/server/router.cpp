@@ -21,20 +21,27 @@ namespace {
 /// holding only the error body can still quote the correlation id.
 json::Value error_document(const char* code, const std::string& message,
                            const std::string& request_id) {
-  json::Object error;
-  error.emplace_back("code", std::string(code));
-  error.emplace_back("message", message);
-  json::Object out;
-  out.emplace_back("error", json::Value(std::move(error)));
+  json::Object out{{"error", json::Value(json::Object{{"code", code}, {"message", message}})}};
   if (!request_id.empty()) out.emplace_back("requestId", request_id);
   return json::Value(std::move(out));
 }
 
+/// {"id": id, "status": state}: the answer to a job submit or cancel.
+json::Value job_ticket(std::uint64_t id, JobState state) {
+  return json::Value(
+      json::Object{{"id", json::Value(id)}, {"status", std::string(to_string(state))}});
+}
+
+/// `value` as one line of compact JSON, its raw leaves spliced, not copied.
+json::Gathered json_line(const json::Value& value) {
+  json::Gathered line;
+  value.gather(line);
+  line.text.push_back('\n');
+  return line;
+}
+
 Response json_response(int status, const json::Value& body) {
-  Response r;
-  r.status = status;
-  r.body = body.dump() + "\n";
-  return r;
+  return Response{.status = status, .body = json_line(body)};
 }
 
 Response error_response(int status, const char* code, const std::string& message,
@@ -169,9 +176,9 @@ bool Router::handle(const Request& request, const ByteSink& sink) {
   // Count every byte that actually reaches the sink (headers + body +
   // chunk framing) for the access log's bytesOut.
   std::uint64_t bytes_out = 0;
-  const ByteSink counting_sink = [&](std::string_view data) {
-    bytes_out += data.size();
-    return sink(data);
+  const ByteSink counting_sink = [&](ByteSink::Pieces pieces) {
+    for (std::string_view piece : pieces) bytes_out += piece.size();
+    return sink(pieces);
   };
   bool alive;
   try {
@@ -190,19 +197,11 @@ bool Router::handle(const Request& request, const ByteSink& sink) {
           .count();
   service_.metrics().record(ctx.route_label, ctx.status, latency_ms);
   if (AccessLog* log = service_.access_log()) {
-    AccessEntry entry;
-    entry.id = ctx.id;
-    entry.method = request.method;
-    entry.path = request.path();
-    entry.route = ctx.route_label;
-    entry.status = ctx.status;
-    entry.latency_ms = latency_ms;
-    entry.bytes_in = request.body.size();
-    entry.bytes_out = bytes_out;
-    entry.deadline = ctx.deadline;
-    entry.cancelled = ctx.cancelled;
-    entry.failpoints_armed = failpoint::active_count();
-    log->record(entry);
+    log->record({.id = ctx.id, .method = request.method, .path = request.path(),
+                 .route = ctx.route_label, .status = ctx.status, .latency_ms = latency_ms,
+                 .bytes_in = request.body.size(), .bytes_out = bytes_out,
+                 .deadline = ctx.deadline, .cancelled = ctx.cancelled,
+                 .failpoints_armed = failpoint::active_count()});
   }
   return alive;
 }
@@ -228,17 +227,14 @@ bool Router::dispatch(const Request& request, const ByteSink& sink, RequestConte
   if (path == "/healthz") {
     ctx.route_label = method_label(request.method) + " /healthz";
     if (request.method != "GET") return method_not_allowed("GET");
-    json::Object body;
-    body.emplace_back("status", "ok");
-    return send(json_response(200, json::Value(std::move(body))));
+    return send(json_response(200, json::Value(json::Object{{"status", "ok"}})));
   }
   if (path == "/version") {
     ctx.route_label = method_label(request.method) + " /version";
     if (request.method != "GET") return method_not_allowed("GET");
-    json::Object body;
-    body.emplace_back("version", std::string(version_string()));
-    body.emplace_back("schemaVersion", api::kSchemaVersion);
-    return send(json_response(200, json::Value(std::move(body))));
+    return send(json_response(200, json::Value(json::Object{
+                                         {"version", std::string(version_string())},
+                                         {"schemaVersion", api::kSchemaVersion}})));
   }
   if (path == "/metrics") {
     ctx.route_label = method_label(request.method) + " /metrics";
@@ -246,11 +242,9 @@ bool Router::dispatch(const Request& request, const ByteSink& sink, RequestConte
     const MetricSources sources{&service_.metrics(), &service_.engine().cache(),
                                 service_.store(), &service_.jobs()};
     if (wants_prometheus(request.query())) {
-      Response r;
-      r.status = 200;
-      r.content_type = kPrometheusContentType;
-      r.body = metrics_prometheus(sources);
-      return send(std::move(r));
+      return send(Response{.status = 200,
+                           .content_type = kPrometheusContentType,
+                           .body = metrics_prometheus(sources)});
     }
     return send(json_response(200, metrics_json(sources)));
   }
@@ -265,10 +259,7 @@ bool Router::dispatch(const Request& request, const ByteSink& sink, RequestConte
     // Chrome Trace Event JSON array — loads directly in Perfetto /
     // chrome://tracing. The export flushes this thread's buffer, so the
     // request's own spans up to this point are included.
-    Response r;
-    r.status = 200;
-    r.body = trace::to_chrome_json();
-    return send(std::move(r));
+    return send(Response{.status = 200, .body = trace::to_chrome_json()});
   }
 
   // ----------------------------------------------------------- registry --
@@ -354,10 +345,10 @@ bool Router::dispatch(const Request& request, const ByteSink& sink, RequestConte
                                       {{"X-Request-Id", ctx.id}}) &&
                         sink_ok;
             }
-            json::Object line;
-            line.emplace_back("item", json::Value(static_cast<std::uint64_t>(index)));
-            line.emplace_back("result", result);
-            sink_ok = chunked.write(json::Value(std::move(line)).dump() + "\n") && sink_ok;
+            json::Gathered line("{\"item\":" + std::to_string(index) + ",\"result\":");
+            result.gather(line);
+            line.text += "}\n";
+            sink_ok = chunked.write(line) && sink_ok;
           });
       options.cancel = cancel;
       api::EstimateResponse response = api::run(parsed, options, service_.registry());
@@ -372,20 +363,16 @@ bool Router::dispatch(const Request& request, const ByteSink& sink, RequestConte
         // probe was infeasible). Headers are committed, so the failure is
         // reported in-stream as a final error line instead of a summary —
         // the client must never mistake a truncated stream for success.
-        json::Value error_line = error_document(
-            "estimation-failed", response.diagnostics.summary(), ctx.id);
-        sink_ok = chunked.write(error_line.dump() + "\n") && sink_ok;
+        sink_ok = chunked.write(json_line(error_document(
+                      "estimation-failed", response.diagnostics.summary(), ctx.id))) &&
+                  sink_ok;
       } else {
-        const char* stats_key = "batchStats";
-        const json::Value* stats = response.result.find(stats_key);
-        if (stats == nullptr) {
-          stats_key = "frontierStats";
-          stats = response.result.find(stats_key);
-        }
-        if (stats != nullptr) {
-          json::Object line;
-          line.emplace_back(stats_key, *stats);
-          sink_ok = chunked.write(json::Value(std::move(line)).dump() + "\n") && sink_ok;
+        for (const char* key : {"batchStats", "frontierStats"}) {
+          if (const json::Value* stats = response.result.find(key)) {
+            const json::Value stats_line(json::Object{{key, *stats}});
+            sink_ok = chunked.write(json_line(stats_line)) && sink_ok;
+            break;
+          }
         }
       }
       sink_ok = chunked.end() && sink_ok;
@@ -417,10 +404,7 @@ bool Router::dispatch(const Request& request, const ByteSink& sink, RequestConte
                                  "job backlog is full; retry after queued jobs finish",
                                  ctx.id));
     }
-    json::Object body;
-    body.emplace_back("id", json::Value(*id));
-    body.emplace_back("status", std::string(to_string(JobState::kQueued)));
-    return send(json_response(202, json::Value(std::move(body))));
+    return send(json_response(202, job_ticket(*id, JobState::kQueued)));
   }
   if (path.rfind("/v2/jobs/", 0) == 0) {
     ctx.route_label = method_label(request.method) + " /v2/jobs/{id}";
@@ -442,7 +426,8 @@ bool Router::dispatch(const Request& request, const ByteSink& sink, RequestConte
       }
       return send(json_response(200, *job));
     }
-    switch (service_.jobs().cancel(id)) {
+    const JobQueue::CancelResult cancelled = service_.jobs().cancel(id);
+    switch (cancelled) {
       case JobQueue::CancelResult::kNotFound:
         return send(error_response(404, "unknown-job",
                                    "no job " + std::to_string(id) + " (unknown or evicted)",
@@ -452,25 +437,18 @@ bool Router::dispatch(const Request& request, const ByteSink& sink, RequestConte
                                    "job " + std::to_string(id) +
                                        " already finished; finished jobs cannot be cancelled",
                                    ctx.id));
-      case JobQueue::CancelResult::kCancelling: {
-        // Running: cancellation is cooperative. 202 = accepted, in
-        // progress; poll GET /v2/jobs/{id} for the terminal "cancelled".
-        service_.metrics().record_cancel_request();
-        ctx.cancelled = true;
-        json::Object body;
-        body.emplace_back("id", json::Value(id));
-        body.emplace_back("status", std::string(to_string(JobState::kCancelling)));
-        return send(json_response(202, json::Value(std::move(body))));
-      }
+      case JobQueue::CancelResult::kCancelling:
       case JobQueue::CancelResult::kCancelled:
         break;
     }
     service_.metrics().record_cancel_request();
     ctx.cancelled = true;
-    json::Object body;
-    body.emplace_back("id", json::Value(id));
-    body.emplace_back("status", std::string(to_string(JobState::kCancelled)));
-    return send(json_response(200, json::Value(std::move(body))));
+    // A running job cancels cooperatively: 202 = accepted, in progress;
+    // poll GET /v2/jobs/{id} for the terminal "cancelled".
+    if (cancelled == JobQueue::CancelResult::kCancelling) {
+      return send(json_response(202, job_ticket(id, JobState::kCancelling)));
+    }
+    return send(json_response(200, job_ticket(id, JobState::kCancelled)));
   }
 
   ctx.route_label = method_label(request.method) + " (unmatched)";

@@ -28,22 +28,6 @@ void close_quietly(int& fd) {
   throw_error(what + ": " + std::strerror(errno));
 }
 
-/// Blocking send of the whole buffer; MSG_NOSIGNAL so a dead peer surfaces
-/// as an error instead of SIGPIPE. EAGAIN/EWOULDBLOCK — SO_SNDTIMEO fired
-/// because the peer stopped reading — also returns false: the caller
-/// abandons the response and closes, freeing the worker.
-bool send_all(int fd, std::string_view data) {
-  while (!data.empty()) {
-    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    data.remove_prefix(static_cast<std::size_t>(n));
-  }
-  return true;
-}
-
 }  // namespace
 
 Server::Server(Router& router, ServerOptions options)
@@ -208,16 +192,8 @@ void Server::worker_loop(std::size_t slot) {
 }
 
 void Server::serve_connection(int fd) {
-  const ByteSource source = [fd](char* buf, std::size_t len) -> long {
-    for (;;) {
-      const ssize_t n = ::recv(fd, buf, len, 0);
-      if (n >= 0) return static_cast<long>(n);
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return -2;  // SO_RCVTIMEO
-      return -1;
-    }
-  };
-  const ByteSink sink = [fd](std::string_view data) {
+  const ByteSource source = socket_source(fd);
+  const ByteSink sink = [fd](ByteSink::Pieces pieces) {
     // Injected write fault = the peer became unwritable: abandon the
     // response, report failure so the connection closes.
     try {
@@ -225,7 +201,7 @@ void Server::serve_connection(int fd) {
     } catch (const Error&) {
       return false;
     }
-    return send_all(fd, data);
+    return send_all(fd, pieces);
   };
 
   std::string buffer;
@@ -246,36 +222,30 @@ void Server::serve_connection(int fd) {
       // access log, so abusive traffic shows up like any other traffic.
       const bool too_large = status == ReadStatus::kTooLarge;
       const char* route = too_large ? "(too-large)" : "(malformed)";
-      Response reject;
-      reject.status = too_large ? 413 : 400;
-      reject.body =
+      const char* body =
           too_large
               ? R"({"error": {"code": "too-large", "message": "request exceeds size limits"}})"
-                "\n"
-              : R"({"error": {"code": "bad-request", "message": "malformed HTTP request"}})"
-                "\n";
-      reject.close = true;
+              : R"({"error": {"code": "bad-request", "message": "malformed HTTP request"}})";
       const std::string request_id = next_request_id();
-      reject.extra_headers.push_back({"X-Request-Id", request_id});
+      const Response reject{.status = too_large ? 413 : 400,
+                            .body = std::string(body) + "\n",
+                            .extra_headers = {{"X-Request-Id", request_id}}};
       std::uint64_t bytes_out = 0;
-      const ByteSink counting_sink = [&](std::string_view data) {
-        bytes_out += data.size();
-        return sink(data);
+      const ByteSink counting_sink = [&](ByteSink::Pieces pieces) {
+        for (std::string_view piece : pieces) bytes_out += piece.size();
+        return sink(pieces);
       };
       write_response(counting_sink, reject, false);
       if (options_.metrics != nullptr) {
         options_.metrics->record(route, reject.status, 0.0);
       }
       if (options_.access_log != nullptr) {
-        AccessEntry entry;
-        entry.id = request_id;
-        entry.method = request.method;  // usually empty: nothing parsed
-        entry.path = request.method.empty() ? std::string() : request.path();
-        entry.route = route;
-        entry.status = reject.status;
-        entry.bytes_out = bytes_out;
-        entry.failpoints_armed = failpoint::active_count();
-        options_.access_log->record(entry);
+        // The method is usually empty: nothing parsed.
+        options_.access_log->record(
+            {.id = request_id, .method = request.method,
+             .path = request.method.empty() ? std::string() : request.path(), .route = route,
+             .status = reject.status, .bytes_out = bytes_out,
+             .failpoints_armed = failpoint::active_count()});
       }
       break;
     }

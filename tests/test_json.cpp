@@ -367,5 +367,63 @@ TEST(JsonRaw, ReadersSeeAnOpaqueLeafUntilMaterialized) {
   EXPECT_EQ(copy.raw_bytes().get(), raw.raw_bytes().get());
 }
 
+// --------------------------------------------------------------- gather --
+
+/// The pieces of `g`, concatenated.
+std::string joined_pieces(const Gathered& g) {
+  std::vector<std::string_view> pieces;
+  g.append_pieces(pieces);
+  std::string out;
+  for (std::string_view piece : pieces) {
+    EXPECT_FALSE(piece.empty());
+    out.append(piece);
+  }
+  return out;
+}
+
+TEST(JsonGather, PiecesConcatenateToDump) {
+  const Value leaf = Value::raw(R"({"physicalCounts":{"physicalQubits":42}})");
+  const Value empty_leaf = Value::raw(R"({})");
+  const std::vector<Value> cases = {
+      leaf,                                                    // raw root
+      Value(Array{leaf, Value(1), leaf, empty_leaf}),          // raw leaves in an array
+      Value(Object{{"results", Value(Array{leaf, leaf})},      // in nested containers
+                   {"batchStats", Value(Object{{"numItems", Value(2)}})},
+                   {"last", leaf}}),
+      Value(Array{}),                                          // empty containers
+      Value(Object{}),
+      Value(Object{{"a", Value(Array{})}, {"b", Value(Object{})}, {"c", leaf}}),
+      parse(R"({"a":[1,2.5,"x\n"],"b":{"c":null,"d":true}})"),  // no raw leaves
+      Value("text"),
+  };
+  for (const Value& v : cases) {
+    SCOPED_TRACE(v.dump());
+    Gathered g;
+    v.gather(g);
+    EXPECT_EQ(joined_pieces(g), v.dump());
+    EXPECT_EQ(g.size(), v.dump().size());
+  }
+}
+
+TEST(JsonGather, LeavesAreSplicedNotCopied) {
+  const Value leaf = Value::raw(R"({"x":1})");
+  const Value doc(Object{{"results", Value(Array{leaf, leaf})}, {"n", Value(2)}});
+  Gathered g;
+  doc.gather(g);
+  EXPECT_EQ(g.text, R"({"results":[,],"n":2})");
+  ASSERT_EQ(g.splices.size(), 2u);
+  EXPECT_EQ(g.splices[0].first, std::string_view(R"({"results":[)").size());
+  EXPECT_EQ(g.splices[1].first, g.splices[0].first + 1);
+  for (const Splice& splice : g.splices) EXPECT_EQ(splice.second.get(), leaf.raw_bytes().get());
+
+  // gather() appends: a second document continues the same text and splices.
+  leaf.gather(g);
+  EXPECT_EQ(joined_pieces(g), doc.dump() + leaf.dump());
+
+  // Plain text is one piece.
+  EXPECT_EQ(joined_pieces(Gathered("abc")), "abc");
+  EXPECT_EQ(joined_pieces(Gathered()), "");
+}
+
 }  // namespace
 }  // namespace qre::json

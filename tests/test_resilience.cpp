@@ -3,7 +3,7 @@
 // boundaries, client retry/backoff against a scripted fake server, and
 // fork()-based crash-recovery drills proving the store's atomic-rename
 // contract (a crash between temp-write and rename leaves the previous
-// snapshot fully readable).
+// snapshot fully readable), and the server's write failpoint.
 //
 // NOT part of the ThreadSanitizer ctest subset: the crash drills fork(),
 // which TSan instrumented binaries handle poorly, and the injection tests
@@ -25,11 +25,14 @@
 #include <thread>
 #include <vector>
 
+#include "api/registry.hpp"
 #include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "json/json.hpp"
 #include "server/client.hpp"
+#include "server/router.hpp"
+#include "server/server.hpp"
 #include "service/engine.hpp"
 #include "store/estimate_store.hpp"
 #include "store/store.hpp"
@@ -382,6 +385,44 @@ TEST(CrashRecovery, StoreOpenFaultDegradesToColdStart) {
   const store::LoadResult reloaded = store.load();
   EXPECT_TRUE(reloaded.usable);
   EXPECT_EQ(reloaded.records_loaded, 4u);
+}
+
+// ------------------------------------------------------- server writes ---
+
+TEST(Failpoint, BeforeWriteDropsTheResponseUntilReset) {
+  if (!failpoint::compiled_in()) GTEST_SKIP() << "built with QRE_FAILPOINTS=OFF";
+  FailpointGuard guard;
+  api::Registry registry = api::Registry::with_builtins();
+  server::Service service(registry);
+  server::Router router(service);
+  server::Server server(router);
+  server.start();
+  failpoint::configure("server.conn.before_write=error");
+
+  // The injected write fault abandons the response: the client reads EOF
+  // and not one byte. The whole response is one sink call, so the site
+  // fires once.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  const std::string request = "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+  ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  char buffer[256];
+  EXPECT_EQ(::recv(fd, buffer, sizeof buffer, 0), 0);
+  ::close(fd);
+  EXPECT_EQ(failpoint::hits("server.conn.before_write"), 1u);
+
+  failpoint::reset();
+  server::Client client("127.0.0.1", server.port());
+  const server::Client::Result result = client.get("/healthz");
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.status, 200);
+  server.stop();
 }
 
 // ---------------------------------------------------------- client retries ---

@@ -20,6 +20,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "api/api.hpp"
 #include "api/registry.hpp"
 #include "api/schema.hpp"
 #include "common/failpoint.hpp"
@@ -888,6 +889,191 @@ TEST(Server, PreRouterRejectsAreCountedLoggedAndCarryRequestIds) {
 
   std::error_code ec;
   std::filesystem::remove(log_pattern, ec);
+}
+
+/// A loopback connection with a small receive buffer, set before connect so
+/// the window it advertises stays small; -1 on failure.
+int connect_small_window(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const int rcvbuf = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// A one-shot HTTP request ("Connection: close") for a raw socket.
+std::string http_request(const std::string& method, const std::string& target,
+                         const std::string& body, const std::string& extra_headers = "") {
+  return method + " " + target + " HTTP/1.1\r\nHost: x\r\nConnection: close\r\n" +
+         extra_headers + "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n" + body;
+}
+
+/// Writes all of `bytes` to `fd`; false on a write error.
+bool send_bytes(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+/// Waits `first_pause`, then reads until EOF (or the socket's receive
+/// timeout) in 1 KiB reads with a 1 ms pause every 32 of them.
+std::string read_slowly(int fd, std::chrono::milliseconds first_pause) {
+  std::this_thread::sleep_for(first_pause);
+  std::string wire;
+  char buf[1024];
+  for (int reads = 1;; ++reads) {
+    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    if (n <= 0) break;
+    wire.append(buf, static_cast<std::size_t>(n));
+    if (reads % 32 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return wire;
+}
+
+/// A live server with one worker whose writes give up after 1 s without
+/// progress (SO_SNDTIMEO). A call that times out after moving some bytes
+/// returns their count, so a reader that pauses longer than that makes the
+/// server's writes end partway through a piece.
+struct ShortSendTimeoutServer {
+  ShortSendTimeoutServer()
+      : registry(api::Registry::with_builtins()),
+        service(registry),
+        router(service),
+        server(router, {.num_workers = 1, .send_timeout_seconds = 1}) {
+    server.start();
+  }
+
+  /// Posts `body` to /v2/estimate over a small-window connection, pauses
+  /// 1.5 s before reading, reads slowly and parses the response.
+  server::ParsedResponse post_slowly(const std::string& body, bool ndjson) {
+    const int fd = connect_small_window(server.port());
+    EXPECT_GE(fd, 0);
+    EXPECT_TRUE(send_bytes(fd, http_request("POST", "/v2/estimate", body,
+                                            ndjson ? "Accept: application/x-ndjson\r\n" : "")));
+    const std::string wire = read_slowly(fd, std::chrono::milliseconds(1500));
+    ::close(fd);
+    std::string buffer;
+    server::ParsedResponse response;
+    EXPECT_EQ(read_response(memory_source(wire), buffer, response), ReadStatus::kOk);
+    return response;
+  }
+
+  api::Registry registry;
+  server::Service service;
+  server::Router router;
+  server::Server server;
+};
+
+TEST(Server, LargeBatchIsSentByteForByteThroughPartialWrites) {
+  // 1500 distinct items, about 4.5 MB: the body has more pieces (each
+  // result plus the text between results) than one sendmsg call takes
+  // (IOV_MAX, 1024 on Linux), and more bytes than loopback buffers while the
+  // reader pauses (about 3 MB), so the first write times out partway.
+  std::string job = R"({"schemaVersion": 2, "qubitParams": {"name": "qubit_gate_ns_e3"},
+    "errorBudget": 0.01, "logicalCounts": {"numQubits": 10, "tCount": 1000}, "items": [)";
+  constexpr std::size_t kItems = 1500;
+  for (std::size_t i = 0; i < kItems; ++i) {
+    if (i != 0) job += ",";
+    job += R"({"logicalCounts": {"numQubits": )" + std::to_string(10 + i) + R"(, "tCount": 1000}})";
+  }
+  job += "]}";
+
+  // The bytes a cold engine writes in process; every item is a miss there
+  // and on each fresh server below, so batchStats agree too.
+  api::Registry registry = api::Registry::with_builtins();
+  server::Service reference(registry);
+  const api::EstimateRequest request = api::EstimateRequest::parse(json::parse(job), registry);
+  ASSERT_TRUE(request.ok()) << request.diagnostics.summary();
+  const json::Value envelope =
+      api::run(request, reference.engine().options(), registry).to_json();
+  ASSERT_TRUE(envelope.at("success").as_bool());
+  const std::string expected = envelope.dump() + "\n";
+  const json::Array& results = envelope.at("result").at("results").as_array();
+  ASSERT_EQ(results.size(), kItems);
+
+  {
+    ShortSendTimeoutServer live;
+    const server::ParsedResponse sync = live.post_slowly(job, false);
+    EXPECT_EQ(sync.status, 200);
+    const std::string* length = sync.header("Content-Length");
+    ASSERT_NE(length, nullptr);
+    EXPECT_EQ(*length, std::to_string(expected.size()));
+    EXPECT_TRUE(sync.body == expected) << "sync body differs from the in-process dump";
+  }
+  {
+    // The NDJSON form keeps its line format: {"item":N,"result":...} per
+    // item, then {"batchStats":...}, each line one chunk.
+    ShortSendTimeoutServer live;
+    const server::ParsedResponse stream = live.post_slowly(job, true);
+    EXPECT_EQ(stream.status, 200);
+    std::string lines;
+    for (std::size_t i = 0; i < kItems; ++i) {
+      lines += json::Value(json::Object{{"item", json::Value(static_cast<std::uint64_t>(i))},
+                                        {"result", results[i]}})
+                   .dump() +
+               "\n";
+    }
+    lines += json::Value(json::Object{{"batchStats", envelope.at("result").at("batchStats")}})
+                 .dump() +
+             "\n";
+    EXPECT_TRUE(stream.body == lines) << "NDJSON body differs from the line format";
+  }
+}
+
+TEST(Server, StalledReaderFreesTheOnlyWorkerAfterTheSendTimeout) {
+  ShortSendTimeoutServer live;
+
+  // The sweep-dense grid at 350 budgets instead of 33 (2100 items, about
+  // 6 MB) from a client that never reads. Loopback takes about 3 MB into
+  // its buffers, so the 580 KB sweep-dense body would fit and never block;
+  // this one fills the socket, and the only worker's write must give up at
+  // SO_SNDTIMEO instead of retrying.
+  const std::string sweep = R"({"logicalCounts": {"numQubits": 867167, "tCount": 1000000,
+    "rotationCount": 30000, "rotationDepth": 11000, "cczCount": 250000,
+    "measurementCount": 150000}, "sweep": {"qubitParams": [{"name": "qubit_gate_ns_e3"},
+    {"name": "qubit_gate_ns_e4"}, {"name": "qubit_gate_us_e3"}, {"name": "qubit_gate_us_e4"},
+    {"name": "qubit_maj_ns_e4"}, {"name": "qubit_maj_ns_e6"}], "errorBudget": {"start": 0.0001,
+    "stop": 0.01, "steps": 350, "scale": "log"}}})";
+  const int stalled = connect_small_window(live.server.port());
+  ASSERT_GE(stalled, 0);
+  ASSERT_TRUE(send_bytes(stalled, http_request("POST", "/v2/estimate", sweep)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));  // the worker is writing
+
+  // A second connection waits behind it, then gets its answer. SO_SNDTIMEO
+  // bounds each call, and a call that moved any bytes returns them, so the
+  // stalled write gives up after at most three periods here (a bare sendmsg
+  // loop on Linux loopback: 2.8 MB, then 180 KB, then EAGAIN). A writer that
+  // retried EAGAIN would hold the worker until the peer closes.
+  const auto start = std::chrono::steady_clock::now();
+  const int probe = connect_small_window(live.server.port());
+  ASSERT_GE(probe, 0);
+  timeval limit{};
+  limit.tv_sec = 3 * 1 + 2;  // three 1 s send timeouts plus 2 s
+  ::setsockopt(probe, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof limit);
+  ASSERT_TRUE(send_bytes(probe, http_request("GET", "/healthz", "")));
+  const std::string wire = read_slowly(probe, std::chrono::milliseconds(0));
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  ::close(probe);
+  ::close(stalled);
+
+  std::string buffer;
+  server::ParsedResponse response;
+  ASSERT_EQ(read_response(memory_source(wire), buffer, response), ReadStatus::kOk)
+      << "no /healthz answer within " << limit.tv_sec << " s";
+  EXPECT_EQ(response.status, 200);
+  EXPECT_LE(waited, static_cast<double>(limit.tv_sec));
 }
 
 TEST(Server, GracefulStopRefusesNewConnections) {
