@@ -67,7 +67,12 @@ curl -fsS "$BASE/version" | jq -e '.schemaVersion == 2 and (.version | length > 
 curl -fsS "$BASE/v2/profiles" | jq -e '.qubitParams | length >= 6' > /dev/null \
   || fail "profiles"
 
-# --- validate + sync estimate (the ISSUE's acceptance POST) ---------------
+# --- validate + sync estimate of the Figure 4 sweep ---------------------
+# A sweep caches a grid point only when it misses it a second time, so
+# this first sweep fills the store but not the cache, and the concurrent
+# repeats below cache each of its 18 points once.
+cache_size() { curl -fsS "$BASE/metrics" | jq -e '.estimateCache.size'; }
+SIZE_BEFORE_SWEEPS=$(cache_size) || fail "metrics before the sweeps"
 curl -fsS -X POST --data-binary "@$JOB" "$BASE/v2/validate" \
   | jq -e '.valid == true' > /dev/null || fail "validate"
 STATUS=$(curl -sS -o "$WORK_DIR/estimate.json" -w '%{http_code}' \
@@ -75,6 +80,9 @@ STATUS=$(curl -sS -o "$WORK_DIR/estimate.json" -w '%{http_code}' \
 [[ "$STATUS" == "200" ]] || fail "estimate returned HTTP $STATUS"
 jq -e '.success == true and (.result.results | length == 18)' \
   "$WORK_DIR/estimate.json" > /dev/null || fail "estimate payload"
+SIZE_AFTER_SWEEP=$(cache_size) || fail "metrics after the sweep"
+[[ "$SIZE_AFTER_SWEEP" == "$SIZE_BEFORE_SWEEPS" ]] \
+  || fail "a first sweep grew the estimate cache from $SIZE_BEFORE_SWEEPS to $SIZE_AFTER_SWEEP entries"
 
 # --- concurrent sweeps on one daemon share the batch worker pool ----------
 jq -c '.result.results' "$WORK_DIR/estimate.json" > "$WORK_DIR/results.json"
@@ -91,6 +99,9 @@ for c in 1 2 3 4; do
   jq -c '.result.results' "$WORK_DIR/concurrent$c.json" | cmp -s - "$WORK_DIR/results.json" \
     || fail "concurrent sweep $c differs from the single request"
 done
+SIZE_AFTER_SWEEPS=$(cache_size) || fail "metrics after the sweeps"
+[[ "$SIZE_AFTER_SWEEPS" == "$((SIZE_BEFORE_SWEEPS + 18))" ]] \
+  || fail "repeated sweeps grew the estimate cache from $SIZE_BEFORE_SWEEPS to $SIZE_AFTER_SWEEPS entries, not by 18"
 
 # --- a sweep the plan composes no input for ------------------------------
 # A qecScheme axis is outside the sections the sweep plan composes, so every

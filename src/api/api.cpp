@@ -153,6 +153,8 @@ EstimateResponse run(const EstimateRequest& request, const service::EngineOption
         // (see service/batch_kernel.hpp): covered items are composed from
         // the plan's parsed values, the rest run the per-item runner on
         // their on-demand documents, all in one run_batch_indexed call.
+        // Grid points are mostly seen once, so the cache keeps only the
+        // ones a lookup misses a second time (CacheFill::kOnRepeat).
         service::BatchKernelPlan plan;
         {
           trace::PhaseTimer phase(timings, "service.plan");
@@ -166,8 +168,8 @@ EstimateResponse run(const EstimateRequest& request, const service::EngineOption
         const service::IndexedKeyFn key_fn = [&plan](std::size_t index) {
           return plan.item_key(index);
         };
-        results =
-            service::run_batch_indexed(plan.num_items(), item_runner, key_fn, run_options, &stats);
+        results = service::run_batch_indexed(plan.num_items(), item_runner, key_fn, run_options,
+                                             &stats, service::CacheFill::kOnRepeat);
       } else {
         std::vector<json::Value> expanded;
         {

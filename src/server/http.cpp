@@ -1,5 +1,6 @@
 #include "server/http.hpp"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 
@@ -369,29 +370,44 @@ ByteSource socket_source(int fd) {
   };
 }
 
-bool send_all(int fd, ByteSink::Pieces pieces, std::size_t* sent) {
+bool send_all(int fd, ByteSink::Pieces pieces, std::size_t* sent, int timeout_seconds) {
   std::vector<iovec> iov;
   iov.reserve(pieces.size());
   for (std::string_view piece : pieces) {
     if (!piece.empty()) iov.push_back({const_cast<char*>(piece.data()), piece.size()});
   }
   if (sent != nullptr) *sent = 0;
+  const int wait_ms = timeout_seconds > 0 ? timeout_seconds * 1000 : -1;
+  bool full = false;  // the last call stopped short: the buffer has no room
   for (std::size_t next = 0; next < iov.size();) {
+    if (full) {
+      pollfd writable{.fd = fd, .events = POLLOUT, .revents = 0};
+      const int ready = ::poll(&writable, 1, wait_ms);
+      if (ready == 0) return false;  // no room for a whole timeout: the peer stopped
+      if (ready < 0 && errno != EINTR) return false;
+      full = false;  // room, or an error the next call reports
+    }
     msghdr message{};
     message.msg_iov = &iov[next];
     message.msg_iovlen = std::min<std::size_t>(iov.size() - next, IOV_MAX);
-    const ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
+    const ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        full = true;
+        continue;
+      }
       return false;
     }
     auto left = static_cast<std::size_t>(n);
     if (sent != nullptr) *sent += left;
+    const std::size_t end = next + message.msg_iovlen;
     for (; next < iov.size() && left >= iov[next].iov_len; ++next) left -= iov[next].iov_len;
     if (left > 0) {
       iov[next].iov_base = static_cast<char*>(iov[next].iov_base) + left;
       iov[next].iov_len -= left;
     }
+    full = next < end;
   }
   return true;
 }

@@ -74,12 +74,18 @@ class ByteSink {
 /// The socket ends of both seams, shared by Server and Client. The source
 /// retries EINTR and maps EAGAIN/EWOULDBLOCK (SO_RCVTIMEO) to -2.
 ByteSource socket_source(int fd);
-/// Blocking gather send of `pieces` in order through sendmsg, IOV_MAX per
-/// call, resuming a partial write inside the piece it stopped in; EINTR
-/// retries. MSG_NOSIGNAL: a dead peer is an error, not SIGPIPE. EAGAIN
-/// (SO_SNDTIMEO: the peer stopped reading) also returns false, so the
-/// caller abandons the message and closes. `sent` gets the bytes that went.
-bool send_all(int fd, ByteSink::Pieces pieces, std::size_t* sent = nullptr);
+/// Gather send of `pieces` in order through sendmsg, IOV_MAX per call,
+/// resuming a partial write inside the piece it stopped in; EINTR retries.
+/// MSG_NOSIGNAL: a dead peer is an error, not SIGPIPE. Each call takes what
+/// the socket buffer has room for (MSG_DONTWAIT); when it is full, poll
+/// waits for room for up to `timeout_seconds` (forever when 0). So the
+/// timeout is on progress, not on the whole send: a slow reader that keeps
+/// reading is served to the end, and one that stops is given up one
+/// timeout after the buffer filled, returning false so the caller abandons
+/// the message and closes. A send that fits in the buffer is one call.
+/// `sent` gets the bytes that went.
+bool send_all(int fd, ByteSink::Pieces pieces, std::size_t* sent = nullptr,
+              int timeout_seconds = 0);
 
 struct ReadLimits {
   std::size_t max_header_bytes = 64 * 1024;

@@ -143,11 +143,6 @@ void Server::acceptor_loop() {
       timeout.tv_sec = options_.receive_timeout_seconds;
       ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
     }
-    if (options_.send_timeout_seconds > 0) {
-      timeval timeout{};
-      timeout.tv_sec = options_.send_timeout_seconds;
-      ::setsockopt(conn, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
-    }
     const int one = 1;
     ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 
@@ -193,7 +188,7 @@ void Server::worker_loop(std::size_t slot) {
 
 void Server::serve_connection(int fd) {
   const ByteSource source = socket_source(fd);
-  const ByteSink sink = [fd](ByteSink::Pieces pieces) {
+  const ByteSink sink = [fd, timeout = options_.send_timeout_seconds](ByteSink::Pieces pieces) {
     // Injected write fault = the peer became unwritable: abandon the
     // response, report failure so the connection closes.
     try {
@@ -201,7 +196,7 @@ void Server::serve_connection(int fd) {
     } catch (const Error&) {
       return false;
     }
-    return send_all(fd, pieces);
+    return send_all(fd, pieces, nullptr, timeout);
   };
 
   std::string buffer;

@@ -45,9 +45,10 @@ struct ServerOptions {
   /// recv timeout on an open connection; bounds how long an idle keep-alive
   /// socket can pin a worker.
   int receive_timeout_seconds = 30;
-  /// send timeout (SO_SNDTIMEO); bounds how long a slow or stalled reader
-  /// can wedge a worker mid-response. A timed-out write closes the
-  /// connection. 0 disables.
+  /// send timeout: how long a response write waits for a reader that
+  /// takes no bytes (see send_all), so a stalled reader wedges a worker
+  /// for about this long, while a slow one that keeps reading is served.
+  /// A timed-out write closes the connection. 0 disables.
   int send_timeout_seconds = 30;
   /// Header/body size bounds for request parsing.
   ReadLimits limits;

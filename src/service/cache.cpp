@@ -46,19 +46,59 @@ EstimateCache::EstimateCache(std::size_t capacity) : capacity_(capacity) {
   }
 }
 
-EstimateCache::Shard& EstimateCache::shard_for(std::string_view key) const {
+EstimateCache::Shard& EstimateCache::shard_for(std::uint64_t hash) const {
   if (shards_.size() == 1) return *shards_.front();
   // The high bits of a Fibonacci-mixed hash: each shard's index map buckets
   // the same hash, so the shard must not be picked by its low bits alone.
-  const std::uint64_t mixed =
-      static_cast<std::uint64_t>(std::hash<std::string_view>{}(key)) * 0x9E3779B97F4A7C15ull;
+  const std::uint64_t mixed = hash * 0x9E3779B97F4A7C15ull;
   return *shards_[(mixed >> 32) % shards_.size()];
 }
 
+bool EstimateCache::Shard::noted_before(std::uint64_t hash) {
+  // The hash's set of kNoteWays adjacent slots, newest note first: a new
+  // note pushes out the set's oldest, so keys that share a set (a sweep's
+  // points often do) are forgotten in turn, not each by the next.
+  const std::size_t ways = std::min(kNoteWays, first_misses.size());
+  const auto set = first_misses.begin() +
+                   static_cast<std::ptrdiff_t>(hash % (first_misses.size() / ways) * ways);
+  const auto end = set + static_cast<std::ptrdiff_t>(ways);
+  if (std::find(set, end, hash) != end) return true;
+  std::copy_backward(set, end - 1, end);
+  *set = hash;
+  return false;
+}
+
 json::Value EstimateCache::get_or_compute(const std::string& key, const Compute& compute,
-                                          LookupCounts* counts) {
+                                          LookupCounts* counts, CacheFill fill) {
+  const auto hash = static_cast<std::uint64_t>(std::hash<std::string_view>{}(key));
+  Shard& shard = shard_for(hash);
+  if (fill == CacheFill::kOnRepeat) {
+    // A hit, or a first miss that computes without inserting. A repeated
+    // miss falls through and inserts below, where a caller that inserted
+    // meanwhile makes it a hit.
+    std::shared_future<json::Value> found;
+    bool repeated = false;
+    {
+      MutexLock lock(shard.mutex);
+      if (const std::shared_future<json::Value>* entry = shard.entries.find(key)) {
+        shard.hits.fetch_add(1);
+        found = *entry;
+      } else if (!(repeated = shard.noted_before(hash))) {
+        shard.misses.fetch_add(1);
+      }
+    }
+    if (found.valid()) {
+      if (counts != nullptr) ++counts->hits;
+      QRE_TRACE_INSTANT("estimate.cache.hit");
+      return found.get();
+    }
+    if (!repeated) {
+      if (counts != nullptr) ++counts->misses;
+      QRE_TRACE_INSTANT("estimate.cache.miss");
+      return fetch_or_compute(key, compute);
+    }
+  }
   using Entries = LruMap<std::shared_future<json::Value>>;
-  Shard& shard = shard_for(key);
   std::promise<json::Value> promise;
   std::shared_future<json::Value> future = promise.get_future().share();
   // The entry a miss links in is built before locking, and what the insert
@@ -93,19 +133,25 @@ json::Value EstimateCache::get_or_compute(const std::string& key, const Compute&
   }
   QRE_TRACE_INSTANT("estimate.cache.miss");
   try {
-    // Read-through: the persistent store answers before we compute, and
-    // write-through: what we do compute is offered back. Both happen on
-    // the single owner thread of this key, outside the cache lock.
-    std::optional<json::Value> stored;
-    if (backing_ != nullptr) stored = backing_->fetch(key);
-    json::Value result = stored.has_value() ? std::move(*stored) : compute();
-    if (!stored.has_value() && backing_ != nullptr) backing_->record(key, result);
+    json::Value result = fetch_or_compute(key, compute);
     promise.set_value(result);
     return result;
   } catch (...) {
     promise.set_exception(std::current_exception());
     throw;
   }
+}
+
+json::Value EstimateCache::fetch_or_compute(const std::string& key, const Compute& compute) {
+  // Read-through: the persistent store answers before we compute, and
+  // write-through: what we do compute is offered back. Both happen outside
+  // the cache lock, on the thread that missed.
+  std::optional<json::Value> stored;
+  if (backing_ != nullptr) stored = backing_->fetch(key);
+  if (stored.has_value()) return std::move(*stored);
+  json::Value result = compute();
+  if (backing_ != nullptr) backing_->record(key, result);
+  return result;
 }
 
 std::uint64_t EstimateCache::total(std::atomic<std::uint64_t> Shard::*counter) const {
@@ -129,6 +175,7 @@ void EstimateCache::clear() {
     Shard& shard = *owned;
     MutexLock lock(shard.mutex);
     shard.entries.clear();
+    std::fill(shard.first_misses.begin(), shard.first_misses.end(), 0);
     shard.hits.store(0);
     shard.misses.store(0);
     shard.evictions.store(0);

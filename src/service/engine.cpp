@@ -5,6 +5,7 @@
 #include <deque>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -51,11 +52,11 @@ json::Value cancelled_value(const CancelToken& cancel) {
 /// cache — collapse to an error document, preserving the batch's isolation
 /// contract.
 json::Value run_one(std::size_t index, const IndexedRunner& runner, const IndexedKeyFn& key_fn,
-                    EstimateCache* cache, LookupCounts* counts) {
+                    EstimateCache* cache, CacheFill fill, LookupCounts* counts) {
   try {
     QRE_FAILPOINT("engine.evaluate.before");
     if (cache != nullptr) {
-      return cache->get_or_compute(key_fn(index), [&] { return runner(index); }, counts);
+      return cache->get_or_compute(key_fn(index), [&] { return runner(index); }, counts, fill);
     }
     return runner(index);
   } catch (const std::exception& e) {
@@ -241,7 +242,7 @@ json::Array run_batch(const std::vector<json::Value>& items, const JobRunner& ru
 
 json::Array run_batch_indexed(std::size_t num_items, const IndexedRunner& runner,
                               const IndexedKeyFn& key_fn, const EngineOptions& options,
-                              BatchStats* stats) {
+                              BatchStats* stats, CacheFill fill) {
   QRE_REQUIRE(runner != nullptr, "run_batch_indexed requires an item runner");
   QRE_REQUIRE(!options.use_cache || key_fn != nullptr,
               "run_batch_indexed requires a key function when caching is enabled");
@@ -251,9 +252,10 @@ json::Array run_batch_indexed(std::size_t num_items, const IndexedRunner& runner
   // engine.item links back to this request in the exported trace.
   const std::uint64_t batch_span = trace::current_span();
 
-  EstimateCache local_cache(options.cache_capacity);
-  EstimateCache* cache = nullptr;
-  if (options.use_cache) cache = options.cache != nullptr ? options.cache : &local_cache;
+  // A batch-private cache only when the batch caches and brings none.
+  std::optional<EstimateCache> local_cache;
+  EstimateCache* cache = options.use_cache ? options.cache : nullptr;
+  if (options.use_cache && cache == nullptr) cache = &local_cache.emplace(options.cache_capacity);
 
   const std::size_t num_workers = resolve_num_workers(options, n);
 
@@ -300,7 +302,7 @@ json::Array run_batch_indexed(std::size_t num_items, const IndexedRunner& runner
       json::Value result;
       {
         QRE_TRACE_SPAN("engine.item");
-        result = run_one(i, runner, key_fn, cache, &counts);
+        result = run_one(i, runner, key_fn, cache, fill, &counts);
       }
       complete(i, std::move(result));
     }

@@ -11,8 +11,10 @@
 //    {"error": {"code", "message"}} document instead of aborting the batch
 //    (matching api::run's serial contract);
 //  - memoization: items are keyed by a canonical serialization of their
-//    resolved job document, so duplicated grid points across a batch are
-//    estimated once (see service/cache.hpp);
+//    resolved job document, so duplicated items across a batch are
+//    estimated once (see service/cache.hpp). Planned sweeps cache only the
+//    grid points they miss a second time: a point seen once fills only the
+//    store, so a stream of fresh points evicts nothing;
 //  - streaming: an optional callback observes each result, invoked strictly
 //    in item order as the prefix of completed items grows — the NDJSON
 //    emission mode of qre_cli for very large sweeps.
@@ -58,8 +60,9 @@ struct EngineOptions {
   /// std::thread::hardware_concurrency(). The width never exceeds the number
   /// of items, and width 1 runs inline.
   std::size_t num_workers = 0;
-  /// Memoize results by canonical item key (duplicated grid points are
-  /// computed once).
+  /// Memoize results by canonical item key (duplicated items are computed
+  /// once; a planned sweep caches a point from its second miss, see
+  /// run_batch_indexed).
   bool use_cache = true;
   /// Entry bound for the batch-private cache (LRU evicted beyond it;
   /// 0 = unbounded). Ignored when an external `cache` is supplied.
@@ -111,10 +114,12 @@ json::Array run_batch(const std::vector<json::Value>& items, const JobRunner& ru
 /// documents and planned sweeps — funnels through this single
 /// implementation, so ordering, error isolation, cancellation, streaming,
 /// and cache accounting behave identically and are counted once regardless
-/// of which path produced a result.
+/// of which path produced a result. `fill` is when an item's cache miss
+/// inserts it (see CacheFill): planned sweeps pass kOnRepeat, so a grid
+/// point seen once reads the cache and the store but fills only the store.
 json::Array run_batch_indexed(std::size_t num_items, const IndexedRunner& runner,
                               const IndexedKeyFn& key_fn, const EngineOptions& options = {},
-                              BatchStats* stats = nullptr);
+                              BatchStats* stats = nullptr, CacheFill fill = CacheFill::kOnMiss);
 
 /// A long-lived estimation engine: the default EngineOptions plus an owned
 /// EstimateCache that persists across runs, so a serving process keeps warm

@@ -35,6 +35,7 @@
 #include "service/engine.hpp"
 #include "service/sweep.hpp"
 #include "tests/run_request.hpp"
+#include "tfactory/factory_cache.hpp"
 
 namespace qre {
 namespace {
@@ -248,9 +249,11 @@ TEST(BatchKernel, InvalidAxisValuesRunPerItemToIdenticalErrorDocuments) {
 
 TEST(BatchKernel, CacheAccountingIsExactAcrossPlannedAndPerItemItems) {
   // 2 qubit values (one invalid) x errorBudget [a, b, a]: six grid items,
-  // four distinct documents. Planned items and per-item items tally hits
-  // and misses through the same engine counters — each duplicate is one
-  // hit no matter which path computed its original.
+  // four distinct documents. A sweep caches a point from its second miss,
+  // so planned and per-item grid points alike miss twice, the duplicate
+  // answering the same bytes, and the duplicated two stay resident. The
+  // "items" batch of the same documents fills its cache on every miss, so
+  // each duplicate is one hit there.
   json::Value job = json::parse(R"({
     "logicalCounts": {"numQubits": 50, "tCount": 50000},
     "sweep": {
@@ -258,20 +261,22 @@ TEST(BatchKernel, CacheAccountingIsExactAcrossPlannedAndPerItemItems) {
       "errorBudget": [0.001, 0.01, 0.001]
     }
   })");
-  json::Value result = run_sweep(job);
+  EstimateCache cache;
+  json::Value result = run_sweep(job, 1, &cache);
   const json::Value& stats = result.at("batchStats");
   EXPECT_EQ(covered_items(job), 3u);
+  EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(stats.at("numItems").as_uint(), 6u);
-  EXPECT_EQ(stats.at("cacheMisses").as_uint(), 4u);
-  EXPECT_EQ(stats.at("cacheHits").as_uint(), 2u);
-  // The duplicated budget re-serves both the planned result and the
-  // per-item error document.
+  EXPECT_EQ(stats.at("cacheMisses").as_uint(), 6u);
+  EXPECT_EQ(stats.at("cacheHits").as_uint(), 0u);
+  EXPECT_EQ(stats.at("cacheEvictions").as_uint(), 0u);
+  // The duplicated budget recomputes both the planned result and the
+  // per-item error document, to the same bytes.
   const json::Array& results = result.at("results").as_array();
   EXPECT_EQ(results[0].dump(), results[2].dump());
   EXPECT_EQ(results[3].dump(), results[5].dump());
   EXPECT_NE(results[3].find("error"), nullptr);
 
-  // Same accounting on the per-item path: both run through one engine.
   json::Value per_item = run_items(job);
   EXPECT_EQ(per_item.at("batchStats").at("cacheMisses").as_uint(), 4u);
   EXPECT_EQ(per_item.at("batchStats").at("cacheHits").as_uint(), 2u);
@@ -330,6 +335,32 @@ TEST(BatchKernel, WarmStoreReplaysBitIdenticalResults) {
   json::Value per_item = run_items(job);
   expect_bit_identical(replay, first);
   expect_bit_identical(replay, per_item);
+}
+
+TEST(BatchKernel, SecondEngineServesEverySweepItemFromTheStore) {
+  // The restart path: sweeps fill the store though not the in-memory
+  // cache, so a second engine over the same store estimates nothing.
+  const json::Value job = json::parse(kFig4StyleSweep);
+  const api::EstimateRequest request = api::EstimateRequest::parse(job);
+  ASSERT_TRUE(request.ok());
+  MapBacking store;
+  service::Engine first;
+  first.set_store(&store);
+  const api::EstimateResponse cold = api::run(request, first.options());
+  ASSERT_TRUE(cold.success);
+  EXPECT_EQ(store.size(), 28u);
+  EXPECT_EQ(first.cache().size(), 0u);
+
+  FactoryCache::global().clear();  // any estimate would search again
+  service::Engine second;
+  second.set_store(&store);
+  const api::EstimateResponse warm = api::run(request, second.options());
+  ASSERT_TRUE(warm.success);
+  EXPECT_EQ(store.served(), 28u);
+  EXPECT_EQ(FactoryCache::global().misses(), 0u);
+  EXPECT_EQ(second.cache().misses(), 28u);
+  EXPECT_EQ(second.cache().size(), 0u);
+  expect_bit_identical(warm.result, cold.result);
 }
 
 // ------------------------------------------------ uncomposable sweeps ---

@@ -941,27 +941,26 @@ std::string read_slowly(int fd, std::chrono::milliseconds first_pause) {
   return wire;
 }
 
-/// A live server with one worker whose writes give up after 1 s without
-/// progress (SO_SNDTIMEO). A call that times out after moving some bytes
-/// returns their count, so a reader that pauses longer than that makes the
-/// server's writes end partway through a piece.
+/// A live server with one worker whose writes give up after
+/// `send_timeout_seconds` without room in the socket buffer.
 struct ShortSendTimeoutServer {
-  ShortSendTimeoutServer()
+  explicit ShortSendTimeoutServer(int send_timeout_seconds = 1)
       : registry(api::Registry::with_builtins()),
         service(registry),
         router(service),
-        server(router, {.num_workers = 1, .send_timeout_seconds = 1}) {
+        server(router, {.num_workers = 1, .send_timeout_seconds = send_timeout_seconds}) {
     server.start();
   }
 
   /// Posts `body` to /v2/estimate over a small-window connection, pauses
-  /// 1.5 s before reading, reads slowly and parses the response.
-  server::ParsedResponse post_slowly(const std::string& body, bool ndjson) {
+  /// `pause` before reading, reads slowly and parses the response.
+  server::ParsedResponse post_slowly(const std::string& body, bool ndjson,
+                                     std::chrono::milliseconds pause) {
     const int fd = connect_small_window(server.port());
     EXPECT_GE(fd, 0);
     EXPECT_TRUE(send_bytes(fd, http_request("POST", "/v2/estimate", body,
                                             ndjson ? "Accept: application/x-ndjson\r\n" : "")));
-    const std::string wire = read_slowly(fd, std::chrono::milliseconds(1500));
+    const std::string wire = read_slowly(fd, pause);
     ::close(fd);
     std::string buffer;
     server::ParsedResponse response;
@@ -975,11 +974,136 @@ struct ShortSendTimeoutServer {
   server::Server server;
 };
 
+/// A connected loopback pair: `reader` with a small receive window, and
+/// the accepted `sender`.
+struct LoopbackPair {
+  LoopbackPair() {
+    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    socklen_t len = sizeof addr;
+    if (listener >= 0 && ::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0 &&
+        ::listen(listener, 1) == 0 &&
+        ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
+      reader = connect_small_window(ntohs(addr.sin_port));
+      if (reader >= 0) sender = ::accept(listener, nullptr, nullptr);
+    }
+    if (listener >= 0) ::close(listener);
+  }
+  ~LoopbackPair() {
+    if (reader >= 0) ::close(reader);
+    if (sender >= 0) ::close(sender);
+  }
+
+  int reader = -1;
+  int sender = -1;
+};
+
+/// `count` pieces of 1 to `count` bytes, and their concatenation.
+struct Pieces {
+  explicit Pieces(std::size_t count) {
+    for (std::size_t i = 1; i <= count; ++i) {
+      storage.emplace_back(i, static_cast<char>('a' + i % 26));
+      joined += storage.back();
+    }
+    views.assign(storage.begin(), storage.end());
+  }
+
+  std::vector<std::string> storage;
+  std::vector<std::string_view> views;
+  std::string joined;
+};
+
+TEST(Http, SendAllResumesPartialWritesMidPiece) {
+  // 3000 pieces of 1 to 3000 bytes (about 4.5 MB): more pieces than one
+  // call takes (IOV_MAX, 1024 on Linux), and more bytes than loopback
+  // buffers (about 3 MB), so calls stop partway through a piece. The reader
+  // pauses 1.5 s, within send_all's 3 s timeout, and then reads it all.
+  LoopbackPair pair;
+  ASSERT_GE(pair.reader, 0);
+  ASSERT_GE(pair.sender, 0);
+  // send_all leaves the socket's own send timeout alone.
+  timeval timeout{};
+  timeout.tv_sec = 3;
+  ::setsockopt(pair.sender, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
+
+  const Pieces pieces(3000);
+  std::string wire;
+  std::thread drain([&] { wire = read_slowly(pair.reader, std::chrono::milliseconds(1500)); });
+  std::size_t sent = 0;
+  EXPECT_TRUE(server::send_all(pair.sender, pieces.views, &sent, 3));
+  timeval after{};
+  socklen_t size = sizeof after;
+  ASSERT_EQ(::getsockopt(pair.sender, SOL_SOCKET, SO_SNDTIMEO, &after, &size), 0);
+  EXPECT_EQ(after.tv_sec, 3);
+  EXPECT_EQ(after.tv_usec, 0);
+  ::shutdown(pair.sender, SHUT_WR);
+  drain.join();
+  EXPECT_EQ(sent, pieces.joined.size());
+  EXPECT_TRUE(wire == pieces.joined) << "received " << wire.size() << " of "
+                                     << pieces.joined.size() << " bytes, or different ones";
+}
+
+TEST(Http, SendAllServesASlowReaderPastTheTimeout) {
+  // The send timeout is on progress: a reader that keeps reading, however
+  // slowly, gets the whole message even when it takes longer than the
+  // timeout. A small send buffer and a reader that sleeps 10 ms after each
+  // read stretch about 1 MB over well more than the 1 s timeout.
+  LoopbackPair pair;
+  ASSERT_GE(pair.reader, 0);
+  ASSERT_GE(pair.sender, 0);
+  const int sndbuf = 16 * 1024;
+  ::setsockopt(pair.sender, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof sndbuf);
+
+  const Pieces pieces(1400);
+  std::string wire;
+  std::thread drain([&] {
+    char buf[16 * 1024];
+    for (;;) {
+      const ssize_t n = ::recv(pair.reader, buf, sizeof buf, 0);
+      if (n <= 0) break;
+      wire.append(buf, static_cast<std::size_t>(n));
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  });
+  const auto start = std::chrono::steady_clock::now();
+  std::size_t sent = 0;
+  EXPECT_TRUE(server::send_all(pair.sender, pieces.views, &sent, 1));
+  const double took =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  ::shutdown(pair.sender, SHUT_WR);
+  drain.join();
+  EXPECT_GT(took, 1.2) << "the reader was not slow enough to outlast the timeout";
+  EXPECT_EQ(sent, pieces.joined.size());
+  EXPECT_TRUE(wire == pieces.joined) << "received " << wire.size() << " of "
+                                     << pieces.joined.size() << " bytes, or different ones";
+}
+
+TEST(Http, SendAllGivesUpOneTimeoutAfterTheReaderStops) {
+  // A reader that never reads: the buffers fill at once, and send_all
+  // returns false one 1 s timeout later, with the bytes that went.
+  LoopbackPair pair;
+  ASSERT_GE(pair.reader, 0);
+  ASSERT_GE(pair.sender, 0);
+  const Pieces pieces(3000);
+  const auto start = std::chrono::steady_clock::now();
+  std::size_t sent = 0;
+  EXPECT_FALSE(server::send_all(pair.sender, pieces.views, &sent, 1));
+  const double took =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_GT(sent, 0u);
+  EXPECT_LT(sent, pieces.joined.size());
+  EXPECT_GE(took, 0.9);
+  EXPECT_LE(took, 2.0);
+}
+
 TEST(Server, LargeBatchIsSentByteForByteThroughPartialWrites) {
   // 1500 distinct items, about 4.5 MB: the body has more pieces (each
   // result plus the text between results) than one sendmsg call takes
   // (IOV_MAX, 1024 on Linux), and more bytes than loopback buffers while the
-  // reader pauses (about 3 MB), so the first write times out partway.
+  // reader pauses (about 3 MB), so writes stop partway and wait for room.
+  // The pause is shorter than the send timeout, which bounds each wait.
   std::string job = R"({"schemaVersion": 2, "qubitParams": {"name": "qubit_gate_ns_e3"},
     "errorBudget": 0.01, "logicalCounts": {"numQubits": 10, "tCount": 1000}, "items": [)";
   constexpr std::size_t kItems = 1500;
@@ -1001,10 +1125,11 @@ TEST(Server, LargeBatchIsSentByteForByteThroughPartialWrites) {
   const std::string expected = envelope.dump() + "\n";
   const json::Array& results = envelope.at("result").at("results").as_array();
   ASSERT_EQ(results.size(), kItems);
+  constexpr std::chrono::milliseconds kPause(500);
 
   {
-    ShortSendTimeoutServer live;
-    const server::ParsedResponse sync = live.post_slowly(job, false);
+    ShortSendTimeoutServer live(2);
+    const server::ParsedResponse sync = live.post_slowly(job, false, kPause);
     EXPECT_EQ(sync.status, 200);
     const std::string* length = sync.header("Content-Length");
     ASSERT_NE(length, nullptr);
@@ -1014,8 +1139,8 @@ TEST(Server, LargeBatchIsSentByteForByteThroughPartialWrites) {
   {
     // The NDJSON form keeps its line format: {"item":N,"result":...} per
     // item, then {"batchStats":...}, each line one chunk.
-    ShortSendTimeoutServer live;
-    const server::ParsedResponse stream = live.post_slowly(job, true);
+    ShortSendTimeoutServer live(2);
+    const server::ParsedResponse stream = live.post_slowly(job, true, kPause);
     EXPECT_EQ(stream.status, 200);
     std::string lines;
     for (std::size_t i = 0; i < kItems; ++i) {
@@ -1037,8 +1162,8 @@ TEST(Server, StalledReaderFreesTheOnlyWorkerAfterTheSendTimeout) {
   // The sweep-dense grid at 350 budgets instead of 33 (2100 items, about
   // 6 MB) from a client that never reads. Loopback takes about 3 MB into
   // its buffers, so the 580 KB sweep-dense body would fit and never block;
-  // this one fills the socket, and the only worker's write must give up at
-  // SO_SNDTIMEO instead of retrying.
+  // this one fills the socket, and the only worker's write must give up
+  // at the send timeout instead of waiting on.
   const std::string sweep = R"({"logicalCounts": {"numQubits": 867167, "tCount": 1000000,
     "rotationCount": 30000, "rotationDepth": 11000, "cczCount": 250000,
     "measurementCount": 150000}, "sweep": {"qubitParams": [{"name": "qubit_gate_ns_e3"},
@@ -1048,18 +1173,26 @@ TEST(Server, StalledReaderFreesTheOnlyWorkerAfterTheSendTimeout) {
   const int stalled = connect_small_window(live.server.port());
   ASSERT_GE(stalled, 0);
   ASSERT_TRUE(send_bytes(stalled, http_request("POST", "/v2/estimate", sweep)));
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));  // the worker is writing
+  // The first response byte means the only worker is writing (computing
+  // the sweep takes seconds under sanitizers). Peeking leaves the window
+  // as small as it was.
+  timeval patience{};
+  patience.tv_sec = 120;
+  ::setsockopt(stalled, SOL_SOCKET, SO_RCVTIMEO, &patience, sizeof patience);
+  char first_byte = 0;
+  ASSERT_EQ(::recv(stalled, &first_byte, 1, MSG_PEEK), 1);
 
-  // A second connection waits behind it, then gets its answer. SO_SNDTIMEO
-  // bounds each call, and a call that moved any bytes returns them, so the
-  // stalled write gives up after at most three periods here (a bare sendmsg
-  // loop on Linux loopback: 2.8 MB, then 180 KB, then EAGAIN). A writer that
-  // retried EAGAIN would hold the worker until the peer closes.
+  // A second connection waits behind it, then gets its answer within one
+  // send timeout: the writer waits for room at most that long. A blocking
+  // sendmsg under SO_SNDTIMEO would take up to three periods here (a call
+  // that moved any bytes returns them: 2.8 MB, then 180 KB, then EAGAIN on
+  // Linux loopback), and a writer that retried EAGAIN would hold the
+  // worker until the peer closes.
   const auto start = std::chrono::steady_clock::now();
   const int probe = connect_small_window(live.server.port());
   ASSERT_GE(probe, 0);
   timeval limit{};
-  limit.tv_sec = 3 * 1 + 2;  // three 1 s send timeouts plus 2 s
+  limit.tv_sec = 1 + 1;  // one 1 s send timeout plus 1 s
   ::setsockopt(probe, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof limit);
   ASSERT_TRUE(send_bytes(probe, http_request("GET", "/healthz", "")));
   const std::string wire = read_slowly(probe, std::chrono::milliseconds(0));

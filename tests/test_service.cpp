@@ -295,6 +295,66 @@ TEST(Cache, LookupCountsAreTheCallersOwn) {
   EXPECT_EQ(cache.evictions(), 3u);
 }
 
+TEST(Cache, RepeatFillInsertsAKeyFromItsSecondMiss) {
+  EstimateCache cache(2);
+  int calls = 0;
+  auto compute = [&] { return json::Value(++calls); };
+  cache.get_or_compute("resident", compute);
+  service::LookupCounts mine;
+  const auto on_repeat = service::CacheFill::kOnRepeat;
+  EXPECT_EQ(cache.get_or_compute("resident", compute, &mine, on_repeat).as_int(), 1);
+  // A first miss computes and inserts nothing; the second inserts, so the
+  // third lookup hits what the second computed.
+  EXPECT_EQ(cache.get_or_compute("new", compute, &mine, on_repeat).as_int(), 2);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.get_or_compute("new", compute, &mine, on_repeat).as_int(), 3);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.get_or_compute("new", compute, &mine, on_repeat).as_int(), 3);
+  EXPECT_EQ(mine.hits, 2u);
+  EXPECT_EQ(mine.misses, 2u);
+  EXPECT_EQ(mine.evictions, 0u);
+  EXPECT_EQ(cache.evictions(), 0u);
+  // clear() forgets noted misses with the entries.
+  cache.clear();
+  cache.get_or_compute("noted", compute, nullptr, on_repeat);
+  cache.clear();
+  cache.get_or_compute("noted", compute, nullptr, on_repeat);
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(Cache, RepeatFillRemembersAsManyFirstMissesAsItHoldsEntries) {
+  // One entry, so one noted miss: a first miss of another key overwrites
+  // it, and the forgotten key's next miss is a first miss again.
+  EstimateCache cache(1);
+  int calls = 0;
+  auto compute = [&] { return json::Value(++calls); };
+  const auto on_repeat = service::CacheFill::kOnRepeat;
+  cache.get_or_compute("a", compute, nullptr, on_repeat);
+  cache.get_or_compute("b", compute, nullptr, on_repeat);
+  cache.get_or_compute("a", compute, nullptr, on_repeat);
+  EXPECT_EQ(cache.size(), 0u);
+  cache.get_or_compute("a", compute, nullptr, on_repeat);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(calls, 4);
+  EXPECT_EQ(cache.misses(), 4u);
+}
+
+TEST(Cache, RepeatFillRemembersKeysThatShareASet) {
+  // Four entries, so one set of four noted misses: four keys are all
+  // remembered whatever their hashes, and each one's second miss inserts.
+  EstimateCache cache(4);
+  int calls = 0;
+  auto compute = [&] { return json::Value(++calls); };
+  const auto on_repeat = service::CacheFill::kOnRepeat;
+  const std::vector<std::string> keys = {"k0", "k1", "k2", "k3"};
+  for (int round = 0; round < 3; ++round) {
+    for (const std::string& key : keys) cache.get_or_compute(key, compute, nullptr, on_repeat);
+  }
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(calls, 8);
+  EXPECT_EQ(cache.hits(), 4u);
+}
+
 // A default-capacity cache is split into shards: concurrent traffic over
 // three times its capacity keeps it bounded and every lookup accounted for,
 // and concurrent callers of one key still compute it once.
@@ -615,6 +675,9 @@ TEST(Service, RepeatedSweepSharesResultBytes) {
   // same buffers back instead of copies of a tree. The same grid runs once
   // as a sweep (the sweep plan) and once as an "items" batch of its
   // expanded documents (the per-item path); both must answer the same bytes.
+  // A sweep caches a grid point from its second miss, so the sweep runs
+  // once before: that run only notes its points, and the first of the two
+  // compared runs fills the cache.
   api::Registry registry = api::Registry::with_builtins();
   const json::Value sweep_job = json::parse(kFig4StyleSweep);
   json::Array expanded;
@@ -623,11 +686,17 @@ TEST(Service, RepeatedSweepSharesResultBytes) {
   items_job.emplace_back("items", json::Value(std::move(expanded)));
   std::vector<std::string> first_path;
   for (const json::Value& job : {sweep_job, json::Value(std::move(items_job))}) {
-    SCOPED_TRACE(job.find("sweep") != nullptr ? "sweep plan" : "per-item path");
+    const bool sweep = job.find("sweep") != nullptr;
+    SCOPED_TRACE(sweep ? "sweep plan" : "per-item path");
     const api::EstimateRequest request = api::EstimateRequest::parse(job, registry);
     ASSERT_TRUE(request.ok());
     service::Engine engine;
     const EngineOptions options = engine.options();
+    if (sweep) {
+      const api::EstimateResponse noted = api::run(request, options, registry);
+      ASSERT_TRUE(noted.success);
+      EXPECT_EQ(engine.cache().size(), 0u);
+    }
     const api::EstimateResponse cold = api::run(request, options, registry);
     const api::EstimateResponse warm = api::run(request, options, registry);
     ASSERT_TRUE(cold.success);
@@ -650,6 +719,86 @@ TEST(Service, RepeatedSweepSharesResultBytes) {
       }
     }
   }
+}
+
+TEST(Service, SweepLeavesTheSharedCacheUnfilled) {
+  // A sweep of points the engine has not seen reads the engine cache but
+  // inserts nothing, so it evicts nothing either, and still counts every
+  // item as one hit or one miss.
+  api::Registry registry = api::Registry::with_builtins();
+  service::Engine engine;
+  const json::Value single = json::parse(R"({"logicalCounts": {"numQubits": 7, "tCount": 70}})");
+  ASSERT_TRUE(api::run(api::EstimateRequest::parse(single, registry), engine.options(), registry)
+                  .success);
+  ASSERT_EQ(engine.cache().size(), 1u);
+
+  const api::EstimateRequest request =
+      api::EstimateRequest::parse(json::parse(kFig4StyleSweep), registry);
+  ASSERT_TRUE(request.ok());
+  const api::EstimateResponse response = api::run(request, engine.options(), registry);
+  ASSERT_TRUE(response.success);
+  const json::Value& stats = response.result.at("batchStats");
+  EXPECT_EQ(engine.cache().size(), 1u);
+  EXPECT_EQ(stats.at("cacheEvictions").as_uint(), 0u);
+  EXPECT_EQ(stats.at("cacheHits").as_uint() + stats.at("cacheMisses").as_uint(),
+            stats.at("numItems").as_uint());
+  EXPECT_EQ(stats.at("numItems").as_uint(), 66u);
+  EXPECT_EQ(engine.cache().evictions(), 0u);
+}
+
+TEST(Service, SweepRepeatedTwiceHitsEveryPointOnItsThirdRun) {
+  // The 198-point grid of servebench's sweep-dense workload, sent three
+  // times to one engine: the first run only notes its points, the second
+  // caches each of them, and the third hits every one.
+  api::Registry registry = api::Registry::with_builtins();
+  service::Engine engine;
+  const api::EstimateRequest request = api::EstimateRequest::parse(json::parse(R"({
+    "logicalCounts": {"numQubits": 765269, "tCount": 1000000, "rotationCount": 30000,
+                      "rotationDepth": 11000, "cczCount": 250000, "measurementCount": 150000},
+    "sweep": {
+      "qubitParams": [{"name": "qubit_gate_ns_e3"}, {"name": "qubit_gate_ns_e4"},
+                      {"name": "qubit_gate_us_e3"}, {"name": "qubit_gate_us_e4"},
+                      {"name": "qubit_maj_ns_e4"}, {"name": "qubit_maj_ns_e6"}],
+      "errorBudget": {"start": 0.0001, "stop": 0.01, "steps": 33, "scale": "log"}
+    }
+  })"),
+                                                                 registry);
+  ASSERT_TRUE(request.ok());
+  const std::size_t expected_size[] = {0, 198, 198};
+  const std::uint64_t expected_hits[] = {0, 0, 198};
+  for (int run = 0; run < 3; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run + 1));
+    const api::EstimateResponse response = api::run(request, engine.options(), registry);
+    ASSERT_TRUE(response.success);
+    const json::Value& stats = response.result.at("batchStats");
+    EXPECT_EQ(stats.at("numItems").as_uint(), 198u);
+    EXPECT_EQ(stats.at("cacheHits").as_uint(), expected_hits[run]);
+    EXPECT_EQ(stats.at("cacheEvictions").as_uint(), 0u);
+    EXPECT_EQ(engine.cache().size(), expected_size[run]);
+  }
+}
+
+TEST(Service, SweepHitsAnEntryASingleEstimateLeft) {
+  // A single estimate of one grid point fills the cache; a sweep over that
+  // point finds the entry and answers its very bytes.
+  api::Registry registry = api::Registry::with_builtins();
+  service::Engine engine;
+  const json::Value sweep_job = json::parse(kFig4StyleSweep);
+  const std::vector<json::Value> points = service::expand_sweep(sweep_job);
+  constexpr std::size_t kPoint = 17;
+  const api::EstimateResponse single =
+      api::run(api::EstimateRequest::parse(points[kPoint], registry), engine.options(), registry);
+  ASSERT_TRUE(single.success);
+  ASSERT_TRUE(single.result.is_raw());
+
+  const api::EstimateResponse swept =
+      api::run(api::EstimateRequest::parse(sweep_job, registry), engine.options(), registry);
+  ASSERT_TRUE(swept.success);
+  EXPECT_EQ(swept.result.at("batchStats").at("cacheHits").as_uint(), 1u);
+  EXPECT_EQ(swept.result.at("batchStats").at("cacheMisses").as_uint(), points.size() - 1);
+  const json::Value& hit = swept.result.at("results").as_array()[kPoint];
+  ASSERT_TRUE(hit.is_raw());
+  EXPECT_EQ(hit.raw_bytes().get(), single.result.raw_bytes().get());
 }
 
 TEST(Service, SweepJobMatchesHandWrittenItems) {
@@ -787,9 +936,11 @@ TEST(Service, ConcurrentRequestsOnOneEngineAreBitIdenticalToSerial) {
   EXPECT_EQ(cache.evictions(), 0u);
 }
 
-// Concurrent distinct sweeps through one shared Engine: each response's
+// Concurrent distinct grids through one shared Engine: each response's
 // batchStats must count that request's own lookups, not whatever else moved
-// the shared cache's counters while it ran.
+// the shared cache's counters while it ran. Each grid runs as an "items"
+// batch of its expanded documents, which fills the cache on every miss, and
+// then as a sweep, which fills it on repeated misses.
 TEST(Service, ConcurrentSweepsCountOnlyTheirOwnCacheTraffic) {
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kRequestsPerThread = 5;
@@ -800,54 +951,80 @@ TEST(Service, ConcurrentSweepsCountOnlyTheirOwnCacheTraffic) {
   defaults.cache_capacity = 64;  // smaller than the traffic: evictions happen
   service::Engine engine(defaults);
 
-  std::vector<json::Value> stats(kThreads * kRequestsPerThread);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (std::size_t r = 0; r < kRequestsPerThread; ++r) {
-        // Each pair of consecutive requests shares its grid, so some lookups hit.
-        const std::size_t num_qubits = 10 + t * 100 + r / 2;
-        const json::Value job = json::parse(R"({
-          "schemaVersion": 2,
-          "logicalCounts": {"numQubits": )" + std::to_string(num_qubits) +
-                                            R"(, "tCount": 5000},
-          "sweep": {
-            "qubitParams": [{"name": "qubit_gate_ns_e3"}, {"name": "qubit_gate_ns_e4"},
-                            {"name": "qubit_gate_us_e3"}, {"name": "qubit_gate_us_e4"},
-                            {"name": "qubit_maj_ns_e4"}, {"name": "qubit_maj_ns_e6"}],
-            "errorBudget": [0.01, 0.001, 0.0001]
+  struct Totals {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+  };
+  // Runs every thread's requests, as items batches or as sweeps, and sums
+  // their batchStats.
+  auto run_all = [&](bool as_items) {
+    std::vector<json::Value> stats(kThreads * kRequestsPerThread);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t r = 0; r < kRequestsPerThread; ++r) {
+          // Each pair of consecutive requests shares its grid, so some lookups hit.
+          const std::size_t num_qubits = 10 + t * 100 + r / 2;
+          json::Value job = json::parse(R"({
+            "schemaVersion": 2,
+            "logicalCounts": {"numQubits": )" + std::to_string(num_qubits) +
+                                        R"(, "tCount": 5000},
+            "sweep": {
+              "qubitParams": [{"name": "qubit_gate_ns_e3"}, {"name": "qubit_gate_ns_e4"},
+                              {"name": "qubit_gate_us_e3"}, {"name": "qubit_gate_us_e4"},
+                              {"name": "qubit_maj_ns_e4"}, {"name": "qubit_maj_ns_e6"}],
+              "errorBudget": [0.01, 0.001, 0.0001]
+            }
+          })");
+          if (as_items) {
+            json::Array items;
+            for (json::Value& item : service::expand_sweep(job)) items.push_back(std::move(item));
+            job = json::Value(json::Object{{"schemaVersion", json::Value(2)},
+                                           {"items", json::Value(std::move(items))}});
           }
-        })");
-        api::EstimateRequest request = api::EstimateRequest::parse(job, registry);
-        api::EstimateResponse response = api::run(request, engine.options(), registry);
-        if (response.success) stats[t * kRequestsPerThread + r] = response.result.at("batchStats");
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
+          api::EstimateRequest request = api::EstimateRequest::parse(job, registry);
+          api::EstimateResponse response = api::run(request, engine.options(), registry);
+          if (response.success) {
+            stats[t * kRequestsPerThread + r] = response.result.at("batchStats");
+          }
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
 
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  for (std::size_t k = 0; k < stats.size(); ++k) {
-    SCOPED_TRACE("request " + std::to_string(k));
-    ASSERT_TRUE(stats[k].is_object());
-    EXPECT_EQ(stats[k].at("numItems").as_uint(), kItems);
-    const std::uint64_t h = stats[k].at("cacheHits").as_uint();
-    const std::uint64_t m = stats[k].at("cacheMisses").as_uint();
-    const std::uint64_t e = stats[k].at("cacheEvictions").as_uint();
-    EXPECT_EQ(h + m, kItems);
-    EXPECT_LE(e, m);
-    hits += h;
-    misses += m;
-    evictions += e;
-  }
+    Totals totals;
+    for (std::size_t k = 0; k < stats.size(); ++k) {
+      SCOPED_TRACE("request " + std::to_string(k));
+      EXPECT_TRUE(stats[k].is_object());
+      if (!stats[k].is_object()) continue;
+      EXPECT_EQ(stats[k].at("numItems").as_uint(), kItems);
+      const std::uint64_t h = stats[k].at("cacheHits").as_uint();
+      const std::uint64_t m = stats[k].at("cacheMisses").as_uint();
+      const std::uint64_t e = stats[k].at("cacheEvictions").as_uint();
+      EXPECT_EQ(h + m, kItems);
+      EXPECT_LE(e, m);
+      totals.hits += h;
+      totals.misses += m;
+      totals.evictions += e;
+    }
+    return totals;
+  };
+
   // The requests' own counts partition the shared cache's counters.
-  EXPECT_EQ(hits, engine.cache().hits());
-  EXPECT_EQ(misses, engine.cache().misses());
-  EXPECT_EQ(evictions, engine.cache().evictions());
-  EXPECT_GT(evictions, 0u);
+  const Totals items = run_all(true);
+  EXPECT_EQ(items.hits, engine.cache().hits());
+  EXPECT_EQ(items.misses, engine.cache().misses());
+  EXPECT_EQ(items.evictions, engine.cache().evictions());
+  EXPECT_GT(items.evictions, 0u);
+
+  // Sweeps of the same grids: a first miss inserts nothing, a repeated one
+  // inserts and evicts, and their counts partition the rest.
+  const Totals sweeps = run_all(false);
+  EXPECT_EQ(items.hits + sweeps.hits, engine.cache().hits());
+  EXPECT_EQ(items.misses + sweeps.misses, engine.cache().misses());
+  EXPECT_EQ(items.evictions + sweeps.evictions, engine.cache().evictions());
 }
 
 // Same-document single estimates through one Engine: the serving layer's
